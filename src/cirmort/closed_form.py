@@ -27,6 +27,17 @@ variants used internally are
     IU~(z) = e^{(1-a) z} I_U(z),   IM~(z) = e^{-a z} I_M(z),
     e^{-a z} u_p(z) = Msc(z) IU~(z) + U(z) IM~(z),   Msc = e^{-z} M.
 
+IU~ swaps the order of integration: with the Laplace integral of U
+(DLMF 13.4.4) inside, the xi-integral is a regularized upper incomplete
+gamma Q (DLMF 8.2.4), and with b = 1 - a + t
+
+    IU~(z) = (c/s) int_0^inf t^{alpha-1} (1+t)^{gamma-alpha-1} b^{-gamma}
+                             e^{(1-a) z} Q(gamma, b z) dt.
+
+The integrand is built in log space as e^{-t z} e^y Q(gamma, y), y = b z,
+with e^y Q from y^gamma U(1, 1+gamma, y) (DLMF 8.5.3) where gammaincc would
+underflow.  One GK15 rule in t, shared with small-z U, serves all z at once.
+
 Smooth pasting V(x*) = 1, V'(x*) = 0 fixes c2 and the boundary: with
 z_ref = z the residual
 
@@ -40,6 +51,7 @@ shooting and finite-difference oracles.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -51,6 +63,7 @@ from .errors import (DomainError, NoBracketError, SingularityError,
 from .model import CirParams, ContractParams, DerivedConstants, derive_constants
 from .numerics import find_root_bracketed, integrate_adaptive
 from .specfun import (_kummer_m_prime_scaled, _kummer_m_scaled,
+                      _laplace_rule, _log_gammaincc_scaled,
                       _tricomi_u_raw)
 
 __all__ = [
@@ -99,8 +112,7 @@ def kernel_weight(consts: DerivedConstants, contract: ContractParams,
 class _Workspace:
     """Per-(consts, contract) evaluation context for the scaled formulas.
 
-    Memoizes the two kernel integrals per abscissa; all public entry points
-    funnel through here.
+    Memoizes IM~ per (z, z_ref); all public entry points funnel through here.
     """
 
     def __init__(self, consts: DerivedConstants, contract: ContractParams,
@@ -113,7 +125,6 @@ class _Workspace:
         self.a = consts.a_exp
         self.kappa_log = (math.lgamma(self.alpha) - math.lgamma(self.gamma)
                           + math.log(contract.c / consts.s))
-        self._iu_cache: dict[float, float] = {}
         self._im_cache: dict[tuple[float, float], float] = {}
 
     # homogeneous basis, scaled where growth demands it
@@ -130,43 +141,22 @@ class _Workspace:
     def m_prime_scaled(self, zs: np.ndarray) -> np.ndarray:
         return _kummer_m_prime_scaled(self.alpha, self.gamma, zs)
 
-    def _iu_cutoff(self, z: float) -> float:
-        """Truncation point T for the tail integral IU~.
-
-        Beyond the mode of xi^{gamma-1-alpha} e^{-(1-a) xi} the integrand
-        decays exponentially; T is pushed out until the certified bound
-        integrand(T)/(1-a) drops ~e^{-42} below the integrand's scale.
-        """
-        one_ma = 1.0 - self.a
-        growth = max(self.gamma - 1.0 - self.alpha, 0.0)
-        T = z + (45.0 + 2.0 * growth) / one_ma
-        for _ in range(50):
-            T_new = z + (45.0 + growth * math.log(max(T, 2.0)
-                                                  / max(z, 0.1))) / one_ma
-            T_new = max(T_new, z + 45.0 / one_ma, 2.0 * growth / one_ma)
-            if abs(T_new - T) < 1e-6 * T:
-                break
-            T = T_new
-        return T
-
-    def _iu_integrand(self, z: float):
-        def f(xis):
-            return self.u_fn(xis) * np.exp(
-                self.kappa_log + (self.gamma - 1.0) * np.log(xis)
-                - (1.0 - self.a) * (xis - z))
-        return f
-
-    def iu_tilde(self, z: float) -> float:
-        """IU~(z) = int_z^T U(xi) kappa xi^{gamma-1} e^{-(1-a)(xi-z)} dxi."""
-        z = float(z)
-        hit = self._iu_cache.get(z)
-        if hit is not None:
-            return hit
-        T = self._iu_cutoff(z)
-        res = integrate_adaptive(self._iu_integrand(z), z, T,
-                                 tol=self.tol_quad, initial=8)
-        self._iu_cache[z] = res.value
-        return res.value
+    def iu_scaled(self, zs: np.ndarray) -> np.ndarray:
+        """IU~ at every z of zs, on one rule in t (see the module
+        docstring)."""
+        # for large y, e^y Q(gamma, y) ~ y^{gamma-1} / Gamma(gamma)
+        t, w = _laplace_rule(self.alpha, self.gamma - 1.0, zs)
+        b = 1.0 - self.a + t
+        # log of the integrand, one row per z, built in place
+        e = _log_gammaincc_scaled(self.gamma, np.outer(zs, b).ravel())
+        e = e.reshape(zs.size, t.size)
+        e -= np.outer(zs, t)
+        e += ((self.gamma - self.alpha - 1.0) * np.log1p(t)
+              - self.gamma * np.log(b))
+        peak = e.max(axis=1)
+        e -= peak[:, None]
+        np.exp(e, out=e)
+        return (self.contract.c / self.consts.s) * np.exp(peak) * (e @ w)
 
     def im_tilde(self, z: float, z_ref: float) -> float:
         """IM~(z) = int_zref^z Msc(xi) kappa xi^{gamma-1} e^{a(xi-z)} dxi."""
@@ -192,38 +182,28 @@ class _Workspace:
     def up_tilde_pair(self, z: float, z_ref: float) -> tuple[float, float]:
         """(e^{-a z} u_p, e^{-a z} u_p') at z with the given z_ref."""
         zs = np.array([z])
-        iu = self.iu_tilde(z)
+        iu = float(self.iu_scaled(zs)[0])
         im = self.im_tilde(z, z_ref)
         up = float(self.m_scaled(zs)[0]) * iu + float(self.u_fn(zs)[0]) * im
         upp = (float(self.m_prime_scaled(zs)[0]) * iu
                + float(self.u_prime_fn(zs)[0]) * im)
         return up, upp
 
-    def residual_scaled(self, z: float) -> float:
-        """e^{-a z} F(z) with z_ref = z (so IM~ = 0)."""
-        zs = np.array([float(z)])
-        u = float(self.u_fn(zs)[0])
-        if u == 0.0:
+    def residual_scaled(self, z: Real) -> Real:
+        """e^{-a z} F(z) with z_ref = z (so IM~ = 0), at one z or at each z
+        of an array.  Where U underflows the residual is undefined: a single
+        z raises SingularityError, an array reads NaN there."""
+        zs = np.atleast_1d(np.asarray(z, dtype=float))
+        u = self.u_fn(zs)
+        if np.ndim(z) == 0 and u[0] == 0.0:
             raise SingularityError(f"U(alpha, gamma, z) underflowed at "
                                    f"z = {z!r}")
-        up = float(self.u_prime_fn(zs)[0])
-        iu = self.iu_tilde(z)
-        msc = float(self.m_scaled(zs)[0])
-        mpsc = float(self.m_prime_scaled(zs)[0])
-        return (1.0 - msc * iu) * up / u + mpsc * iu - self.a
-
-
-_WORKSPACES: dict[tuple, _Workspace] = {}
-
-
-def _workspace(consts: DerivedConstants, contract: ContractParams,
-               tol_quad: float = 1e-12) -> _Workspace:
-    key = (consts, contract, tol_quad)
-    ws = _WORKSPACES.get(key)
-    if ws is None:
-        ws = _Workspace(consts, contract, tol_quad)
-        _WORKSPACES[key] = ws
-    return ws
+        iu = self.iu_scaled(zs)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = ((1.0 - self.m_scaled(zs) * iu) * self.u_prime_fn(zs) / u
+                   + self.m_prime_scaled(zs) * iu - self.a)
+        res[u == 0.0] = np.nan
+        return float(res[0]) if np.ndim(z) == 0 else res
 
 
 def particular_solution(consts: DerivedConstants, contract: ContractParams,
@@ -237,7 +217,7 @@ def particular_solution(consts: DerivedConstants, contract: ContractParams,
     """
     if not (z >= z_ref > 0):
         raise DomainError(f"need z >= z_ref > 0, got z={z!r}, z_ref={z_ref!r}")
-    ws = _workspace(consts, contract, tol_quad)
+    ws = _Workspace(consts, contract, tol_quad)
     up_t, upp_t = ws.up_tilde_pair(z, z_ref)
     scale = math.exp(consts.a_exp * z)
     return up_t * scale, upp_t * scale
@@ -249,7 +229,7 @@ def boundary_residual(consts: DerivedConstants, contract: ContractParams,
     with z_ref = z_candidate; F(z*) = 0."""
     if not z_candidate > 0:
         raise DomainError("boundary_residual requires z_candidate > 0")
-    ws = _workspace(consts, contract, tol_quad)
+    ws = _Workspace(consts, contract, tol_quad)
     return ws.residual_scaled(z_candidate) * math.exp(
         consts.a_exp * z_candidate)
 
@@ -269,9 +249,8 @@ def boundary_residual_ratio_form(consts: DerivedConstants,
     """
     if not z_candidate > 0:
         raise DomainError("requires z_candidate > 0")
-    ws = _workspace(consts, contract, tol_quad)
     zs = np.array([float(z_candidate)])
-    u = float(ws.u_fn(zs)[0])
+    u = float(_tricomi_u_raw(consts.alpha, consts.gamma, zs)[0])
     u_shift = float(_tricomi_u_raw(consts.alpha + 1.0, consts.gamma + 1.0,
                                    zs)[0])
     up, upp = particular_solution(consts, contract, z_candidate, z_candidate,
@@ -313,7 +292,7 @@ def _branch_value(sol: SteadyStateSolution, z: float) -> float:
     zs = np.array([float(z)])
     u = float(ws.u_fn(zs)[0])
     decay = math.exp(-ws.a * (z - sol.z_star))
-    iu = ws.iu_tilde(z)
+    iu = float(ws.iu_scaled(zs)[0])
     im = ws.im_tilde(z, sol.z_star)
     return (sol.amp * decay * u / sol.u_at_star
             + float(ws.m_scaled(zs)[0]) * iu + u * im)
@@ -327,7 +306,7 @@ def _branch_derivative(sol: SteadyStateSolution, z: float) -> float:
     u = float(ws.u_fn(zs)[0])
     u_p = float(ws.u_prime_fn(zs)[0])
     decay = math.exp(-ws.a * (z - sol.z_star))
-    iu = ws.iu_tilde(z)
+    iu = float(ws.iu_scaled(zs)[0])
     im = ws.im_tilde(z, sol.z_star)
     v = (sol.amp * decay * u / sol.u_at_star
          + float(ws.m_scaled(zs)[0]) * iu + u * im)
@@ -376,7 +355,7 @@ def ode_residual(solution: SteadyStateSolution, x: float,
     cir = solution.cir
     if x <= solution.x_star:
         # stopped branch: V = 1, V' = V'' = 0
-        return contract_residual_stopped(solution, x)
+        return solution.contract.c - x
     h = step_scale * x
     d_hi = value_derivative(solution, x + h)
     if x - h > solution.x_star:
@@ -388,12 +367,6 @@ def ode_residual(solution: SteadyStateSolution, x: float,
     v0 = value(solution, x)
     return (0.5 * cir.sigma ** 2 * x * v2 + cir.k * (cir.theta - x) * v1
             - x * v0 + solution.contract.c)
-
-
-def contract_residual_stopped(solution: SteadyStateSolution,
-                              x: float) -> float:
-    """Residual of the ODE applied to the stopped branch V = 1: c - x."""
-    return solution.contract.c - x
 
 
 @dataclass(frozen=True)
@@ -425,32 +398,23 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
             "m", "the steady-state solver requires the m = c normalization; "
                  "rescale reported values by m/c instead")
     consts = derive_constants(cir)
-    ws = _workspace(consts, contract, tol_quad)
+    ws = _Workspace(consts, contract, tol_quad)
 
     z_lo = 1e-4 * consts.p * cir.theta
     z_hi = 10.0 * consts.p * max(cir.theta, contract.c)
     grid = np.geomspace(z_lo, z_hi, _SCAN_POINTS)
-    vals = np.full(grid.shape, np.nan)
-    for i, zc in enumerate(grid):
-        try:
-            vals[i] = ws.residual_scaled(float(zc))
-        except (OverflowError, SingularityError):
-            continue
-
-    bracket = None
-    for i in range(len(grid) - 1):
-        if (np.isfinite(vals[i]) and np.isfinite(vals[i + 1])
-                and vals[i] * vals[i + 1] < 0):
-            bracket = (float(grid[i]), float(grid[i + 1]))
-            break
-    if bracket is None:
+    vals = ws.residual_scaled(grid)
+    finite = np.isfinite(vals)
+    change = np.nonzero(finite[:-1] & finite[1:]
+                        & (vals[:-1] * vals[1:] < 0))[0]
+    if change.size == 0:
         raise NoBracketError(
             "no sign change of the boundary residual on the scan grid",
             scan_points=grid, scan_values=vals)
 
-    tol_eff = tol * bracket[0] / max(1.0, bracket[1])
-    z_star = find_root_bracketed(ws.residual_scaled, bracket[0], bracket[1],
-                                 tol=tol_eff)
+    lo, hi = float(grid[change[0]]), float(grid[change[0] + 1])
+    z_star = find_root_bracketed(ws.residual_scaled, lo, hi,
+                                 tol=tol * lo / max(1.0, hi))
     x_star = z_star / consts.p
 
     zs = np.array([z_star])
@@ -472,9 +436,6 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
         slope = value_derivative(sol, x_star)
         probes = np.geomspace(1.02 * x_star, 5.0 * x_star, 7)
         res_max = max(abs(ode_residual(sol, float(x))) for x in probes)
-        sol = SteadyStateSolution(
-            cir=cir, contract=contract, consts=consts,
-            z_star=z_star, x_star=x_star, c2=c2, c1=0.0,
-            diagnostics=Diagnostics(v_err, slope, res_max),
-            workspace=ws, u_at_star=u_star, amp=amp)
+        sol = dataclasses.replace(
+            sol, diagnostics=Diagnostics(v_err, slope, res_max))
     return sol

@@ -35,7 +35,7 @@ from typing import Union
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, RangeOverflowError
+from .errors import ConvergenceError, DomainError, RangeOverflowError
 
 __all__ = [
     "HypergeometricParams",
@@ -118,42 +118,40 @@ def _u_laguerre(alpha: float, gamma: float, zs: np.ndarray) -> np.ndarray:
     return np.exp(-alpha * np.log(zs) - math.lgamma(alpha)) * core
 
 
-def _u_panels(alpha: float, gamma: float, zs: np.ndarray) -> np.ndarray:
-    """Small-z evaluation by panel-wise GK15 over the Laplace integral."""
+def _laplace_rule(alpha: float, g: float,
+                  zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t, weights w with sum(w f(t)) ~ int_0^inf t^{alpha-1} f(t) dt at
+    every z of zs, for f smooth on (0, 1] and decaying like (z t)^g e^{-z t}.
+    GK15 panels: geometric in u = t^alpha up to min(1, 1/z_max), which turns
+    t^{alpha-1} dt into du / alpha; then geometric in t, each a fraction of
+    the width 1/sqrt(g) of the peak of y^g e^{-y} in ln y, up to y = 60 + 3g
+    at z_min, where y - g ln y >= 50 + g - g ln g puts it e^{-50} below."""
     from .numerics import _WGK, _XGK
 
-    zmin = float(zs.min())
-    # Truncation point: beyond T the integrand exp(-z t + (gamma-2) ln t)
-    # has dropped ~e^{-45} below its scale; fixed-point the log balance.
-    T = max(2.0, (45.0 + max(gamma - 2.0, 0.0) * 20.0) / zmin)
-    for _ in range(60):
-        T_new = max(2.0, (45.0 + max(gamma - 2.0, 0.0) * np.log(T)) / zmin)
-        if abs(T_new - T) < 1e-6 * T:
-            break
-        T = T_new
-    n_outer = max(40, int(8.0 * np.log10(T)) + 20)
-    edges_inner = np.concatenate(
-        [np.geomspace(1e-18, 0.5, 24), np.linspace(0.5, 1.0, 6)[1:]])
-    edges_outer = np.geomspace(1.0, T, n_outer)
-
-    lga = math.lgamma(alpha)
-    out = np.zeros_like(zs)
-    for inner, edges in ((True, edges_inner), (False, edges_outer)):
+    def panels(edges):
         mid = 0.5 * (edges[1:] + edges[:-1])
         half = 0.5 * (edges[1:] - edges[:-1])
-        u_nodes = (mid[:, None] + half[:, None] * _XGK[None, :]).ravel()
-        if inner:
-            # t = u^{1/alpha} flattens t^{alpha-1} dt into du / alpha
-            t = u_nodes ** (1.0 / alpha)
-            log_f = (gamma - alpha - 1.0) * np.log1p(t) - np.log(alpha) - lga
-        else:
-            t = u_nodes
-            log_f = ((alpha - 1.0) * np.log(t)
-                     + (gamma - alpha - 1.0) * np.log1p(t) - lga)
-        vals = np.exp(-zs[:, None] * t[None, :] + log_f[None, :])
-        vals = vals.reshape(len(zs), len(mid), 15)
-        out += (vals @ _WGK) @ half
-    return out
+        return ((mid[:, None] + half[:, None] * _XGK[None, :]).ravel(),
+                (half[:, None] * _WGK[None, :]).ravel())
+
+    t_split = min(1.0, 1.0 / float(zs.max()))
+    t_max = (60.0 + 3.0 * max(g, 0.0)) / float(zs.min())
+    u, w_inner = panels(t_split ** alpha * np.concatenate(
+        [np.geomspace(1e-18, 0.5, 24), np.linspace(0.5, 1.0, 6)[1:]]))
+    step = min(math.log(2.0), 1.3 / math.sqrt(max(g, 1.0)))
+    t_outer, w_outer = panels(np.geomspace(
+        t_split, t_max, math.ceil(math.log(t_max / t_split) / step) + 1))
+    return (np.concatenate([u ** (1.0 / alpha), t_outer]),
+            np.concatenate([w_inner / alpha,
+                            w_outer * t_outer ** (alpha - 1.0)]))
+
+
+def _u_panels(alpha: float, gamma: float, zs: np.ndarray) -> np.ndarray:
+    """Small-z evaluation by panel-wise GK15 over the Laplace integral,
+    whose integrand decays like (z t)^{gamma-2} e^{-z t}."""
+    t, w = _laplace_rule(alpha, gamma - 2.0, zs)
+    log_f = (gamma - alpha - 1.0) * np.log1p(t) - math.lgamma(alpha)
+    return np.exp(-zs[:, None] * t[None, :] + log_f[None, :]) @ w
 
 
 def _tricomi_u_raw(alpha: float, gamma: float, zs: np.ndarray) -> np.ndarray:
@@ -242,3 +240,40 @@ def _kummer_m_prime_scaled(alpha: float, gamma: float,
                            zs: np.ndarray) -> np.ndarray:
     """e^{-z} dM/dz."""
     return (alpha / gamma) * _kummer_m_scaled(alpha + 1.0, gamma + 1.0, zs)
+
+
+# Past gamma + _CF_MARGIN, e^y Q(gamma, y) comes from the continued fraction:
+# gammaincc underflows near y = 745, and the fraction converges fast there.
+_CF_MARGIN = 30.0
+
+
+def _log_gammaincc_scaled(gamma: float, ys: np.ndarray) -> np.ndarray:
+    """log(e^y Q(gamma, y)), Q = Gamma(gamma, y)/Gamma(gamma) (DLMF 8.2.4), for
+    y > 0.  Past gamma + _CF_MARGIN, e^y Gamma(gamma, y) = y^gamma U(1,
+    1 + gamma, y) (DLMF 8.5.3) with U from the even contraction of Legendre's
+    continued fraction (DLMF 8.9.2), summed by the modified Lentz method."""
+    out = np.empty_like(ys)
+    far = ys > gamma + _CF_MARGIN
+    # b holds one subset of ys at a time: ys may be large
+    b = ys[~far]
+    out[~far] = b + np.log(special.gammaincc(gamma, b))
+    b = ys[far]
+    out[far] = gamma * np.log(b) - math.lgamma(gamma)
+    b += 1.0 - gamma
+    c = np.full_like(b, 1e300)
+    d = 1.0 / b
+    frac = d.copy()
+    for i in range(1, 2000):
+        an = -i * (i - gamma)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        frac *= delta
+        if np.all(np.abs(delta - 1.0) <= 4e-16):
+            break
+    else:
+        raise ConvergenceError("incomplete gamma continued fraction: no "
+                               f"convergence in 2000 terms, gamma = {gamma!r}")
+    out[far] += np.log(frac)
+    return out

@@ -156,6 +156,26 @@ def test_verify_determinism_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_mc_checks_start_above_a_boundary_over_theta(capsys):
+    # x* = 0.0763 > theta: paths started at theta would stop at once and
+    # pass with a tolerance of 0, so they start at 2 x* instead
+    argv = ["--k", "0.5", "--theta", "0.03", "--sigma", "0.05",
+            "--c", "0.08", "--mc-paths", "2000",
+            "--skip", "fd", "--skip", "shooting"]
+    code, out, _ = run_cli(capsys, ["verify", *argv])
+    assert code == 0
+    by_name = {ch["name"]: ch for ch in json.loads(out)["checks"]}
+    for name in ("mc_agreement", "mc_optimality"):
+        assert by_name[name]["tolerance"] > 0.0
+        assert by_name[name]["status"] == "pass"
+    code, out, _ = run_cli(capsys, ["compare", *argv])
+    assert code == 0
+    mc_row = json.loads(out)["rows"][-1]
+    assert mc_row["method"] == "monte_carlo"
+    assert mc_row["value_at_theta"] is None
+    assert 0.0 < mc_row["tolerance"] and mc_row["status"] == "PASS"
+
+
 # ---------------------------------------------------------------------------
 # compare
 

@@ -3,17 +3,21 @@ solution, boundary residual, and the solved value function."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from cirmort.closed_form import (boundary_residual,
+from cirmort.closed_form import (_Workspace, boundary_residual,
                                  boundary_residual_ratio_form, kernel_weight,
                                  ode_residual, particular_solution,
                                  solve_boundary, source_term, value,
                                  value_curve, value_derivative)
-from cirmort.errors import DomainError, NoBracketError, ValidationError
+from cirmort.errors import (DomainError, NoBracketError, RangeOverflowError,
+                            ValidationError)
 from cirmort.model import CirParams, ContractParams, derive_constants
 from cirmort.numerics import find_root_bracketed
+from cirmort.oracles import shoot_solve
+from cirmort.specfun import _CF_MARGIN  # where IU~ switches route
 from cirmort.specfun import _kummer_m_scaled, tricomi_u  # noqa: the scaled
 # helper is internal but is the only overflow-free route for the
 # asymptotic-elimination check below
@@ -126,6 +130,50 @@ def test_particular_solution_requires_ordered_arguments(primary_consts):
 
 
 # ---------------------------------------------------------------------------
+# tail integral IU~
+
+def _iu_nested(consts, contract, z):
+    """IU~(z) = kappa int_0^inf U(z+s) (z+s)^{gamma-1} e^{-(1-a) s} ds: the
+    nested definition, with mpmath's U and quadrature."""
+    with mp.workdps(20):
+        al, g, a = (mp.mpf(consts.alpha), mp.mpf(consts.gamma),
+                    mp.mpf(consts.a_exp))
+        z = mp.mpf(z)
+        kappa = mp.gamma(al) / mp.gamma(g) * mp.mpf(contract.c) / consts.s
+        total = mp.quad(lambda s: mp.hyperu(al, g, z + s) * (z + s) ** (g - 1)
+                        * mp.exp(-(1 - a) * s), [0, 1, 10, 60, mp.inf])
+        return float(kappa * total)
+
+
+@pytest.mark.parametrize("cir", [
+    PRIMARY_CIR,
+    CirParams(k=0.1, theta=0.03, sigma=0.2),     # alpha = 0.05, gamma = 0.15
+    CirParams(k=0.5, theta=0.1, sigma=0.05),     # gamma = 40
+], ids=["primary", "low_alpha", "gamma_40"])
+def test_iu_matches_nested_definition(cir):
+    d = derive_constants(cir)
+    ws = _Workspace(d, CONTRACT)
+    # from the first scan point to the tail probe of cmd_verify; at the
+    # third z the bulk of y = (1-a+t) z sits at the switch from gammaincc
+    # to the continued fraction, at the fourth the bulk is far beyond it
+    zs = np.array([1e-4 * d.p * cir.theta, 1.0,
+                   (d.gamma + _CF_MARGIN) / (1.0 - d.a_exp), 1400.0])
+    got = ws.iu_scaled(zs)
+    for z, v in zip(zs, got):
+        want = _iu_nested(d, CONTRACT, z)
+        assert abs(v - want) <= 1e-12 * want, z
+
+
+def test_residual_on_an_array_matches_single_points(primary_consts):
+    ws = _Workspace(primary_consts, CONTRACT)
+    grid = np.geomspace(1e-4 * primary_consts.p * PRIMARY_CIR.theta,
+                        10.0 * primary_consts.p * PRIMARY_CIR.theta, 64)
+    single = [ws.residual_scaled(float(z)) for z in grid]
+    np.testing.assert_allclose(ws.residual_scaled(grid), single,
+                               rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # boundary residual and solve
 
 def test_residual_vanishes_at_root(primary_solution, primary_consts):
@@ -188,6 +236,17 @@ def test_solve_tolerance_monotonicity():
     a = solve_boundary(PRIMARY_CIR, CONTRACT, tol=tol)
     b = solve_boundary(PRIMARY_CIR, CONTRACT, tol=tol / 10.0)
     assert abs(a.z_star - b.z_star) <= 10.0 * tol * a.z_star
+
+
+@pytest.mark.xfail(strict=True, raises=RangeOverflowError,
+                   reason="at gamma = 2 k theta / sigma^2 of about 133, U "
+                          "overflows at the small-z end of the scan, while "
+                          "the shooting oracle finds x* near 0.004308")
+def test_large_gamma_boundary_matches_shooting():
+    cir = CirParams(k=0.25, theta=0.06, sigma=0.015)
+    sol = solve_boundary(cir, CONTRACT)
+    rep = shoot_solve(cir, CONTRACT, tol=1e-8)
+    assert abs(sol.x_star - rep.r_star) <= 1e-6 * rep.r_star
 
 
 def test_no_interior_boundary_regime_raises_no_bracket():

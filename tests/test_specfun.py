@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cirmort.errors import DomainError, RangeOverflowError
-from cirmort.specfun import (HypergeometricParams, kummer_m, kummer_m_prime,
+from cirmort.specfun import (_CF_MARGIN, HypergeometricParams,
+                             _log_gammaincc_scaled, kummer_m, kummer_m_prime,
                              log_gamma, tricomi_u, tricomi_u_prime,
                              wronskian_mu)
 
@@ -259,3 +260,16 @@ def test_wronskian_identity_property(alpha, gamma, z):
     num = (kummer_m(params, z) * tricomi_u_prime(params, z)
            - kummer_m_prime(params, z) * tricomi_u(params, z))
     assert abs(num - ref) <= 1e-8 * abs(ref)
+
+
+@pytest.mark.parametrize("gamma", [0.15, 3.0, 40.0, 133.0])
+def test_scaled_incomplete_gamma_matches_mpmath(gamma):
+    # both sides of the switch to the continued fraction, and far past the
+    # underflow of gammaincc near y = 745
+    ys = np.array([0.01, 1.0, gamma, gamma + 0.99 * _CF_MARGIN,
+                   gamma + 1.01 * _CF_MARGIN, 745.0, 1400.0])
+    got = _log_gammaincc_scaled(gamma, ys)
+    for y, v in zip(ys, got):
+        want = float(y + mpmath.log(mpmath.gammainc(gamma, y, mpmath.inf,
+                                                    regularized=True)))
+        assert abs(v - want) <= 1e-13 * max(1.0, abs(want)), y
