@@ -2,79 +2,27 @@
 
 Usage:
     python scripts/compare_methods.py --k 0.25 --theta 0.06 --sigma 0.1 \
-        --c 0.05 [--mc-paths 100000] [--skip mc]
+        --c 0.05 [--mc-paths 100000] [--skip mc] [--output csv]
 
-Runs the analytical solver, the shooting oracle, the finite-difference
-obstacle solver, and (unless skipped) the Monte Carlo valuer on the same
-parameters, and prints boundary estimates, values at x0 = theta, and
-agreement margins.  This is a thin wrapper over the library's `compare`
-subcommand with a fixed, human-oriented output.
+A thin wrapper over the library's `compare` subcommand: runs the analytical
+solver, the shooting oracle, the finite-difference obstacle solver and
+(unless skipped) the Monte Carlo valuer on the same parameters, and prints
+one row per method with its boundary, value at theta and agreement margin.
+Every `cirmort compare` option is accepted; the parameters default to the
+primary fixture and Monte Carlo to 100,000 paths.
 """
 
-import argparse
 import sys
-import time
 
-import numpy as np
+from cirmort.cli import main as cli_main
 
-from cirmort.closed_form import solve_boundary, value
-from cirmort.model import CirParams, ContractParams
-from cirmort.oracles import (GridSpec, fd_steady_state, mc_value,
-                             shoot_solve)
+DEFAULTS = ["--k", "0.25", "--theta", "0.06", "--sigma", "0.1",
+            "--c", "0.05", "--mc-paths", "100000"]
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--k", type=float, default=0.25)
-    parser.add_argument("--theta", type=float, default=0.06)
-    parser.add_argument("--sigma", type=float, default=0.1)
-    parser.add_argument("--c", type=float, default=0.05)
-    parser.add_argument("--fd-nodes", type=int, default=2000)
-    parser.add_argument("--mc-paths", type=int, default=100_000)
-    parser.add_argument("--mc-dt", type=float, default=1.0 / 252.0)
-    parser.add_argument("--mc-horizon", type=float, default=400.0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--skip", action="append", default=[],
-                        choices=("mc", "fd", "shooting"))
-    args = parser.parse_args(argv)
-
-    cir = CirParams(k=args.k, theta=args.theta, sigma=args.sigma)
-    con = ContractParams(c=args.c, m=args.c)
-
-    t0 = time.monotonic()
-    sol = solve_boundary(cir, con)
-    v_theta = value(sol, cir.theta)
-    print(f"closed form        x* = {sol.x_star:.10f}   "
-          f"V(theta) = {v_theta:.8f}   [{time.monotonic() - t0:.2f} s]")
-
-    if "shooting" not in args.skip:
-        t0 = time.monotonic()
-        sh = shoot_solve(cir, con, tol=1e-8)
-        rel = abs(sh.r_star - sol.x_star) / sol.x_star
-        print(f"shooting           x* = {sh.r_star:.10f}   "
-              f"rel gap = {rel:.2e}   [{time.monotonic() - t0:.2f} s]")
-
-    if "fd" not in args.skip:
-        t0 = time.monotonic()
-        grid = GridSpec(50.0 * cir.theta, args.fd_nodes)
-        fd = fd_steady_state(cir, con, grid)
-        dx = fd.grid[1] - fd.grid[0]
-        h_fd = fd.h_trace[-1, 1]
-        v_fd = float(np.interp(cir.theta, fd.grid, fd.v_steady))
-        print(f"finite difference  x* = {h_fd:.10f}   "
-              f"V(theta) = {v_fd:.8f}   "
-              f"cells off = {abs(h_fd - sol.x_star) / dx:.2f}   "
-              f"[{time.monotonic() - t0:.2f} s]")
-
-    if "mc" not in args.skip:
-        t0 = time.monotonic()
-        mc = mc_value(cir, con, cir.theta, sol.x_star, args.mc_paths,
-                      args.mc_dt, args.mc_horizon, seed=args.seed)
-        sigmas = abs(mc.value_estimate - v_theta) / mc.std_error
-        print(f"monte carlo        V(theta) = {mc.value_estimate:.8f} "
-              f"+- {mc.std_error:.2e}   deviation = {sigmas:.2f} se   "
-              f"[{time.monotonic() - t0:.2f} s]")
-    return 0
+    argv = sys.argv[1:] if argv is None else argv
+    return cli_main(["compare", *DEFAULTS, *argv])
 
 
 if __name__ == "__main__":

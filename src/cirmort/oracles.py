@@ -1,8 +1,9 @@
 """Independent numerical oracles for the closed-form solution:
 
 * shooting/bisection on the steady ODE,
-* an implicit finite-difference obstacle solver for the time-dependent
-  system, marched to its steady state,
+* a finite-difference obstacle solver on the tridiagonal generator: policy
+  iteration on the stationary problem, or implicit time steps of the
+  time-dependent one up to a finite horizon,
 * Monte Carlo valuation of the threshold prepayment policy with exact CIR
   transition sampling.
 
@@ -188,129 +189,113 @@ def _operator_coeffs(cir: CirParams, xs: np.ndarray, dx: float):
     return lo, dg, up
 
 
+def _howard(band: np.ndarray, rhs: np.ndarray, obstacle: float,
+            contact: np.ndarray):
+    """Policy iteration for the discrete obstacle problem
+    min(obstacle - v, rhs - B v) = 0, B tridiagonal in `solve_banded` form
+    with a Dirichlet last row.
+
+    Contact rows are pinned to the obstacle and the rest solved exactly;
+    each row then keeps whichever constraint binds.  B is an M-matrix, so
+    this settles in at most n + 1 iterations (Bokanowski, Maroso & Zidani,
+    SIAM J. Numer. Anal. 47, 2009).  Returns (v, contact set).
+    """
+    n = rhs.size
+    for _ in range(n + 1):
+        pinned = band.copy()
+        pinned[1] = np.where(contact, 1.0, band[1])
+        pinned[0, 1:] = np.where(contact[:-1], 0.0, band[0, 1:])
+        pinned[2, :-1] = np.where(contact[1:], 0.0, band[2, :-1])
+        v = solve_banded((1, 1), pinned, np.where(contact, obstacle, rhs))
+        bv = band[1] * v
+        bv[:-1] += band[0, 1:] * v[1:]
+        bv[1:] += band[2, :-1] * v[:-1]
+        new_contact = obstacle - v < rhs - bv
+        new_contact[-1] = False
+        if np.array_equal(new_contact, contact):
+            v[:-1] = np.minimum(v[:-1], obstacle)
+            return v, contact
+        contact = new_contact
+    raise ConvergenceError(
+        f"policy iteration did not settle in {n + 1} iterations")
+
+
+def _contact_edge(xs: np.ndarray, v: np.ndarray, obstacle: float) -> float:
+    """Right edge of the contiguous run from x = 0 where v touches the
+    obstacle (the free boundary), or 0 when v does not touch at x = 0."""
+    touching = (obstacle - v) <= 1e-9 * max(1.0, obstacle)
+    if not touching[0]:
+        return 0.0
+    edge = int(np.argmin(touching)) - 1 if not touching.all() else xs.size - 1
+    return float(xs[max(edge, 0)])
+
+
 def fd_steady_state(cir: CirParams, contract: ContractParams,
                     grid_spec: GridSpec, dtau: float = 0.05,
-                    tau_max: float | None = None, psor_omega: float = 1.6,
-                    psor_tol: float = 1e-12, steady_tol: float = 1e-10,
-                    max_sweeps: int = 5000) -> FdReport:
-    """Implicit time stepping of the obstacle problem with projected SOR.
+                    tau_max: float | None = None,
+                    steady_tol: float = 1e-10) -> FdReport:
+    """Finite-difference obstacle solver on the tridiagonal generator.
 
-    The obstacle is the balance (m/c)(1 - e^{-c tau}); at x = 0 the operator
+    With tau_max None, the stationary problem min(m/c - v, c - M v) = 0,
+    M = -A, is solved directly by policy iteration; the report carries
+    h_trace = [[inf, h]] and steps_to_steady = 0.  With a finite tau_max,
+    the time-dependent problem is marched by implicit steps of size dtau
+    against the balance obstacle (m/c)(1 - e^{-c tau}), each step the same
+    policy iteration on (I + dtau M) v = v_old + dtau c, until the update
+    falls below steady_tol or tau reaches tau_max.  At x = 0 the operator
     degenerates to first order and is discretized one-sided; at x_max a
     Dirichlet value c/x_max (the tail of the steady solution) is imposed.
     """
     if not dtau > 0:
         raise ValidationError("dtau", "must be positive")
-    if tau_max is None:
-        tau_max = 200.0 / cir.k
     n = grid_spec.n_nodes
     xs = np.linspace(0.0, grid_spec.x_max, n)
     dx = xs[1] - xs[0]
     c = contract.c
+
+    # banded M = -A; row 0 is the degenerate one-sided equation, the last
+    # row (zero here) carries the Dirichlet condition
+    lo_i, dg_i, up_i = _operator_coeffs(cir, xs[1:-1], dx)
+    adv0 = cir.k * cir.theta / dx
+    m_band = np.zeros((3, n))
+    m_band[0, 1] = -adv0
+    m_band[0, 2:] = -up_i
+    m_band[1, 0] = adv0
+    m_band[1, 1:-1] = -dg_i
+    m_band[2, :-2] = -lo_i
+    rhs = np.full(n, c)
+    rhs[-1] = c / grid_spec.x_max
+    no_contact = np.zeros(n, dtype=bool)
+
+    if tau_max is None:
+        m_band[1, -1] = 1.0
+        obstacle = balance(contract, math.inf)
+        v, _ = _howard(m_band, rhs, obstacle, no_contact)
+        return FdReport(grid=xs, v_steady=v,
+                        h_trace=np.array([[math.inf,
+                                           _contact_edge(xs, v, obstacle)]]),
+                        steps_to_steady=0)
 
     adv_cfl = dtau * np.max(np.abs(cir.k * (cir.theta - xs))) / dx
     if adv_cfl > 100.0:
         warnings.warn(
             f"dtau advects across {adv_cfl:.0f} cells per step; "
             f"consider a smaller dtau", CflWarning, stacklevel=2)
-
-    lo_i, dg_i, up_i = _operator_coeffs(cir, xs[1:-1], dx)
-    # system (I - dtau A); row 0 is the degenerate one-sided equation
-    m_lo = np.zeros(n)
-    m_dg = np.ones(n)
-    m_up = np.zeros(n)
-    m_lo[1:-1] = -dtau * lo_i
-    m_dg[1:-1] = 1.0 - dtau * dg_i
-    m_up[1:-1] = -dtau * up_i
-    adv0 = cir.k * cir.theta / dx
-    m_dg[0] = 1.0 + dtau * adv0
-    m_up[0] = -dtau * adv0
-
-    red = np.arange(1, n - 1, 2)
-    black = np.arange(2, n - 1, 2)
-
-    # banded form of the system for the unconstrained warm-start solve; the
-    # last row is the Dirichlet condition
-    banded = np.zeros((3, n))
-    banded[0, 1:] = m_up[:-1]
-    banded[1, :] = m_dg
-    banded[2, :-1] = m_lo[1:]
-    banded[1, -1] = 1.0
-    banded[2, -2] = 0.0
-
+    step_band = dtau * m_band
+    step_band[1] += 1.0
     v = np.zeros(n)
-    contact_tol = 1e-9
+    contact = no_contact
     h_trace = []
     n_steps = int(math.ceil(tau_max / dtau))
     steps_taken = n_steps
-    contact = np.zeros(n, dtype=bool)
     for step in range(1, n_steps + 1):
         tau = step * dtau
         obstacle = balance(contract, tau)
-        rhs = v + dtau * c
-        v_old = v.copy()
-        # warm start by Howard policy iteration on the contact set: pinned
-        # rows carry v = obstacle, the complement is solved exactly, and each
-        # row keeps whichever constraint (PDE row or obstacle) is binding.
-        # PSOR below then certifies and enforces the obstacle for the step.
-        rhs_sys = rhs.copy()
-        rhs_sys[-1] = c / grid_spec.x_max
-        v_new = v
-        for _ in range(40):
-            bb = banded.copy()
-            rr = rhs_sys.copy()
-            idx_c = np.nonzero(contact)[0]
-            bb[1, idx_c] = 1.0
-            bb[0, idx_c[idx_c < n - 1] + 1] = 0.0
-            bb[2, idx_c[idx_c > 0] - 1] = 0.0
-            rr[idx_c] = obstacle
-            v_new = solve_banded((1, 1), bb, rr)
-            # slack of the PDE row under the original system
-            mv = m_dg * v_new
-            mv[:-1] += m_up[:-1] * v_new[1:]
-            mv[1:] += m_lo[1:] * v_new[:-1]
-            # complementarity: min(obstacle - v, rhs - M v) = 0, so contact
-            # rows carry rhs - M v > 0 and free rows carry obstacle - v > 0
-            slack_pde = rhs_sys - mv
-            slack_obs = obstacle - v_new
-            new_contact = slack_obs < slack_pde
-            new_contact[-1] = False
-            if np.array_equal(new_contact, contact):
-                break
-            contact = new_contact
-        v_new = np.minimum(v_new, obstacle)
-        v_new[-1] = c / grid_spec.x_max
-        for sweep in range(max_sweeps):
-            delta = 0.0
-            # node 0, then the red/black interior halves
-            g0 = (rhs[0] - m_up[0] * v_new[1]) / m_dg[0]
-            cand = min((1 - psor_omega) * v_new[0] + psor_omega * g0, obstacle)
-            delta = max(delta, abs(cand - v_new[0]))
-            v_new[0] = cand
-            for group in (red, black):
-                gs = (rhs[group] - m_lo[group] * v_new[group - 1]
-                      - m_up[group] * v_new[group + 1]) / m_dg[group]
-                cand = np.minimum(
-                    (1 - psor_omega) * v_new[group] + psor_omega * gs,
-                    obstacle)
-                delta = max(delta, float(np.max(np.abs(cand - v_new[group]))))
-                v_new[group] = cand
-            if delta <= psor_tol * max(1.0, float(np.max(np.abs(v_new)))):
-                break
-        else:
-            raise ConvergenceError(
-                f"PSOR did not reach {psor_tol} in {max_sweeps} sweeps "
-                f"at tau = {tau:g}")
-        v = v_new
-        # contact region: contiguous run from x = 0 where v touches the
-        # obstacle; its right edge is the moving boundary h(tau)
-        touching = (obstacle - v) <= contact_tol * max(1.0, obstacle)
-        if touching[0]:
-            edge = int(np.argmin(touching)) - 1 if not touching.all() else n - 1
-            h = xs[max(edge, 0)]
-        else:
-            h = 0.0
-        h_trace.append((tau, float(h)))
+        v_old = v
+        step_rhs = v + dtau * rhs
+        step_rhs[-1] = rhs[-1]
+        v, contact = _howard(step_band, step_rhs, obstacle, contact)
+        h_trace.append((tau, _contact_edge(xs, v, obstacle)))
         if float(np.max(np.abs(v - v_old))) <= steady_tol:
             steps_taken = step
             break

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from cirmort.closed_form import solve_boundary, value
-from cirmort.errors import ValidationError
+from cirmort.errors import ConvergenceError, ValidationError
 from cirmort.model import CirParams, ContractParams
 from cirmort.oracles import (DECAYED, DIVERGED_UP, CflWarning, GridSpec,
-                             fd_steady_state, mc_optimality_probe, mc_value,
-                             shoot_classify, shoot_solve)
+                             _howard, _operator_coeffs, fd_steady_state,
+                             mc_optimality_probe, mc_value, shoot_classify,
+                             shoot_solve)
 
 PRIMARY_CIR = CirParams(k=0.25, theta=0.06, sigma=0.1)
 CONTRACT = ContractParams(c=0.05, m=0.05)
@@ -88,6 +89,34 @@ def test_fd_boundary_location(primary_solution, fd_coarse):
     assert abs(h_final - primary_solution.x_star) <= 2.0 * dx
 
 
+def test_fd_stationary_solve_is_the_limit_of_the_march(fd_coarse):
+    assert fd_coarse.steps_to_steady == 0
+    assert fd_coarse.h_trace.shape == (1, 2)
+    march = fd_steady_state(PRIMARY_CIR, CONTRACT, GridSpec(3.0, 500),
+                            tau_max=200.0 / PRIMARY_CIR.k)
+    assert march.steps_to_steady > 0
+    assert fd_coarse.h_trace[-1, 1] == march.h_trace[-1, 1]
+    # what is left is the march's obstacle gap e^{-c tau} at tau_max
+    assert float(np.max(np.abs(fd_coarse.v_steady - march.v_steady))) <= 1e-6
+
+    # discrete complementarity min(1 - v, c - M v) = 0 with M = -A, on every
+    # row but the Dirichlet one
+    xs, v, c = fd_coarse.grid, fd_coarse.v_steady, CONTRACT.c
+    dx = xs[1] - xs[0]
+    lo, dg, up = _operator_coeffs(PRIMARY_CIR, xs[1:-1], dx)
+    mv = np.empty(xs.size - 1)
+    mv[0] = PRIMARY_CIR.k * PRIMARY_CIR.theta / dx * (v[0] - v[1])
+    mv[1:] = -(lo * v[:-2] + dg * v[1:-1] + up * v[2:])
+    slack = c - mv
+    contact = xs[:-1] <= fd_coarse.h_trace[-1, 1]
+    assert contact.any() and not contact.all()
+    assert float(v.max()) <= 1.0
+    assert v[:-1][contact] == pytest.approx(1.0, abs=1e-12)
+    assert np.all(slack[contact] >= 0.0)
+    assert np.all(v[:-1][~contact] < 1.0)
+    assert float(np.max(np.abs(slack[~contact]))) <= 1e-12 * c
+
+
 def test_fd_profile_converges_under_refinement(primary_solution):
     # interior error against the analytic profile shrinks by roughly the
     # expected first-order-in-h(boundary) factor under a 2x refinement
@@ -103,6 +132,14 @@ def test_fd_profile_converges_under_refinement(primary_solution):
     # (often better than the asymptotic rate), so only require improvement
     assert errs[1] <= errs[0] / 1.5, errs
     assert errs[1] <= 5e-4, errs
+
+
+def test_howard_raises_when_the_policy_cycles():
+    # B = diag(-1, 1) is no M-matrix: row 0 flips for ever between free
+    # (v = 1, above the obstacle 0) and contact (v = 0, PDE slack -1)
+    band = np.array([[0.0, 0.0], [-1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ConvergenceError):
+        _howard(band, np.array([-1.0, 0.0]), 0.0, np.zeros(2, dtype=bool))
 
 
 def test_fd_early_boundary_tracks_coupon():
