@@ -315,6 +315,7 @@ class McReport:
     paths: int
     dt: float
     seed: int
+    path_steps: int     # path-steps simulated by the run (all its boundaries)
 
 
 # Russian-roulette tail schedule (years): unbiased geometric thinning of
@@ -333,11 +334,20 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
     nc = x e^{-k dt} / cbar.  Discounting uses trapezoidal accrual of the
     rate integral.  The deep tail is handled by Russian-roulette
     resampling: past _ROULETTE_START, every _ROULETTE_PERIOD years each
-    surviving path is kept with probability 1/2 and its weight doubled,
-    which keeps the estimator unbiased while the active set (and cost)
+    live path is kept with probability 1/2 and its weight doubled,
+    which keeps the estimator unbiased while the working set (and cost)
     decays geometrically.  A path is also dropped once its weighted
     discount factor is below 1e-8; the horizon is a final hard cap with
     truncation error bounded by the surviving weighted discount.
+
+    A path stops for a boundary at its first step at or below it, so the
+    live sets are nested: a path is live while it is live for the lowest
+    boundary (by value, not position), and it carries the highest boundary
+    it is still live for.  The working set drops its dead paths at each
+    roulette and whenever at most half of it is live, which keeps the
+    copying amortised O(paths); the loop ends when no path is live.  Dead
+    paths left in the set still draw random numbers, so the stream, and
+    with it each estimate, depends on when paths retire.
     """
     if not dt > 0:
         raise ValidationError("dt", "must be positive")
@@ -352,34 +362,44 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
     edt = math.exp(-k * dt)
     cbar = sigma2 * (1.0 - edt) / (4.0 * k)
     df = 4.0 * k * cir.theta / sigma2
-    nb = len(boundaries)
     bvec = np.asarray(boundaries, dtype=float)
-    b_max = float(bvec.max())
+    # levels[searchsorted(sorted b, y)] is the highest boundary below y
+    levels = np.concatenate(([-np.inf], np.sort(bvec)))
     pay_rate = c * dt * 0.5
 
     # full-size accumulators indexed by original path id
-    pay = np.zeros((nb, paths))
-    payoff = np.zeros((nb, paths))
-    started = x0 > bvec
-    payoff[~started, :] = 1.0
+    pay = np.zeros((bvec.size, paths))
+    payoff = np.zeros((bvec.size, paths))
+    payoff[x0 <= bvec, :] = 1.0
 
-    # compact working set: paths still being simulated
+    # working set: every live path, and at most as many dead ones
     ids = np.arange(paths)
     x = np.full(paths, x0, dtype=float)
     disc = np.ones(paths)
     log_disc = np.zeros(paths)
-    accrual = np.zeros(paths)           # per-path weighted running payments
-    weight = np.ones(paths)
-    alive = np.broadcast_to(started[:, None], (nb, paths)).copy()
+    accrual = np.zeros(paths)           # running payments at unit weight
+    top = np.full(paths, levels[np.searchsorted(levels[1:], x0)])
+    n_live = paths if top[0] > -np.inf else 0
+    weight = 1.0                        # shared: roulette doubles every path
+
+    def stop(rows, xs):
+        # working rows stop at xs for each live boundary at or above it,
+        # banking their payments; returns the (boundary, row) stops
+        jj, kk = ((bvec[:, None] <= top[rows])
+                  & (bvec[:, None] >= xs)).nonzero()
+        pay[jj, ids[rows[kk]]] = accrual[rows[kk]]
+        top[rows] = levels[np.searchsorted(levels[1:], xs)]
+        return jj, rows[kk]
 
     n_steps = int(round(horizon / dt))
     roulette_every = max(1, int(round(_ROULETTE_PERIOD / dt)))
     roulette_from = int(round(_ROULETTE_START / dt))
     shape_g = 0.5 * (df - 1.0)
-    for step in range(1, n_steps + 1):
+    step = path_steps = 0
+    while n_live and step < n_steps:
+        step += 1
         n_act = ids.size
-        if n_act == 0 or not alive.any():
-            break
+        path_steps += n_act
         if df > 1.0:
             zn = rng.standard_normal(n_act, dtype=np.float32)
             g = rng.standard_gamma(shape_g, n_act)
@@ -391,53 +411,35 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
         ln = log_disc + (0.5 * dt) * (x + xn)
         dn = np.exp(-ln)
         accrual += (pay_rate * weight) * (disc + dn)
-        if float(xn.min()) <= b_max:
-            cross = alive & (xn[None, :] <= bvec[:, None])
-            if cross.any():
-                for j in range(nb):
-                    hit = cross[j]
-                    if hit.any():
-                        rows = ids[hit]
-                        payoff[j, rows] = (weight[hit] * dn[hit])
-                        pay[j, rows] = accrual[hit]
-                alive &= ~cross
-        x = xn
-        log_disc = ln
-        disc = dn
-        if step >= roulette_from and step % roulette_every == 0:
-            # keep each running path with probability 1/2 at doubled weight;
+        hit = (xn <= top).nonzero()[0]
+        if hit.size:
+            jj, rows = stop(hit, xn[hit])
+            payoff[jj, ids[rows]] = weight * dn[rows]
+            n_live -= int(np.count_nonzero(top[hit] == -np.inf))
+        x, log_disc, disc = xn, ln, dn
+        roulette = step >= roulette_from and step % roulette_every == 0
+        if roulette:
+            # keep each live path with probability 1/2 at doubled weight;
             # payments accrued so far are banked at full weight either way
-            survive = (alive.any(axis=0) & (weight * disc >= 1e-8)
-                       & (rng.random(n_act) < 0.5))
-            for j in range(nb):
-                rows = alive[j] & ~survive
-                if rows.any():
-                    pay[j, ids[rows]] = accrual[rows]
-            sel = np.nonzero(survive)[0]
-            ids = ids[sel]
-            x = x[sel]
-            disc = disc[sel]
-            log_disc = log_disc[sel]
-            accrual = accrual[sel]
-            weight = 2.0 * weight[sel]
-            alive = alive[:, sel]
+            drop = (weight * disc < 1e-8) | (rng.random(n_act) >= 0.5)
+            out = ((top > -np.inf) & drop).nonzero()[0]
+            stop(out, -np.inf)
+            n_live -= out.size
+            weight *= 2.0
+        if roulette or 2 * n_live <= ids.size:
+            sel = (top > -np.inf).nonzero()[0]
+            ids, x, disc, log_disc, accrual, top = (
+                ids[sel], x[sel], disc[sel], log_disc[sel], accrual[sel],
+                top[sel])
 
-    # paths alive at the horizon contribute their accrued payments
-    for j in range(nb):
-        rows = alive[j]
-        if rows.any():
-            pay[j, ids[rows]] = accrual[rows]
-
-    reports = []
-    for j, b in enumerate(boundaries):
-        totals = pay[j] + payoff[j]
-        mean = float(totals.mean())
-        se = (float(totals.std(ddof=1)) / math.sqrt(paths)
-              if paths > 1 else 0.0)
-        reports.append(McReport(x0=x0, boundary_used=float(b),
-                                value_estimate=mean, std_error=se,
-                                paths=paths, dt=dt, seed=seed))
-    return reports
+    # paths live at the horizon contribute their accrued payments
+    stop((top > -np.inf).nonzero()[0], -np.inf)
+    return [McReport(x0=x0, boundary_used=float(b),
+                     value_estimate=float(totals.mean()),
+                     std_error=(float(totals.std(ddof=1)) / math.sqrt(paths)
+                                if paths > 1 else 0.0),
+                     paths=paths, dt=dt, seed=seed, path_steps=path_steps)
+            for b, totals in zip(boundaries, pay + payoff)]
 
 
 def mc_value(cir: CirParams, contract: ContractParams, x0: float,
@@ -447,7 +449,8 @@ def mc_value(cir: CirParams, contract: ContractParams, x0: float,
     first step where the rate is at or below the boundary."""
     if x0 <= boundary:
         return McReport(x0=x0, boundary_used=boundary, value_estimate=1.0,
-                        std_error=0.0, paths=paths, dt=dt, seed=seed)
+                        std_error=0.0, paths=paths, dt=dt, seed=seed,
+                        path_steps=0)
     return _simulate_threshold(cir, contract, x0, [boundary], paths, dt,
                                horizon, seed)[0]
 
@@ -460,7 +463,6 @@ def mc_optimality_probe(cir: CirParams, contract: ContractParams, x0: float,
     not exceed the neighbors by more than noise when boundary is optimal."""
     if not boundary - delta > 0:
         raise ValidationError("delta", "requires boundary - delta > 0")
-    reports = _simulate_threshold(
+    return tuple(_simulate_threshold(
         cir, contract, x0, [boundary - delta, boundary, boundary + delta],
-        paths, dt, horizon, seed)
-    return tuple(reports)
+        paths, dt, horizon, seed))

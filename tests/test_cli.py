@@ -178,6 +178,24 @@ def test_mc_checks_start_above_a_boundary_over_theta(capsys):
     assert 0.0 < mc_row["tolerance"] and mc_row["status"] == "PASS"
 
 
+def test_verify_and_compare_share_one_mc_estimate(capsys):
+    # one common-path run per command: verify's mc_agreement and compare's
+    # MC row read the same middle report
+    argv = [*PRIMARY, "--mc-paths", "2000", "--skip", "fd",
+            "--skip", "shooting"]
+    code, out, _ = run_cli(capsys, ["verify", *argv])
+    assert code == 0
+    check = {ch["name"]: ch for ch in json.loads(out)["checks"]}[
+        "mc_agreement"]
+    code, out, _ = run_cli(capsys, ["compare", *argv])
+    assert code == 0
+    row = json.loads(out)["rows"][-1]
+    assert row["method"] == "monte_carlo"
+    assert (row["gap"], row["tolerance"]) \
+        == (check["measured"], check["tolerance"])
+    assert check["tolerance"] > 0.0
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the Dirichlet value c/x_max at x_max = 50 theta "
                           "leaves a grid-independent error that the "

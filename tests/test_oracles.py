@@ -5,14 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from cirmort.closed_form import solve_boundary, value
 from cirmort.errors import ConvergenceError, ValidationError
 from cirmort.model import CirParams, ContractParams
 from cirmort.oracles import (DECAYED, DIVERGED_UP, CflWarning, GridSpec,
-                             _howard, _operator_coeffs, fd_steady_state,
-                             mc_optimality_probe, mc_value, shoot_classify,
-                             shoot_solve)
+                             _howard, _operator_coeffs, _simulate_threshold,
+                             fd_steady_state, mc_optimality_probe, mc_value,
+                             shoot_classify, shoot_solve)
 
 PRIMARY_CIR = CirParams(k=0.25, theta=0.06, sigma=0.1)
 CONTRACT = ContractParams(c=0.05, m=0.05)
@@ -240,3 +241,60 @@ def test_mc_vanishing_coupon_limit():
     rep = mc_value(PRIMARY_CIR, con, x0=0.06, boundary=1e-9,
                    paths=500, dt=0.05, horizon=5.0, seed=2)
     assert 0.0 <= rep.value_estimate <= 1e-5
+
+
+def _cir_bond_price(cir, x0, t):
+    # zero-coupon price E[exp(-int_0^t x)] (Cox, Ingersoll & Ross 1985),
+    # written with e^{-ht} so that it cannot overflow
+    h = math.sqrt(cir.k ** 2 + 2.0 * cir.sigma ** 2)
+    e = math.exp(-h * t)
+    den = (h + cir.k) * (1.0 - e) + 2.0 * h * e
+    b = 2.0 * (1.0 - e) / den
+    log_a = (2.0 * cir.k * cir.theta / cir.sigma ** 2) * math.log(
+        2.0 * h * math.exp(0.5 * (cir.k - h) * t) / den)
+    return math.exp(log_a - b * x0)
+
+
+@pytest.mark.parametrize("x0, horizon, dt, paths", [
+    (0.06, 100.0, 1.0 / 50.0, 5000),
+    (0.06, 400.0, 1.0 / 252.0, 2000),
+    (0.02, 400.0, 1.0 / 252.0, 2000),
+])
+def test_mc_annuity_matches_cir_bond_prices(x0, horizon, dt, paths):
+    # an unreachable boundary leaves the never-prepay annuity, whose mean is
+    # c times the integral of the bond prices: accrual, roulette and horizon
+    # banking against an exact reference
+    rep = mc_value(PRIMARY_CIR, CONTRACT, x0=x0, boundary=1e-9, paths=paths,
+                   dt=dt, horizon=horizon, seed=4)
+    integral, err = quad(lambda t: _cir_bond_price(PRIMARY_CIR, x0, t),
+                         0.0, horizon, limit=200)
+    assert err <= 1e-6 * integral
+    want = CONTRACT.c * integral
+    assert abs(rep.value_estimate - want) <= 3.0 * rep.std_error, \
+        (rep.value_estimate, want, rep.std_error)
+
+
+def test_mc_boundary_order_does_not_matter(primary_solution):
+    b = primary_solution.x_star
+    d = 0.3 * b
+    kw = dict(x0=0.06, paths=1000, dt=0.02, horizon=200.0, seed=6)
+    up = _simulate_threshold(PRIMARY_CIR, CONTRACT,
+                             boundaries=[b - d, b, b + d], **kw)
+    down = _simulate_threshold(PRIMARY_CIR, CONTRACT,
+                               boundaries=[b + d, b, b - d], **kw)
+    assert down == up[::-1]
+
+
+def test_mc_retires_dead_paths():
+    # a verify set whose paths mostly stop before the roulette start: the
+    # bound is half of what simulating every path until then would cost
+    cir = CirParams(k=0.30177, theta=0.031876, sigma=0.053703)
+    con = ContractParams(c=0.039301, m=0.039301)
+    x_star = solve_boundary(cir, con).x_star
+    dt, paths = 1.0 / 252.0, 2000
+    rep = mc_value(cir, con, x0=cir.theta, boundary=x_star, paths=paths,
+                   dt=dt, horizon=400.0, seed=0)
+    assert 0 < rep.path_steps < 0.5 * paths * round(30.0 / dt)
+    stopped = mc_value(cir, con, x0=0.5 * x_star, boundary=x_star,
+                       paths=paths, dt=dt, horizon=400.0, seed=0)
+    assert stopped.path_steps == 0
