@@ -27,6 +27,14 @@ variants used internally are
     IU~(z) = e^{(1-a) z} I_U(z),   IM~(z) = e^{-a z} I_M(z),
     e^{-a z} u_p(z) = Msc(z) IU~(z) + U(z) IM~(z),   Msc = e^{-z} M.
 
+IM~ at a sorted array of z comes from one outward pass of fixed GK15 panels
+from z_ref: between consecutive abscissae z_j < z_{j+1}
+
+    IM~(z_{j+1}) = e^{-a (z_{j+1} - z_j)} IM~(z_j)
+                   + int_{z_j}^{z_{j+1}} Msc(xi) w~(xi) e^{a (xi - z_{j+1})} dxi,
+
+w~ = kappa xi^{gamma-1}; since 0 < a < 1/2 the carried sum only shrinks.
+
 IU~ swaps the order of integration: with the Laplace integral of U
 (DLMF 13.4.4) inside, the xi-integral is a regularized upper incomplete
 gamma Q (DLMF 8.2.4), and with b = 1 - a + t
@@ -61,7 +69,7 @@ import numpy as np
 from .errors import (DomainError, NoBracketError, SingularityError,
                      ValidationError)
 from .model import CirParams, ContractParams, DerivedConstants, derive_constants
-from .numerics import find_root_bracketed, integrate_adaptive
+from .numerics import _WGK, _XGK, find_root_bracketed
 from .specfun import (_kummer_m_prime_scaled, _kummer_m_scaled,
                       _laplace_rule, _log_gammaincc_scaled,
                       _tricomi_u_raw)
@@ -76,6 +84,7 @@ __all__ = [
     "boundary_residual",
     "boundary_residual_ratio_form",
     "solve_boundary",
+    "pasting_value_error",
     "value",
     "value_derivative",
     "ode_residual",
@@ -85,6 +94,9 @@ __all__ = [
 Real = Union[float, np.ndarray]
 
 _SCAN_POINTS = 64
+# IM~ panel widths (see _Workspace): GK15 integrates e^{c xi} to about 1e-22
+# relative on a panel of width _IM_SPAN / |c|
+_IM_SPAN = 2.0
 
 
 def source_term(consts: DerivedConstants, contract: ContractParams,
@@ -112,20 +124,26 @@ def kernel_weight(consts: DerivedConstants, contract: ContractParams,
 class _Workspace:
     """Per-(consts, contract) evaluation context for the scaled formulas.
 
-    Memoizes IM~ per (z, z_ref); all public entry points funnel through here.
+    It holds no memo: IU~ is one fixed rule per array of z (iu_scaled) and IM~
+    one outward pass of fixed panels (im_scaled); all public entry points
+    funnel through here.
     """
 
-    def __init__(self, consts: DerivedConstants, contract: ContractParams,
-                 tol_quad: float = 1e-12):
+    def __init__(self, consts: DerivedConstants, contract: ContractParams):
         self.consts = consts
         self.contract = contract
-        self.tol_quad = tol_quad
         self.alpha = consts.alpha
         self.gamma = consts.gamma
         self.a = consts.a_exp
         self.kappa_log = (math.lgamma(self.alpha) - math.lgamma(self.gamma)
                           + math.log(contract.c / consts.s))
-        self._im_cache: dict[tuple[float, float], float] = {}
+        # IM~ panels: in ln xi at most one unit of variation of the kernel
+        # xi^{gamma-1}, in xi at most one of e^{a xi}; panels are geometric
+        # up to where the two widths meet and uniform beyond
+        self.im_ln_step = min(math.log(2.0),
+                              _IM_SPAN / max(self.gamma - 1.0, 1.0))
+        self.im_width = _IM_SPAN / self.a
+        self.im_xi_switch = self.im_width / self.im_ln_step
 
     # homogeneous basis, scaled where growth demands it
     def u_fn(self, zs: np.ndarray) -> np.ndarray:
@@ -158,32 +176,54 @@ class _Workspace:
         np.exp(e, out=e)
         return (self.contract.c / self.consts.s) * np.exp(peak) * (e @ w)
 
-    def im_tilde(self, z: float, z_ref: float) -> float:
-        """IM~(z) = int_zref^z Msc(xi) kappa xi^{gamma-1} e^{a(xi-z)} dxi."""
-        z, z_ref = float(z), float(z_ref)
-        if z <= z_ref:
-            return 0.0
-        key = (z, z_ref)
-        hit = self._im_cache.get(key)
-        if hit is not None:
-            return hit
+    def _panel_coord(self, xi: np.ndarray) -> np.ndarray:
+        """Coordinate in which every IM~ panel has unit width: ln xi / step
+        up to the switch, then (xi - switch) / width beyond it."""
+        sw = self.im_xi_switch
+        near = np.log(np.minimum(xi, sw)) / self.im_ln_step
+        return near + np.maximum(xi - sw, 0.0) / self.im_width
 
-        def f(xis):
-            return self.m_scaled(xis) * np.exp(
-                self.kappa_log + (self.gamma - 1.0) * np.log(xis)
-                + self.a * (xis - z))
+    def _panel_xi(self, u: np.ndarray) -> np.ndarray:
+        """Inverse of _panel_coord."""
+        u_sw = math.log(self.im_xi_switch) / self.im_ln_step
+        return (np.exp(np.minimum(u, u_sw) * self.im_ln_step)
+                + np.maximum(u - u_sw, 0.0) * self.im_width)
 
-        initial = min(64, max(8, int(z - z_ref) + 1))
-        res = integrate_adaptive(f, z_ref, z, tol=self.tol_quad,
-                                 initial=initial)
-        self._im_cache[key] = res.value
-        return res.value
+    def im_scaled(self, z0: float, im0: float, zs: np.ndarray) -> np.ndarray:
+        """IM~ at every z of the sorted array zs >= z0, given IM~(z0) = im0,
+        by one outward pass of fixed GK15 panels (see the module
+        docstring)."""
+        ends = np.concatenate([[z0], zs])
+        u = self._panel_coord(ends)
+        n = np.ceil(np.diff(u)).astype(int)     # panels per gap
+        gap = np.repeat(np.arange(zs.size), n)
+        k = np.arange(gap.size) - np.repeat(np.cumsum(n) - n, n)
+        du = (u[1:] - u[:-1])[gap] / n[gap]
+        lo = self._panel_xi(u[gap] + k * du)
+        hi = self._panel_xi(u[gap] + (k + 1) * du)
+        first, last = k == 0, k == n[gap] - 1
+        lo[first] = ends[gap[first]]
+        hi[last] = ends[gap[last] + 1]
+        half = 0.5 * (hi - lo)
+        xi = (0.5 * (hi + lo))[:, None] + half[:, None] * _XGK
+        f = self.m_scaled(xi.ravel()).reshape(xi.shape) * np.exp(
+            self.kappa_log + (self.gamma - 1.0) * np.log(xi)
+            + self.a * (xi - zs[gap][:, None]))
+        gains = np.bincount(gap, weights=half * (f @ _WGK),
+                            minlength=zs.size)
+        decay = np.exp(-self.a * np.diff(ends))
+        out = np.empty_like(zs)
+        carry = im0
+        for j, (d, g) in enumerate(zip(decay.tolist(), gains.tolist())):
+            carry = carry * d + g
+            out[j] = carry
+        return out
 
     def up_tilde_pair(self, z: float, z_ref: float) -> tuple[float, float]:
         """(e^{-a z} u_p, e^{-a z} u_p') at z with the given z_ref."""
         zs = np.array([z])
         iu = float(self.iu_scaled(zs)[0])
-        im = self.im_tilde(z, z_ref)
+        im = float(self.im_scaled(z_ref, 0.0, zs)[0])
         up = float(self.m_scaled(zs)[0]) * iu + float(self.u_fn(zs)[0]) * im
         upp = (float(self.m_prime_scaled(zs)[0]) * iu
                + float(self.u_prime_fn(zs)[0]) * im)
@@ -207,8 +247,7 @@ class _Workspace:
 
 
 def particular_solution(consts: DerivedConstants, contract: ContractParams,
-                        z: float, z_ref: float,
-                        tol_quad: float = 1e-12) -> tuple[float, float]:
+                        z: float, z_ref: float) -> tuple[float, float]:
     """(u_p(z), u_p'(z)) by the split variation-of-parameters form.
 
     The instantaneous kernel terms cancel in u_p', so both components are
@@ -217,27 +256,26 @@ def particular_solution(consts: DerivedConstants, contract: ContractParams,
     """
     if not (z >= z_ref > 0):
         raise DomainError(f"need z >= z_ref > 0, got z={z!r}, z_ref={z_ref!r}")
-    ws = _Workspace(consts, contract, tol_quad)
+    ws = _Workspace(consts, contract)
     up_t, upp_t = ws.up_tilde_pair(z, z_ref)
     scale = math.exp(consts.a_exp * z)
     return up_t * scale, upp_t * scale
 
 
 def boundary_residual(consts: DerivedConstants, contract: ContractParams,
-                      z_candidate: float, tol_quad: float = 1e-12) -> float:
+                      z_candidate: float) -> float:
     """Smooth-pasting residual F(z) = c2(z) U'(z) + u_p'(z) - a e^{a z}
     with z_ref = z_candidate; F(z*) = 0."""
     if not z_candidate > 0:
         raise DomainError("boundary_residual requires z_candidate > 0")
-    ws = _Workspace(consts, contract, tol_quad)
+    ws = _Workspace(consts, contract)
     return ws.residual_scaled(z_candidate) * math.exp(
         consts.a_exp * z_candidate)
 
 
 def boundary_residual_ratio_form(consts: DerivedConstants,
                                  contract: ContractParams,
-                                 z_candidate: float,
-                                 tol_quad: float = 1e-12) -> float:
+                                 z_candidate: float) -> float:
     """Cross-check form of the boundary equation written as a ratio of U's:
 
         U(alpha, gamma, z) / U(alpha+1, gamma+1, z)
@@ -253,8 +291,7 @@ def boundary_residual_ratio_form(consts: DerivedConstants,
     u = float(_tricomi_u_raw(consts.alpha, consts.gamma, zs)[0])
     u_shift = float(_tricomi_u_raw(consts.alpha + 1.0, consts.gamma + 1.0,
                                    zs)[0])
-    up, upp = particular_solution(consts, contract, z_candidate, z_candidate,
-                                  tol_quad)
+    up, upp = particular_solution(consts, contract, z_candidate, z_candidate)
     e_az = math.exp(consts.a_exp * z_candidate)
     denom = upp - consts.a_exp * e_az
     if denom == 0.0 or u_shift == 0.0:
@@ -264,7 +301,7 @@ def boundary_residual_ratio_form(consts: DerivedConstants,
 
 @dataclass(frozen=True)
 class Diagnostics:
-    pasting_value_error: float     # V(x*) - 1
+    pasting_value_error: float     # V(x*) - 1 on the continuation branch
     pasting_slope: float           # V'(x* from the continuation side)
     ode_residual_max: float        # max |L V - c| over probe points
 
@@ -285,88 +322,107 @@ class SteadyStateSolution:
     amp: float = field(repr=False, compare=False, default=0.0)
 
 
-def _branch_value(sol: SteadyStateSolution, z: float) -> float:
-    """V on the continuation branch, everything in scaled space:
-    V = amp e^{-a (z - z*)} U(z)/U(z*) + Msc(z) IU~(z) + U(z) IM~(z)."""
+def _branch(sol: SteadyStateSolution,
+            xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(V, dV/dx) on the continuation branch at each rate x >= x* of the
+    array xs, in any order, at z = max(p x, z*), everything in scaled space:
+
+        V     = g(z) U(z) / U(z*) + Msc(z) IU~(z) + U(z) IM~(z),
+        dV/dx = p (g U' / U(z*) + Msc' IU~ + U' IM~ - a V),
+        g(z)  = amp e^{-a (z - z*)},
+
+    with one call of each basis function and of iu_scaled per chunk of at
+    most _SCAN_POINTS sorted abscissae, IM~ carried from chunk to chunk."""
     ws = sol.workspace
-    zs = np.array([float(z)])
-    u = float(ws.u_fn(zs)[0])
-    decay = math.exp(-ws.a * (z - sol.z_star))
-    iu = float(ws.iu_scaled(zs)[0])
-    im = ws.im_tilde(z, sol.z_star)
-    return (sol.amp * decay * u / sol.u_at_star
-            + float(ws.m_scaled(zs)[0]) * iu + u * im)
+    z = np.maximum(ws.consts.p * xs, sol.z_star)
+    order = np.argsort(z, kind="stable")
+    zs = z[order]
+    v = np.empty_like(zs)
+    dv = np.empty_like(zs)
+    z0, im0 = sol.z_star, 0.0
+    for lo in range(0, zs.size, _SCAN_POINTS):
+        part = slice(lo, lo + _SCAN_POINTS)
+        c = zs[part]
+        u, u_p = ws.u_fn(c), ws.u_prime_fn(c)
+        iu = ws.iu_scaled(c)
+        im = ws.im_scaled(z0, im0, c)
+        z0, im0 = float(c[-1]), float(im[-1])
+        g = sol.amp * np.exp(-ws.a * (c - sol.z_star))
+        v[part] = g * u / sol.u_at_star + ws.m_scaled(c) * iu + u * im
+        dv[part] = ws.consts.p * (g * u_p / sol.u_at_star
+                                  + ws.m_prime_scaled(c) * iu + u_p * im
+                                  - ws.a * v[part])
+    out_v = np.empty_like(zs)
+    out_dv = np.empty_like(zs)
+    out_v[order] = v
+    out_dv[order] = dv
+    return out_v, out_dv
 
 
-def _branch_derivative(sol: SteadyStateSolution, z: float) -> float:
-    """dV/dx on the continuation branch: p (e^{-az} u)' with the analytic
-    shifted-parameter derivatives of M and U."""
-    ws = sol.workspace
-    zs = np.array([float(z)])
-    u = float(ws.u_fn(zs)[0])
-    u_p = float(ws.u_prime_fn(zs)[0])
-    decay = math.exp(-ws.a * (z - sol.z_star))
-    iu = float(ws.iu_scaled(zs)[0])
-    im = ws.im_tilde(z, sol.z_star)
-    v = (sol.amp * decay * u / sol.u_at_star
-         + float(ws.m_scaled(zs)[0]) * iu + u * im)
-    dz = (sol.amp * decay * u_p / sol.u_at_star
-          + float(ws.m_prime_scaled(zs)[0]) * iu + u_p * im
-          - ws.a * v)
-    return ws.consts.p * dz
+def _rates(x, name: str) -> tuple[np.ndarray, bool]:
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs < 0):
+        raise DomainError(f"{name} requires x >= 0")
+    return np.atleast_1d(xs), xs.ndim == 0
 
 
 def value(solution: SteadyStateSolution, x: Real) -> Real:
     """V(x): exactly 1 in the stopped region x <= x*, the closed form above
     it."""
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    if np.any(xs < 0):
-        raise DomainError("value requires x >= 0")
+    xs, scalar = _rates(x, "value")
     out = np.ones_like(xs)
     cont = xs > solution.x_star
-    for i in np.nonzero(cont)[0]:
-        z = max(solution.consts.p * xs[i], solution.z_star)
-        out[i] = _branch_value(solution, z)
+    if cont.any():
+        out[cont] = _branch(solution, xs[cont])[0]
     return float(out[0]) if scalar else out
 
 
 def value_derivative(solution: SteadyStateSolution, x: Real) -> Real:
     """dV/dx: 0 in the stopped region, continuation branch for x >= x*."""
-    xs = np.asarray(x, dtype=float)
-    scalar = xs.ndim == 0
-    xs = np.atleast_1d(xs)
-    if np.any(xs < 0):
-        raise DomainError("value_derivative requires x >= 0")
+    xs, scalar = _rates(x, "value_derivative")
     out = np.zeros_like(xs)
     cont = xs >= solution.x_star
-    for i in np.nonzero(cont)[0]:
-        z = max(solution.consts.p * xs[i], solution.z_star)
-        out[i] = _branch_derivative(solution, z)
+    if cont.any():
+        out[cont] = _branch(solution, xs[cont])[1]
     return float(out[0]) if scalar else out
 
 
-def ode_residual(solution: SteadyStateSolution, x: float,
-                 step_scale: float = 1e-5) -> float:
-    """Steady ODE residual (sigma^2/2) x V'' + k(theta - x) V' - x V + c at a
-    continuation point, with V'' from finite differences of
-    value_derivative."""
+def _pasting(solution: SteadyStateSolution) -> tuple[float, float]:
+    """(V - 1, dV/dx) at x* on the continuation branch."""
+    v, dv = _branch(solution, np.array([solution.x_star]))
+    return float(v[0]) - 1.0, float(dv[0])
+
+
+def pasting_value_error(solution: SteadyStateSolution) -> float:
+    """V(x*) - 1 on the continuation branch.  value() reads the stopped
+    branch at x*, which is 1 by definition, so it cannot show a misplaced
+    boundary."""
+    return _pasting(solution)[0]
+
+
+def ode_residual(solution: SteadyStateSolution, x: Real,
+                 step_scale: float = 1e-5) -> Real:
+    """Steady ODE residual (sigma^2/2) x V'' + k(theta - x) V' - x V + c, at
+    one x or at each x of an array: c - x on the stopped branch x <= x*
+    (V = 1, V' = V'' = 0); on the continuation branch V'' is a finite
+    difference of dV/dx over x - h, x + h (over x, x + h where x - h is
+    stopped), with every stencil point in one branch evaluation."""
+    xs, scalar = _rates(x, "ode_residual")
     cir = solution.cir
-    if x <= solution.x_star:
-        # stopped branch: V = 1, V' = V'' = 0
-        return solution.contract.c - x
-    h = step_scale * x
-    d_hi = value_derivative(solution, x + h)
-    if x - h > solution.x_star:
-        d_lo = value_derivative(solution, x - h)
-        v2 = (d_hi - d_lo) / (2.0 * h)
-    else:
-        v2 = (d_hi - value_derivative(solution, x)) / h
-    v1 = value_derivative(solution, x)
-    v0 = value(solution, x)
-    return (0.5 * cir.sigma ** 2 * x * v2 + cir.k * (cir.theta - x) * v1
-            - x * v0 + solution.contract.c)
+    out = solution.contract.c - xs
+    cont = xs > solution.x_star
+    if cont.any():
+        x = xs[cont]
+        h = step_scale * x
+        central = x - h > solution.x_star
+        n = x.size
+        v, dv = _branch(solution, np.concatenate(
+            [np.where(central, x - h, x), x, x + h]))
+        v2 = (dv[2 * n:] - dv[:n]) / np.where(central, 2.0 * h, h)
+        out[cont] = (0.5 * cir.sigma ** 2 * x * v2
+                     + cir.k * (cir.theta - x) * dv[n:2 * n]
+                     - x * v[n:2 * n] + solution.contract.c)
+    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -379,15 +435,13 @@ def value_curve(solution: SteadyStateSolution, x_lo: float, x_hi: float,
     if not (0 <= x_lo < x_hi) or n < 2:
         raise ValidationError("points", "need 0 <= x_lo < x_hi and n >= 2")
     xs = np.linspace(x_lo, x_hi, n)
-    pts = []
-    for x in xs:
-        pts.append((float(x), float(value(solution, float(x))),
-                    float(ode_residual(solution, float(x)))))
-    return ValueCurve(points=tuple(pts))
+    return ValueCurve(points=tuple(zip(
+        xs.tolist(), value(solution, xs).tolist(),
+        ode_residual(solution, xs).tolist())))
 
 
 def solve_boundary(cir: CirParams, contract: ContractParams,
-                   tol: float = 1e-10, tol_quad: float = 1e-12,
+                   tol: float = 1e-10,
                    diagnostics: bool = True) -> SteadyStateSolution:
     """Locate the free boundary: geometric scan for a sign change of the
     smooth-pasting residual, Brent refinement, then assemble the solution."""
@@ -398,7 +452,7 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
             "m", "the steady-state solver requires the m = c normalization; "
                  "rescale reported values by m/c instead")
     consts = derive_constants(cir)
-    ws = _Workspace(consts, contract, tol_quad)
+    ws = _Workspace(consts, contract)
 
     z_lo = 1e-4 * consts.p * cir.theta
     z_hi = 10.0 * consts.p * max(cir.theta, contract.c)
@@ -432,10 +486,9 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
         workspace=ws, u_at_star=u_star, amp=amp)
 
     if diagnostics:
-        v_err = value(sol, x_star) - 1.0
-        slope = value_derivative(sol, x_star)
+        v_err, slope = _pasting(sol)
         probes = np.geomspace(1.02 * x_star, 5.0 * x_star, 7)
-        res_max = max(abs(ode_residual(sol, float(x))) for x in probes)
+        res_max = float(np.max(np.abs(ode_residual(sol, probes))))
         sol = dataclasses.replace(
             sol, diagnostics=Diagnostics(v_err, slope, res_max))
     return sol

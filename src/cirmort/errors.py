@@ -31,18 +31,6 @@ class SingularityError(CirMortError):
     """An intermediate quantity degenerated (e.g. a denominator underflowed)."""
 
 
-class QuadratureError(CirMortError):
-    """Adaptive quadrature hit its subdivision limit.
-
-    Carries the best estimate obtained so far.
-    """
-
-    def __init__(self, message: str, value: float, error_estimate: float):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
-
-
 class NoBracketError(CirMortError):
     """A sign-change scan found no bracket.
 

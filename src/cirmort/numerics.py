@@ -1,9 +1,8 @@
-"""Shared numerical kernels: adaptive quadrature, bracketed root refinement,
-and an adaptive ODE stepper.
+"""Shared numerical kernels: the Gauss-Kronrod 7/15 rule, bracketed root
+refinement, and an adaptive ODE stepper.
 
-The quadrature is a Gauss-Kronrod 7/15 rule with adaptive bisection.  The
-integrand is called on numpy arrays (all nodes of a generation at once), which
-keeps the Python overhead per subdivision level constant.
+The GK15 nodes and weights serve the fixed panel rules of `specfun` (the
+Laplace integral of U and IU~) and of `closed_form` (IM~).
 """
 
 from __future__ import annotations
@@ -15,12 +14,10 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import ConvergenceError, NoBracketError, QuadratureError
+from .errors import ConvergenceError, NoBracketError
 
 __all__ = [
-    "QuadratureResult",
     "Trajectory",
-    "integrate_adaptive",
     "find_root_bracketed",
     "ode_integrate",
 ]
@@ -46,103 +43,6 @@ _XGK = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])          # 15 nodes
 _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])      # Gauss nodes
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float
-    evaluations: int
-
-
-def _gk_batch(f, lo: np.ndarray, hi: np.ndarray):
-    """Apply the GK15 rule to a batch of intervals.
-
-    Returns per-interval Kronrod values, error estimates, and resabs (the
-    rule applied to |f|, used for the rounding-noise floor).  The raw
-    |K15 - G7| difference is rescaled QUADPACK-style against the variation
-    resasc so the estimate keeps shrinking once the rule has converged
-    instead of saturating at rounding noise.
-    """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _XGK[None, :]
-    fv = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    k15 = half * (fv @ _WGK)
-    g7 = half * (fv @ _WG)
-    resabs = half * (np.abs(fv) @ _WGK)
-    width = hi - lo
-    # repeated bisection can reach adjacent floats (width 0 after rounding)
-    mean = k15 / np.where(width > 0.0, width, 1.0)
-    resasc = half * (np.abs(fv - mean[:, None]) @ _WGK)
-    raw = np.abs(k15 - g7)
-    scaled = np.where(
-        resasc > 0.0,
-        resasc * np.minimum(1.0, (200.0 * raw
-                                  / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
-        raw)
-    return k15, scaled, resabs
-
-
-def integrate_adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    tol_abs: float = 0.0,
-    max_intervals: int = 4096,
-    initial: int = 1,
-) -> QuadratureResult:
-    """Adaptive GK15 quadrature of ``f`` over the finite interval [a, b].
-
-    ``f`` must accept a 1-D numpy array of abscissae and return values of the
-    same shape.  Converges when the summed Kronrod error estimate is below
-    max(tol * |value|, tol_abs).  Semi-infinite integrals are handled by the
-    caller via certified truncation (see closed_form).
-    """
-    if not (a < b):
-        if a == b:
-            return QuadratureResult(0.0, 0.0, 0)
-        raise ValueError("integration bounds must satisfy a < b")
-    edges = np.linspace(a, b, initial + 1)
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
-    vals, errs, resabs = _gk_batch(f, lo, hi)
-    evaluations = 15 * lo.size
-
-    eps = np.finfo(float).eps
-    for _ in range(200):
-        total = float(vals.sum())
-        total_err = float(errs.sum())
-        # the last term is the unavoidable rounding floor of the rule
-        allowed = max(tol * abs(total), tol_abs,
-                      50.0 * eps * float(resabs.sum()))
-        if total_err <= allowed:
-            return QuadratureResult(total, total_err, evaluations)
-        if lo.size >= max_intervals:
-            raise QuadratureError(
-                f"subdivision limit {max_intervals} reached "
-                f"(estimate {total_err:.3e} > allowed {allowed:.3e})",
-                total, total_err)
-        # Split every interval carrying more than its share of the budget;
-        # always split at least the worst one.
-        split = errs > allowed / (2.0 * lo.size)
-        if not split.any():
-            split[np.argmax(errs)] = True
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_vals, new_errs, new_resabs = _gk_batch(f, new_lo, new_hi)
-        evaluations += 15 * new_lo.size
-        keep = ~split
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
-        resabs = np.concatenate([resabs[keep], new_resabs])
-
-    raise QuadratureError("generation limit reached",
-                          float(vals.sum()), float(errs.sum()))
 
 
 def find_root_bracketed(

@@ -85,6 +85,15 @@ def test_criterion_2_smooth_pasting_on_grid(grid_solutions):
     assert elapsed + (time.monotonic() - t0) < 60.0
 
 
+def test_boundary_lies_below_the_coupon(grid_solutions):
+    # in the stopped region V = 1, so the variational inequality
+    # L V + c = c - x >= 0 needs x* <= c
+    sols, _ = grid_solutions
+    for (k, theta, sigma, c), sol in sols.items():
+        if sol is not None:
+            assert 0.0 < sol.x_star < c, (k, theta, sigma, c)
+
+
 def test_criterion_3_ode_residual_on_grid(grid_solutions):
     sols, _ = grid_solutions
     for (k, theta, sigma, c), sol in sols.items():

@@ -3,7 +3,10 @@ error channel.  All runs go through main() in-process with captured stdio."""
 
 import json
 import math
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,6 +55,18 @@ def test_solve_determinism_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, ["solve", *PRIMARY])
     _, out2, _ = run_cli(capsys, ["solve", *PRIMARY])
     assert out1 == out2
+
+
+def test_python_m_cirmort_runs_the_cli(capsys):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "cirmort", "solve",
+                           *PRIMARY], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    _, out, _ = run_cli(capsys, ["solve", *PRIMARY])
+    assert proc.stdout == out
 
 
 def test_validation_error_exit_2_names_field(capsys):
@@ -146,8 +161,9 @@ def test_verify_detects_corrupted_boundary(capsys, monkeypatch):
     assert code == 5
     rep = json.loads(out)
     assert rep["overall"] == "fail"
-    # a 1% boundary shift moves the slope at first order but the value only
-    # at second order, so the slope check is the one that trips
+    # a 1% boundary shift leaves the continuation branch at x* about 9e-4
+    # from 1 and its slope about 2e-2 from 0, so both pasting checks trip
+    assert "smooth_pasting_value" in rep["failed"]
     assert "smooth_pasting_slope" in rep["failed"]
 
 

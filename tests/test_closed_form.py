@@ -272,6 +272,115 @@ def test_value_boundary_conditions(primary_solution):
     assert value_derivative(sol, 0.5 * sol.x_star) == 0.0
 
 
+def _im_definition(consts, contract, z_star, zs):
+    """IM~(z) = kappa int_{z*}^z e^{-xi} M(xi) xi^{gamma-1} e^{a (xi - z)}
+    dxi at each z of the sorted zs, with mpmath's M and Gauss-Legendre
+    quadrature: the integral is split at the abscissae, each piece summed
+    over pieces at most 2x and 4/a wide, and the pieces added up with their
+    exact factors e^{-a (z_j - z_i)}."""
+    with mp.workdps(20):
+        al, g, a = (mp.mpf(consts.alpha), mp.mpf(consts.gamma),
+                    mp.mpf(consts.a_exp))
+        kappa = mp.gamma(al) / mp.gamma(g) * mp.mpf(contract.c) / consts.s
+        out, total, lo = [], mp.mpf(0), mp.mpf(z_star)
+        for z in map(mp.mpf, zs):
+            edges = [lo]
+            while edges[-1] < z:
+                edges.append(min(z, edges[-1] + min(edges[-1], 4 / a)))
+            piece = mp.quad(lambda xi: mp.hyp1f1(al, g, xi) * xi ** (g - 1)
+                            * mp.exp(-(1 - a) * xi - a * z), edges,
+                            method="gauss-legendre")
+            total = total * mp.exp(-a * (z - lo)) + piece
+            out.append(kappa * total)
+            lo = z
+        return out
+
+
+@pytest.mark.parametrize("cir,c", [
+    (PRIMARY_CIR, 0.05),
+    (CirParams(k=0.1, theta=0.03, sigma=0.2), 0.05),    # gamma = 0.15
+    (CirParams(k=0.5, theta=0.1, sigma=0.05), 0.12),    # gamma = 40
+], ids=["primary", "low_alpha", "gamma_40"])
+def test_value_path_matches_mpmath_definition(cir, c):
+    con = ContractParams(c=c, m=c)
+    sol = solve_boundary(cir, con)
+    d = sol.consts
+    # from next to x* out to the tail probe of cmd_verify
+    x_tail = max(50.0 * max(cir.theta, c, sol.x_star), 100.0 * cir.k)
+    xs = np.append(sol.x_star * np.array([1.001, 1.1, 2.0, 5.0, 20.0]),
+                   x_tail)
+    zs = np.maximum(d.p * xs, sol.z_star)
+    ims = _im_definition(d, con, sol.z_star, zs)
+    # IU~ is the package's, pinned by test_iu_matches_nested_definition
+    ius = sol.workspace.iu_scaled(zs)
+    got_v, got_dv = value(sol, xs), value_derivative(sol, xs)
+    with mp.workdps(20):
+        al, g, a = (mp.mpf(d.alpha), mp.mpf(d.gamma), mp.mpf(d.a_exp))
+        for z, im, iu, v, dv in zip(zs, ims, ius, got_v, got_dv):
+            z = mp.mpf(z)
+            u = mp.hyperu(al, g, z)
+            u_p = -al * mp.hyperu(al + 1, g + 1, z)
+            m = mp.exp(-z) * mp.hyp1f1(al, g, z)
+            m_p = al / g * mp.exp(-z) * mp.hyp1f1(al + 1, g + 1, z)
+            h = sol.amp * mp.exp(-a * (z - sol.z_star)) / sol.u_at_star
+            want = h * u + m * iu + u * im
+            assert abs(v - want) <= 1e-12 * abs(want), z
+            # dV/dx cancels to 0 at x*: bound it against its terms
+            terms = [h * u_p, m_p * iu, u_p * im, -a * want]
+            assert abs(dv - d.p * mp.fsum(terms)) \
+                <= 1e-12 * d.p * mp.fsum(map(abs, terms)), z
+
+
+def test_value_path_semantics(primary_solution):
+    sol = primary_solution
+    c, x_star = sol.contract.c, sol.x_star
+    stopped = np.array([0.0, 0.3 * x_star, x_star])
+    # the stopped branch is exact, x* included for V and the residual
+    assert np.array_equal(value(sol, stopped), np.ones(3))
+    assert np.array_equal(value_derivative(sol, stopped[:2]), np.zeros(2))
+    assert np.array_equal(ode_residual(sol, stopped), c - stopped)
+    # V'(x*) is the continuation branch's slope
+    assert value_derivative(sol, x_star) != 0.0
+    assert abs(value_derivative(sol, x_star)) <= 1e-6
+    # a scalar in gives a float out
+    for fn in (value, value_derivative, ode_residual):
+        assert type(fn(sol, 2.0 * x_star)) is float
+    # mixed, unsorted input keeps its order and matches one-point calls
+    xs = np.array([3.0, 0.5, 1.0, 40.0, 1.5, 0.2, 1e3]) * x_star
+    for fn, tol in ((value, 1e-14), (value_derivative, 1e-12),
+                    (ode_residual, 1e-10)):
+        got = fn(sol, xs)
+        single = np.array([fn(sol, float(x)) for x in xs])
+        np.testing.assert_allclose(got, single, rtol=tol,
+                                   atol=tol * c, err_msg=fn.__name__)
+        perm = np.argsort(xs)
+        assert np.array_equal(fn(sol, xs[perm]), got[perm]), fn.__name__
+
+
+def test_value_path_calls_the_tail_kernel_once_per_chunk(monkeypatch):
+    sizes = []
+    iu_scaled = _Workspace.iu_scaled
+
+    def counted(ws, zs):
+        sizes.append(zs.size)
+        return iu_scaled(ws, zs)
+
+    monkeypatch.setattr(_Workspace, "iu_scaled", counted)
+    solve_boundary(PRIMARY_CIR, CONTRACT, diagnostics=False)
+    bare = len(sizes)
+    sizes.clear()
+    sol = solve_boundary(PRIMARY_CIR, CONTRACT)
+    # diagnostics: one call at x*, one for the 7 probes' 21 stencil points
+    assert len(sizes) - bare == 2
+    assert sorted(sizes[bare:]) == [1, 21]
+    sizes.clear()
+    value_curve(sol, sol.x_star, 5.0 * sol.x_star, 101)
+    # V at the 100 points past x* and the residual at their 300 stencil
+    # points, in chunks of at most 64
+    assert len(sizes) == math.ceil(100 / 64) + math.ceil(300 / 64)
+    assert max(sizes) <= 64 and sum(sizes) == 100 + 300
+
+
 def test_value_rejects_negative_rate(primary_solution):
     with pytest.raises(DomainError):
         value(primary_solution, -0.01)

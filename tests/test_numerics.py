@@ -1,4 +1,4 @@
-"""Unit tests for the shared quadrature, root-finding, and ODE kernels."""
+"""Unit tests for the shared GK15 rule, root-finding, and ODE kernels."""
 
 import math
 
@@ -7,67 +7,29 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cirmort.errors import ConvergenceError, NoBracketError, QuadratureError
-from cirmort.numerics import (find_root_bracketed, integrate_adaptive,
+from cirmort.errors import ConvergenceError, NoBracketError
+from cirmort.numerics import (_WG, _WGK, _XGK, find_root_bracketed,
                               ode_integrate)
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# the fixed GK15 rule shared by the panel quadratures of specfun and
+# closed_form
 
-def test_quad_constant():
-    res = integrate_adaptive(lambda x: np.ones_like(x), 0.0, 1.0)
-    assert res.value == pytest.approx(1.0, rel=1e-13)
-    assert res.evaluations > 0
-    assert res.error_estimate >= 0
-
-
-def test_quad_gamma_integral_with_tail_truncation():
-    # int_0^inf xi^2 e^-xi = Gamma(3) = 2; truncate where the integrand
-    # bound xi^2 e^-xi falls below 1e-16
-    cut = 60.0
-    res = integrate_adaptive(lambda x: x ** 2 * np.exp(-x), 0.0, cut,
-                             tol=1e-12)
-    assert res.value == pytest.approx(2.0, rel=1e-10)
-
-
-def test_quad_integrable_endpoint_singularity():
-    res = integrate_adaptive(lambda x: x ** -0.5, 1e-300, 1.0, tol=1e-10,
-                             max_intervals=20000)
-    assert res.value == pytest.approx(2.0, rel=1e-8)
-
-
-def test_quad_zero_width():
-    res = integrate_adaptive(lambda x: np.exp(x), 2.0, 2.0)
-    assert res.value == 0.0
-
-
-def test_quad_error_estimates_conservative():
-    # battery of integrals with known values: true error <= 10x estimate
-    cases = [
-        (lambda x: np.sin(x), 0.0, math.pi, 2.0),
-        (lambda x: np.exp(-x * x), -6.0, 6.0, math.sqrt(math.pi)),
-        (lambda x: 1.0 / (1.0 + x * x), -1.0, 1.0, math.pi / 2.0),
-        (lambda x: np.log(x), 1e-200, 1.0, -1.0),
-        (lambda x: x ** 7 - 3 * x ** 2, 0.0, 2.0, 2.0 ** 8 / 8 - 8.0),
-        (lambda x: np.cos(40.0 * x), 0.0, 1.0, math.sin(40.0) / 40.0),
-    ]
-    for f, a, b, truth in cases:
-        res = integrate_adaptive(f, a, b, tol=1e-10, max_intervals=20000)
-        true_err = abs(res.value - truth)
-        assert true_err <= max(10.0 * res.error_estimate, 1e-13), (truth,)
-
-
-def test_quad_subdivision_limit_error():
-    with pytest.raises(QuadratureError) as exc:
-        integrate_adaptive(lambda x: np.abs(x - math.pi / 6) ** -0.9,
-                           0.0, 1.0, tol=1e-13, max_intervals=8)
-    assert exc.value.error_estimate > 0
-
-
-def test_quad_rejects_reversed_bounds():
-    with pytest.raises(ValueError):
-        integrate_adaptive(lambda x: x, 1.0, 0.0)
+def test_gk15_rule_exactness_and_embedded_estimate():
+    # Kronrod-15 is exact to degree 22 and its Gauss-7 subset to degree 13
+    # (to the 15 digits of the tabulated weights); on smooth integrands the
+    # Kronrod-minus-Gauss difference bounds the Kronrod error
+    for deg in range(23):
+        truth = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
+        assert abs(_XGK ** deg @ _WGK - truth) <= 1e-14, deg
+        if deg <= 13:
+            assert abs(_XGK ** deg @ _WG - truth) <= 1e-14, deg
+    for f, truth in [(np.exp, math.e - 1.0 / math.e),
+                     (lambda x: 1.0 / (2.0 + x), math.log(3.0)),
+                     (lambda x: np.cos(3.0 * x), 2.0 * math.sin(3.0) / 3.0)]:
+        k15, g7 = f(_XGK) @ _WGK, f(_XGK) @ _WG
+        assert abs(k15 - truth) <= max(abs(k15 - g7), 1e-14)
 
 
 # ---------------------------------------------------------------------------
