@@ -16,20 +16,47 @@ from cirmort.numerics import (_WG, _WGK, _XGK, find_root_bracketed,
 # the fixed GK15 rule shared by the panel quadratures of specfun and
 # closed_form
 
-def test_gk15_rule_exactness_and_embedded_estimate():
+def _gk15_panels(f, a, b, n):
+    """Composite GK15 on n equal panels: (Kronrod sum, sum of |K - G|)."""
+    edges = np.linspace(a, b, n + 1)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    fx = f(mid[:, None] + half[:, None] * _XGK)
+    k15, g7 = (fx @ _WGK) * half, (fx @ _WG) * half
+    return float(k15.sum()), float(np.abs(k15 - g7).sum())
+
+
+def test_quad_constant():
     # Kronrod-15 is exact to degree 22 and its Gauss-7 subset to degree 13
-    # (to the 15 digits of the tabulated weights); on smooth integrands the
-    # Kronrod-minus-Gauss difference bounds the Kronrod error
+    # (to the 15 digits of the tabulated weights)
+    value, err = _gk15_panels(lambda x: np.ones_like(x), 0.0, 1.0, 1)
+    assert value == pytest.approx(1.0, rel=1e-13)
+    assert 0.0 <= err <= 1e-14
     for deg in range(23):
         truth = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
         assert abs(_XGK ** deg @ _WGK - truth) <= 1e-14, deg
         if deg <= 13:
             assert abs(_XGK ** deg @ _WG - truth) <= 1e-14, deg
-    for f, truth in [(np.exp, math.e - 1.0 / math.e),
-                     (lambda x: 1.0 / (2.0 + x), math.log(3.0)),
-                     (lambda x: np.cos(3.0 * x), 2.0 * math.sin(3.0) / 3.0)]:
-        k15, g7 = f(_XGK) @ _WGK, f(_XGK) @ _WG
-        assert abs(k15 - truth) <= max(abs(k15 - g7), 1e-14)
+
+
+def test_quad_error_estimates_conservative():
+    # battery of smooth integrals with known values: on one panel or
+    # several, the true error is at most 10x the Kronrod-minus-Gauss
+    # estimate
+    cases = [
+        (lambda x: np.sin(x), 0.0, math.pi, 2.0),
+        (lambda x: np.exp(-x * x), -6.0, 6.0, math.sqrt(math.pi)),
+        (lambda x: 1.0 / (1.0 + x * x), -1.0, 1.0, math.pi / 2.0),
+        (lambda x: x ** 7 - 3 * x ** 2, 0.0, 2.0, 2.0 ** 8 / 8 - 8.0),
+        (lambda x: np.cos(40.0 * x), 0.0, 1.0, math.sin(40.0) / 40.0),
+        (np.exp, -1.0, 1.0, math.e - 1.0 / math.e),
+        (lambda x: 1.0 / (2.0 + x), -1.0, 1.0, math.log(3.0)),
+    ]
+    for n in (1, 2, 4, 8):
+        for f, a, b, truth in cases:
+            value, err = _gk15_panels(f, a, b, n)
+            true_err = abs(value - truth)
+            assert true_err <= max(10.0 * err, 1e-13), (n, truth)
 
 
 # ---------------------------------------------------------------------------
