@@ -447,10 +447,6 @@ def mc_value(cir: CirParams, contract: ContractParams, x0: float,
              seed: int = 0) -> McReport:
     """Value of the threshold policy: pay c continuously, prepay 1 at the
     first step where the rate is at or below the boundary."""
-    if x0 <= boundary:
-        return McReport(x0=x0, boundary_used=boundary, value_estimate=1.0,
-                        std_error=0.0, paths=paths, dt=dt, seed=seed,
-                        path_steps=0)
     return _simulate_threshold(cir, contract, x0, [boundary], paths, dt,
                                horizon, seed)[0]
 

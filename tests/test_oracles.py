@@ -208,6 +208,10 @@ def test_mc_validation_errors():
     with pytest.raises(ValidationError):
         mc_optimality_probe(PRIMARY_CIR, CONTRACT, 0.06, boundary=0.009,
                             delta=0.01, paths=10, dt=0.01, horizon=1.0)
+    # a start in the stopped region is validated like any other
+    with pytest.raises(ValidationError):
+        mc_value(PRIMARY_CIR, CONTRACT, x0=0.005, boundary=0.009, paths=0,
+                 dt=-1.0, horizon=-5.0)
 
 
 def test_mc_matches_closed_form_loosely(primary_solution):

@@ -180,10 +180,34 @@ def test_u_reflection_cross_check():
 
 def test_u_mpmath_spot_values():
     for alpha, gamma, z in [(0.19441758, 3.0, 0.53), (8.0, 24.0, 0.05),
-                            (5.0, 5.5, 12.0), (0.2, 0.5, 0.01)]:
+                            (5.0, 5.5, 12.0), (0.2, 0.5, 0.01),
+                            (20.0, 0.5, 0.6)]:
         want = float(mpmath.hyperu(alpha, gamma, z))
         got = tricomi_u(HypergeometricParams(alpha, gamma), z)
         assert abs(got - want) <= 1e-8 * abs(want)
+
+
+@pytest.mark.parametrize("alpha", [0.03, 0.2, 1.0, 3.0, 8.0, 20.0, 21.0])
+def test_u_matches_mpmath_on_array_and_points(alpha):
+    # one rule for every z: arrays spanning both sides of z = 0.5 and
+    # single points, out to z = 500 where the integrand decays like
+    # t^{alpha-1} e^{-z t} and the rule must reach far enough in t
+    zs = np.array([0.01, 0.04, 0.15, 0.45, 0.6, 2.0, 8.0, 30.0, 120.0, 500.0])
+    for gamma in (0.5, alpha + 1.0, 2.0 * alpha + 1.0, 24.0, 41.0):
+        params = HypergeometricParams(alpha, gamma)
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.hyperu(alpha, gamma, z))
+                             for z in zs])
+        got = tricomi_u(params, zs)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), gamma
+        for z, w in zip(zs, want):
+            got = tricomi_u(params, float(z))
+            assert abs(got - w) <= 1e-12 * abs(w), (gamma, z)
+
+
+def test_u_empty_input():
+    got = tricomi_u(HypergeometricParams(1.0, 2.0), np.array([]))
+    assert isinstance(got, np.ndarray) and got.shape == (0,)
 
 
 def test_u_domain_errors():
