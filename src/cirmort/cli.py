@@ -117,7 +117,9 @@ def cmd_solve(config: RunConfig) -> int:
         "x_star": solution.x_star,
         "z_star": solution.z_star,
         "c2": solution.c2,
-        "c1": solution.c1,
+        # identically 0: e^{lam x} M grows, so M cannot appear in a
+        # decaying solution
+        "c1": 0.0,
         "constants": {
             "s": consts.s, "lambda": consts.lam, "p": consts.p,
             "alpha": consts.alpha, "gamma": consts.gamma,
@@ -167,19 +169,6 @@ def _skipped(name: str) -> dict:
             "margin": None, "status": "skipped"}
 
 
-def _mc_agreement(config: RunConfig, solution) -> tuple:
-    """(x0, MC reports at 0.9 x*, x*, 1.1 x*, |MC - V(x0)| at x*, 3 SE) for
-    one common-path run from x0 = theta, or 2 x* when x* >= theta: paths
-    from x0 <= x* stop at once, with zero SE."""
-    cir, x_star = config.cir, solution.x_star
-    x0 = cir.theta if cir.theta > x_star else 2.0 * x_star
-    reports = oracles.mc_optimality_probe(
-        cir, config.solver_contract, x0, x_star, 0.1 * x_star,
-        config.mc_paths, config.mc_dt, config.mc_horizon, seed=config.seed)
-    gap = abs(reports[1].value_estimate - closed_form.value(solution, x0))
-    return x0, reports, gap, 3.0 * reports[1].std_error
-
-
 def _specfun_identity_error() -> float:
     hp = specfun.HypergeometricParams
     errs = [
@@ -208,82 +197,101 @@ def _wronskian_grid_error() -> float:
     return worst
 
 
-def cmd_verify(config: RunConfig) -> int:
-    cir, contract = config.cir, config.solver_contract
-    c = contract.c
-    checks = []
+def _specfun_checks() -> list:
+    return [_check("specfun_identities", _specfun_identity_error(), 1e-10),
+            _check("wronskian_grid", _wronskian_grid_error(), 1e-8)]
 
-    checks.append(_check("specfun_identities", _specfun_identity_error(),
-                         1e-10))
-    checks.append(_check("wronskian_grid", _wronskian_grid_error(), 1e-8))
 
-    solution = _solve(config)
-    x_star = solution.x_star
-    checks.append(_check("smooth_pasting_value",
-                         abs(closed_form.pasting_value_error(solution)),
-                         1e-8))
-    checks.append(_check("smooth_pasting_slope",
-                         abs(closed_form.value_derivative(solution, x_star)),
-                         1e-6))
-
+def _closed_form_checks(config: RunConfig, solution) -> list:
+    """Pasting, ODE residual, monotonicity and tail of the solved V."""
+    cir, c, x_star = config.cir, config.contract.c, solution.x_star
     xs = np.geomspace(1.001 * x_star,
                       10.0 * max(cir.theta, c, x_star), 100)
     res_max = float(np.max(np.abs(closed_form.ode_residual(solution, xs))))
-    checks.append(_check("ode_residual", res_max, 1e-6 * c))
-
     vs = closed_form.value(solution, xs)
     violations = float(np.sum(~((vs > 0) & (vs <= 1.0 + 1e-12))))
     violations += float(np.sum(np.diff(vs) >= 0))
-    checks.append(_check("monotonic_bounds", violations, 0.5))
-
     # Tail: x V(x) -> c with first-order correction k c / x.  The probe sits
     # at x >= 100 k so the higher-order terms (relative size ~2k/x per
     # order) are negligible and 1.5x the first-order term is a sound bound.
     x_tail = max(50.0 * max(cir.theta, c, x_star), 100.0 * cir.k)
     tail_err = abs(x_tail * closed_form.value(solution, x_tail) - c) / c
-    checks.append(_check("tail_decay", tail_err, 1.5 * cir.k / x_tail))
+    return [
+        _check("smooth_pasting_value",
+               abs(closed_form.pasting_value_error(solution)), 1e-8),
+        _check("smooth_pasting_slope",
+               abs(closed_form.value_derivative(solution, x_star)), 1e-6),
+        _check("ode_residual", res_max, 1e-6 * c),
+        _check("monotonic_bounds", violations, 0.5),
+        _check("tail_decay", tail_err, 1.5 * cir.k / x_tail),
+    ]
 
-    if "shooting" in config.skip:
-        checks.append(_skipped("shooting_agreement"))
-    else:
-        report = oracles.shoot_solve(cir, contract, tol=1e-8)
-        checks.append(_check("shooting_agreement",
-                             abs(report.r_star - x_star) / x_star, 1e-6))
 
-    if "fd" in config.skip:
-        checks.append(_skipped("fd_boundary"))
-        checks.append(_skipped("fd_profile"))
-    else:
-        grid_hi = oracles.GridSpec(50.0 * cir.theta, config.fd_nodes)
-        grid_lo = oracles.GridSpec(50.0 * cir.theta, config.fd_nodes // 2)
-        fd_hi = oracles.fd_steady_state(cir, contract, grid_hi)
-        fd_lo = oracles.fd_steady_state(cir, contract, grid_lo)
-        dx = fd_hi.grid[1] - fd_hi.grid[0]
-        h_fd = fd_hi.h_trace[-1, 1]
-        checks.append(_check("fd_boundary", abs(h_fd - x_star) / dx, 2.0))
-        probes = np.linspace(1.05 * x_star, 0.8 * grid_hi.x_max, 20)
-        v_cf = closed_form.value(solution, probes)
-        v_hi = np.interp(probes, fd_hi.grid, fd_hi.v_steady)
-        v_lo = np.interp(probes, fd_lo.grid, fd_lo.v_steady)
-        richardson = max(float(np.max(np.abs(v_hi - v_lo))) / 3.0, 1e-9)
-        checks.append(_check("fd_profile",
-                             float(np.max(np.abs(v_hi - v_cf))),
-                             5.0 * richardson))
+# Each oracle's check function returns (checks, boundary, value at theta or
+# None); `compare` prints the boundary, the value and the first check.
 
-    if "mc" in config.skip:
-        checks.append(_skipped("mc_agreement"))
-        checks.append(_skipped("mc_optimality"))
-    else:
-        _, (vm, v0, vp), gap, tol = _mc_agreement(config, solution)
-        checks.append(_check("mc_agreement", gap, tol))
-        worst_beat = max(
-            v0.value_estimate - vm.value_estimate,
-            v0.value_estimate - vp.value_estimate)
-        combined = 3.0 * max(
-            math.hypot(v0.std_error, vm.std_error),
-            math.hypot(v0.std_error, vp.std_error))
-        checks.append(_check("mc_optimality", worst_beat, combined))
+def _shooting_checks(config: RunConfig, solution) -> tuple:
+    report = oracles.shoot_solve(config.cir, config.solver_contract,
+                                 tol=1e-8)
+    gap = abs(report.r_star - solution.x_star) / solution.x_star
+    return [_check("shooting_agreement", gap, 1e-6)], report.r_star, None
 
+
+def _fd_checks(config: RunConfig, solution) -> tuple:
+    cir, x_star = config.cir, solution.x_star
+    x_max = 50.0 * cir.theta
+    fd_hi, fd_lo = (
+        oracles.fd_steady_state(cir, config.solver_contract,
+                                oracles.GridSpec(x_max, nodes))
+        for nodes in (config.fd_nodes, config.fd_nodes // 2))
+    dx = fd_hi.grid[1] - fd_hi.grid[0]
+    h_fd = fd_hi.h_trace[-1, 1]
+    probes = np.linspace(1.05 * x_star, 0.8 * x_max, 20)
+    v_cf = closed_form.value(solution, probes)
+    v_hi = np.interp(probes, fd_hi.grid, fd_hi.v_steady)
+    v_lo = np.interp(probes, fd_lo.grid, fd_lo.v_steady)
+    richardson = max(float(np.max(np.abs(v_hi - v_lo))) / 3.0, 1e-9)
+    checks = [_check("fd_boundary", abs(h_fd - x_star) / dx, 2.0),
+              _check("fd_profile", float(np.max(np.abs(v_hi - v_cf))),
+                     5.0 * richardson)]
+    return checks, h_fd, float(np.interp(cir.theta, fd_hi.grid,
+                                         fd_hi.v_steady))
+
+
+def _mc_checks(config: RunConfig, solution) -> tuple:
+    """One common-path run at 0.9 x*, x* and 1.1 x* from x0 = theta, or
+    2 x* when x* >= theta: paths from x0 <= x* stop at once, with zero SE.
+    The value at theta is None when x0 is not theta."""
+    cir, x_star = config.cir, solution.x_star
+    x0 = cir.theta if cir.theta > x_star else 2.0 * x_star
+    vm, v0, vp = oracles.mc_optimality_probe(
+        cir, config.solver_contract, x0, x_star, 0.1 * x_star,
+        config.mc_paths, config.mc_dt, config.mc_horizon, seed=config.seed)
+    gap = abs(v0.value_estimate - closed_form.value(solution, x0))
+    worst_beat = max(v0.value_estimate - vm.value_estimate,
+                     v0.value_estimate - vp.value_estimate)
+    combined = 3.0 * max(math.hypot(v0.std_error, vm.std_error),
+                         math.hypot(v0.std_error, vp.std_error))
+    checks = [_check("mc_agreement", gap, 3.0 * v0.std_error),
+              _check("mc_optimality", worst_beat, combined)]
+    return checks, x_star, v0.value_estimate if x0 == cir.theta else None
+
+
+# (--skip name, compare method, check names, check function)
+_ORACLES = (
+    ("shooting", "shooting", ("shooting_agreement",), _shooting_checks),
+    ("fd", "finite_difference", ("fd_boundary", "fd_profile"), _fd_checks),
+    ("mc", "monte_carlo", ("mc_agreement", "mc_optimality"), _mc_checks),
+)
+
+
+def cmd_verify(config: RunConfig) -> int:
+    checks = _specfun_checks()
+    solution = _solve(config)
+    checks += _closed_form_checks(config, solution)
+    for skip, _, names, run in _ORACLES:
+        checks += ([_skipped(name) for name in names]
+                   if skip in config.skip else run(config, solution)[0])
     failed = [ch["name"] for ch in checks if ch["status"] == "fail"]
     _print_json({"checks": checks, "failed": failed,
                  "overall": "fail" if failed else "pass"})
@@ -291,37 +299,19 @@ def cmd_verify(config: RunConfig) -> int:
 
 
 def cmd_compare(config: RunConfig) -> int:
-    cir, contract = config.cir, config.solver_contract
     solution = _solve(config)
-    x_star = solution.x_star
-    v_theta_cf = closed_form.value(solution, cir.theta)
-    rows = [{"method": "closed_form", "boundary": x_star,
-             "value_at_theta": v_theta_cf, "gap": 0.0, "tolerance": 0.0,
-             "status": "REF"}]
-
-    if "shooting" not in config.skip:
-        sh = oracles.shoot_solve(cir, contract, tol=1e-8)
-        gap = abs(sh.r_star - x_star) / x_star
-        rows.append({"method": "shooting", "boundary": sh.r_star,
-                     "value_at_theta": None, "gap": gap, "tolerance": 1e-6,
-                     "status": "PASS" if gap <= 1e-6 else "FAIL"})
-    if "fd" not in config.skip:
-        grid = oracles.GridSpec(50.0 * cir.theta, config.fd_nodes)
-        fd = oracles.fd_steady_state(cir, contract, grid)
-        dx = fd.grid[1] - fd.grid[0]
-        h_fd = fd.h_trace[-1, 1]
-        v_fd = float(np.interp(cir.theta, fd.grid, fd.v_steady))
-        gap = abs(h_fd - x_star) / dx
-        rows.append({"method": "finite_difference", "boundary": h_fd,
-                     "value_at_theta": v_fd, "gap": gap, "tolerance": 2.0,
-                     "status": "PASS" if gap <= 2.0 else "FAIL"})
-    if "mc" not in config.skip:
-        x0, (_, mc, _), gap, tol = _mc_agreement(config, solution)
-        rows.append({"method": "monte_carlo", "boundary": x_star,
-                     "value_at_theta": (mc.value_estimate
-                                        if x0 == cir.theta else None),
-                     "gap": gap, "tolerance": tol,
-                     "status": "PASS" if gap <= tol else "FAIL"})
+    rows = [{"method": "closed_form", "boundary": solution.x_star,
+             "value_at_theta": closed_form.value(solution, config.cir.theta),
+             "gap": 0.0, "tolerance": 0.0, "status": "REF"}]
+    for skip, method, _, run in _ORACLES:
+        if skip in config.skip:
+            continue
+        checks, boundary, v_theta = run(config, solution)
+        first = checks[0]
+        rows.append({"method": method, "boundary": boundary,
+                     "value_at_theta": v_theta, "gap": first["measured"],
+                     "tolerance": first["tolerance"],
+                     "status": first["status"].upper()})
 
     if config.output == "csv":
         sys.stdout.write("method,boundary,value_at_theta,gap,tolerance,"

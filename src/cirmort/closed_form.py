@@ -78,11 +78,6 @@ __all__ = [
     "SteadyStateSolution",
     "Diagnostics",
     "ValueCurve",
-    "source_term",
-    "kernel_weight",
-    "particular_solution",
-    "boundary_residual",
-    "boundary_residual_ratio_form",
     "solve_boundary",
     "pasting_value_error",
     "value",
@@ -97,28 +92,6 @@ _SCAN_POINTS = 64
 # IM~ panel widths (see _Workspace): GK15 integrates e^{c xi} to about 1e-22
 # relative on a panel of width _IM_SPAN / |c|
 _IM_SPAN = 2.0
-
-
-def source_term(consts: DerivedConstants, contract: ContractParams,
-                z: Real) -> Real:
-    """Transformed ODE source g(z) = -(c/s) e^{a_exp z}."""
-    zs = np.asarray(z, dtype=float)
-    if np.any(zs < 0):
-        raise DomainError("source_term requires z >= 0")
-    return -(contract.c / consts.s) * np.exp(consts.a_exp * zs)
-
-
-def kernel_weight(consts: DerivedConstants, contract: ContractParams,
-                  xi: Real) -> Real:
-    """Variation-of-parameters kernel w(xi) = (g(xi)/xi) / W(M,U)(xi)
-    = kappa xi^{gamma-1} e^{-(1-a_exp) xi}, assembled in log space."""
-    xs = np.asarray(xi, dtype=float)
-    if np.any(xs <= 0):
-        raise DomainError("kernel_weight requires xi > 0")
-    kappa_log = (math.lgamma(consts.alpha) - math.lgamma(consts.gamma)
-                 + math.log(contract.c / consts.s))
-    return np.exp(kappa_log + (consts.gamma - 1.0) * np.log(xs)
-                  - (1.0 - consts.a_exp) * xs)
 
 
 class _Workspace:
@@ -219,16 +192,6 @@ class _Workspace:
             out[j] = carry
         return out
 
-    def up_tilde_pair(self, z: float, z_ref: float) -> tuple[float, float]:
-        """(e^{-a z} u_p, e^{-a z} u_p') at z with the given z_ref."""
-        zs = np.array([z])
-        iu = float(self.iu_scaled(zs)[0])
-        im = float(self.im_scaled(z_ref, 0.0, zs)[0])
-        up = float(self.m_scaled(zs)[0]) * iu + float(self.u_fn(zs)[0]) * im
-        upp = (float(self.m_prime_scaled(zs)[0]) * iu
-               + float(self.u_prime_fn(zs)[0]) * im)
-        return up, upp
-
     def residual_scaled(self, z: Real) -> Real:
         """e^{-a z} F(z) with z_ref = z (so IM~ = 0), at one z or at each z
         of an array.  Where U underflows the residual is undefined: a single
@@ -246,59 +209,6 @@ class _Workspace:
         return float(res[0]) if np.ndim(z) == 0 else res
 
 
-def particular_solution(consts: DerivedConstants, contract: ContractParams,
-                        z: float, z_ref: float) -> tuple[float, float]:
-    """(u_p(z), u_p'(z)) by the split variation-of-parameters form.
-
-    The instantaneous kernel terms cancel in u_p', so both components are
-    plain basis-times-integral combinations.  Shifting z_ref moves u_p by a
-    multiple of U, absorbed downstream into c2.
-    """
-    if not (z >= z_ref > 0):
-        raise DomainError(f"need z >= z_ref > 0, got z={z!r}, z_ref={z_ref!r}")
-    ws = _Workspace(consts, contract)
-    up_t, upp_t = ws.up_tilde_pair(z, z_ref)
-    scale = math.exp(consts.a_exp * z)
-    return up_t * scale, upp_t * scale
-
-
-def boundary_residual(consts: DerivedConstants, contract: ContractParams,
-                      z_candidate: float) -> float:
-    """Smooth-pasting residual F(z) = c2(z) U'(z) + u_p'(z) - a e^{a z}
-    with z_ref = z_candidate; F(z*) = 0."""
-    if not z_candidate > 0:
-        raise DomainError("boundary_residual requires z_candidate > 0")
-    ws = _Workspace(consts, contract)
-    return ws.residual_scaled(z_candidate) * math.exp(
-        consts.a_exp * z_candidate)
-
-
-def boundary_residual_ratio_form(consts: DerivedConstants,
-                                 contract: ContractParams,
-                                 z_candidate: float) -> float:
-    """Cross-check form of the boundary equation written as a ratio of U's:
-
-        U(alpha, gamma, z) / U(alpha+1, gamma+1, z)
-            = alpha (e^{a z} - u_p(z)) / (u_p'(z) - a e^{a z})
-
-    (single Gamma(alpha)/Gamma(gamma) power in the kernel, not the squared
-    factor).  Returns lhs - rhs; shares its root with boundary_residual but
-    follows a different arithmetic route.
-    """
-    if not z_candidate > 0:
-        raise DomainError("requires z_candidate > 0")
-    zs = np.array([float(z_candidate)])
-    u = float(_tricomi_u_raw(consts.alpha, consts.gamma, zs)[0])
-    u_shift = float(_tricomi_u_raw(consts.alpha + 1.0, consts.gamma + 1.0,
-                                   zs)[0])
-    up, upp = particular_solution(consts, contract, z_candidate, z_candidate)
-    e_az = math.exp(consts.a_exp * z_candidate)
-    denom = upp - consts.a_exp * e_az
-    if denom == 0.0 or u_shift == 0.0:
-        raise SingularityError("ratio form degenerate at this z")
-    return u / u_shift - consts.alpha * (e_az - up) / denom
-
-
 @dataclass(frozen=True)
 class Diagnostics:
     pasting_value_error: float     # V(x*) - 1 on the continuation branch
@@ -314,8 +224,6 @@ class SteadyStateSolution:
     z_star: float
     x_star: float
     c2: float
-    c1: float                      # identically 0: e^{lam x} M grows, so
-                                   # M cannot appear in a decaying solution
     diagnostics: Diagnostics
     workspace: _Workspace = field(repr=False, compare=False, default=None)
     u_at_star: float = field(repr=False, compare=False, default=0.0)
@@ -432,8 +340,10 @@ class ValueCurve:
 
 def value_curve(solution: SteadyStateSolution, x_lo: float, x_hi: float,
                 n: int) -> ValueCurve:
-    if not (0 <= x_lo < x_hi) or n < 2:
-        raise ValidationError("points", "need 0 <= x_lo < x_hi and n >= 2")
+    if not (0 <= x_lo < x_hi):
+        raise ValidationError("x_lo", "need 0 <= x_lo < x_hi")
+    if n < 2:
+        raise ValidationError("n", "need at least 2 points")
     xs = np.linspace(x_lo, x_hi, n)
     return ValueCurve(points=tuple(zip(
         xs.tolist(), value(solution, xs).tolist(),
@@ -475,13 +385,14 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
     u_star = float(ws.u_fn(zs)[0])
     if u_star == 0.0:
         raise SingularityError("U underflowed at the solved boundary")
-    up_t, _ = ws.up_tilde_pair(z_star, z_star)
+    # e^{-a z*} u_p(z*) with z_ref = z*, where IM~ = 0
+    up_t = float(ws.m_scaled(zs)[0] * ws.iu_scaled(zs)[0])
     amp = 1.0 - up_t                      # V(x*) = amp + up_t = 1 exactly
     c2 = math.exp(consts.a_exp * z_star) * amp / u_star
 
     sol = SteadyStateSolution(
         cir=cir, contract=contract, consts=consts,
-        z_star=z_star, x_star=x_star, c2=c2, c1=0.0,
+        z_star=z_star, x_star=x_star, c2=c2,
         diagnostics=Diagnostics(0.0, 0.0, 0.0),
         workspace=ws, u_at_star=u_star, amp=amp)
 

@@ -111,8 +111,6 @@ class Trajectory:
     states: np.ndarray                 # shape (len(xs), dim)
     success: bool
     event_xs: Sequence[np.ndarray]
-    event_states: Sequence[np.ndarray]
-    message: str
 
 
 def ode_integrate(
@@ -122,7 +120,6 @@ def ode_integrate(
     x_end: float,
     tol: float = 1e-10,
     events=None,
-    max_step: float = np.inf,
 ) -> Trajectory:
     """Adaptive explicit Runge-Kutta (DOP853) integration with event
     detection.  Raises ConvergenceError on step-size underflow, reporting the
@@ -131,7 +128,7 @@ def ode_integrate(
     sol = solve_ivp(
         rhs, (x0, x_end), np.asarray(state0, dtype=float),
         method="DOP853", rtol=tol, atol=tol, events=events,
-        max_step=max_step, dense_output=False)
+        dense_output=False)
     if sol.status == -1:
         last = sol.t[-1] if sol.t.size else x0
         raise ConvergenceError(
@@ -141,6 +138,4 @@ def ode_integrate(
         states=sol.y.T,
         success=sol.status == 0 or sol.status == 1,
         event_xs=sol.t_events if sol.t_events is not None else [],
-        event_states=sol.y_events if sol.y_events is not None else [],
-        message=sol.message,
     )

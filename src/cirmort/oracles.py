@@ -55,6 +55,8 @@ DECAYED = "decayed"
 
 _V_UP_BAND = 2.0
 _V_DOWN_BAND = 0.0
+# relative and absolute tolerance of each shooting IVP
+_ODE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -66,17 +68,16 @@ class ShootingReport:
 
 
 def shoot_classify(cir: CirParams, contract: ContractParams,
-                   r_candidate: float, x_max: float | None = None,
-                   ode_tol: float = 1e-10) -> str:
-    """Integrate the steady ODE from (r, V=1, V'=0) and classify the exit.
+                   r_candidate: float) -> str:
+    """Integrate the steady ODE from (r, V=1, V'=0) up to
+    x_max = 50 max(theta, c) and classify the exit.
 
     Returns DIVERGED_UP if V exits through the upper band (candidate above
     the boundary: the IVP start V = 1 overshoots the true value and excites
     the growing mode) or DECAYED if V crosses below zero / settles onto the
     c/x tail (candidate at or below the boundary).
     """
-    if x_max is None:
-        x_max = 50.0 * max(cir.theta, contract.c)
+    x_max = 50.0 * max(cir.theta, contract.c)
     if not (0.0 < r_candidate < x_max):
         raise ValidationError(
             "r_candidate", f"must lie in (0, {x_max!r}), got {r_candidate!r}")
@@ -95,7 +96,7 @@ def shoot_classify(cir: CirParams, contract: ContractParams,
     hit_up.terminal = True
     hit_down.terminal = True
     traj = ode_integrate(rhs, r_candidate, (1.0, 0.0), x_max,
-                         tol=ode_tol, events=(hit_up, hit_down))
+                         tol=_ODE_TOL, events=(hit_up, hit_down))
     if len(traj.event_xs[0]) > 0:
         return DIVERGED_UP
     if len(traj.event_xs[1]) > 0:
@@ -106,8 +107,7 @@ def shoot_classify(cir: CirParams, contract: ContractParams,
 
 
 def shoot_solve(cir: CirParams, contract: ContractParams,
-                tol: float = 1e-8, x_max: float | None = None,
-                ode_tol: float = 1e-10) -> ShootingReport:
+                tol: float = 1e-8) -> ShootingReport:
     """Bisection on shoot_classify over a geometric candidate scan."""
     if not tol >= 1e-10:
         raise ValidationError("tol", f"must be >= 1e-10, got {tol!r}")
@@ -116,7 +116,7 @@ def shoot_solve(cir: CirParams, contract: ContractParams,
     trace = []
     labels = []
     for r in scan:
-        label = shoot_classify(cir, contract, float(r), x_max, ode_tol)
+        label = shoot_classify(cir, contract, float(r))
         trace.append((float(r), label))
         labels.append(label)
     flips = [i for i in range(len(labels) - 1)
@@ -134,7 +134,7 @@ def shoot_solve(cir: CirParams, contract: ContractParams,
     iterations = 0
     while hi - lo > tol * 0.5 * (lo + hi):
         mid = 0.5 * (lo + hi)
-        label = shoot_classify(cir, contract, mid, x_max, ode_tol)
+        label = shoot_classify(cir, contract, mid)
         trace.append((mid, label))
         if label == DECAYED:
             lo = mid
@@ -151,6 +151,10 @@ def shoot_solve(cir: CirParams, contract: ContractParams,
 
 # ---------------------------------------------------------------------------
 # Finite differences
+
+# sup-norm update below which the time march has reached the steady state
+_STEADY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -232,8 +236,7 @@ def _contact_edge(xs: np.ndarray, v: np.ndarray, obstacle: float) -> float:
 
 def fd_steady_state(cir: CirParams, contract: ContractParams,
                     grid_spec: GridSpec, dtau: float = 0.05,
-                    tau_max: float | None = None,
-                    steady_tol: float = 1e-10) -> FdReport:
+                    tau_max: float | None = None) -> FdReport:
     """Finite-difference obstacle solver on the tridiagonal generator.
 
     With tau_max None, the stationary problem min(m/c - v, c - M v) = 0,
@@ -242,7 +245,7 @@ def fd_steady_state(cir: CirParams, contract: ContractParams,
     the time-dependent problem is marched by implicit steps of size dtau
     against the balance obstacle (m/c)(1 - e^{-c tau}), each step the same
     policy iteration on (I + dtau M) v = v_old + dtau c, until the update
-    falls below steady_tol or tau reaches tau_max.  At x = 0 the operator
+    falls below _STEADY_TOL or tau reaches tau_max.  At x = 0 the operator
     degenerates to first order and is discretized one-sided; at x_max a
     Dirichlet value c/x_max (the tail of the steady solution) is imposed.
     """
@@ -296,7 +299,7 @@ def fd_steady_state(cir: CirParams, contract: ContractParams,
         step_rhs[-1] = rhs[-1]
         v, contact = _howard(step_band, step_rhs, obstacle, contact)
         h_trace.append((tau, _contact_edge(xs, v, obstacle)))
-        if float(np.max(np.abs(v - v_old))) <= steady_tol:
+        if float(np.max(np.abs(v - v_old))) <= _STEADY_TOL:
             steps_taken = step
             break
     return FdReport(grid=xs, v_steady=v, h_trace=np.array(h_trace),

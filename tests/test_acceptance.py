@@ -5,7 +5,8 @@ The 81-point parameter grid is solved once per session; 31 of the sets have
 no interior boundary (the continuation value stays below par everywhere), in
 which case the closed form raises NoBracketError.  Cross-method criteria
 treat a matched NoBracketError from the independent oracle as agreement and
-the per-curve criteria quantify over the solved subset.
+the per-curve criteria quantify over the solved subset.  Criteria that
+repeat a check of `cirmort verify` call the same check function.
 """
 
 import itertools
@@ -15,14 +16,13 @@ import time
 import numpy as np
 import pytest
 
-from cirmort.cli import main
-from cirmort.closed_form import ode_residual, solve_boundary, value
+from cirmort import cli
+from cirmort.closed_form import solve_boundary, value
 from cirmort.errors import NoBracketError
 from cirmort.model import CirParams, ContractParams
-from cirmort.oracles import GridSpec, fd_steady_state, mc_optimality_probe
-from cirmort.specfun import (HypergeometricParams, kummer_m, kummer_m_prime,
-                             log_gamma, tricomi_u, tricomi_u_prime,
-                             wronskian_mu)
+from cirmort.oracles import shoot_solve
+from cirmort.specfun import (HypergeometricParams, kummer_m, log_gamma,
+                             tricomi_u)
 
 GRID = list(itertools.product((0.1, 0.25, 0.5), (0.03, 0.06, 0.1),
                               (0.05, 0.1, 0.2), (0.03, 0.05, 0.08)))
@@ -45,6 +45,10 @@ def grid_solutions():
     return out, time.monotonic() - t0
 
 
+def _statuses(checks):
+    return {ch["name"]: ch["status"] for ch in checks}
+
+
 def test_criterion_1_special_function_identities():
     t0 = time.monotonic()
     hp = HypergeometricParams
@@ -57,17 +61,10 @@ def test_criterion_1_special_function_identities():
         assert kummer_m(hp(alpha, gamma), 0.0) == 1.0
     assert abs(math.exp(log_gamma(0.5)) - math.sqrt(math.pi)) \
         <= 1e-10 * math.sqrt(math.pi)
-
-    pairs = [(0.2, 0.5), (0.2, 3.0), (0.5, 1.5), (1.0, 1.0), (1.0, 4.0),
-             (2.5, 2.0), (3.0, 8.0), (5.0, 5.5), (8.0, 24.0)]
-    zs = np.geomspace(0.1, 50.0, 25)
-    for alpha, gamma in pairs:
-        params = hp(alpha, gamma)
-        ref = wronskian_mu(params, zs)
-        num = (kummer_m(params, zs) * tricomi_u_prime(params, zs)
-               - kummer_m_prime(params, zs) * tricomi_u(params, zs))
-        assert float(np.max(np.abs(num - ref) / np.abs(ref))) <= 1e-8, \
-            (alpha, gamma)
+    # verify's identities and its Wronskian grid
+    checks = cli._specfun_checks()
+    assert _statuses(checks) == {"specfun_identities": "pass",
+                                 "wronskian_grid": "pass"}, checks
     assert time.monotonic() - t0 < 5.0
 
 
@@ -96,68 +93,55 @@ def test_boundary_lies_below_the_coupon(grid_solutions):
 
 def test_criterion_3_ode_residual_on_grid(grid_solutions):
     sols, _ = grid_solutions
-    for (k, theta, sigma, c), sol in sols.items():
+    for key, sol in sols.items():
         if sol is None:
             continue
-        xs = np.geomspace(1.001 * sol.x_star,
-                          10.0 * max(theta, c, sol.x_star), 100)
-        worst = max(abs(ode_residual(sol, float(x))) for x in xs)
-        assert worst <= 1e-6 * c, (k, theta, sigma, c, worst)
+        config = cli.RunConfig(cir=sol.cir, contract=sol.contract)
+        checks = cli._closed_form_checks(config, sol)
+        assert _statuses(checks)["ode_residual"] == "pass", (key, checks)
 
 
 def test_criterion_4_closed_form_vs_shooting(grid_solutions):
-    from cirmort.oracles import shoot_solve
     sols, _ = grid_solutions
     for (k, theta, sigma, c), sol in sols.items():
-        cir = CirParams(k=k, theta=theta, sigma=sigma)
-        con = ContractParams(c=c, m=c)
         if sol is None:
             # both routes must agree that no interior boundary exists
             with pytest.raises(NoBracketError):
-                shoot_solve(cir, con, tol=1e-6)
+                shoot_solve(CirParams(k=k, theta=theta, sigma=sigma),
+                            ContractParams(c=c, m=c), tol=1e-6)
             continue
-        rep = shoot_solve(cir, con, tol=1e-8)
-        assert abs(rep.r_star - sol.x_star) <= 1e-6 * sol.x_star, \
-            (k, theta, sigma, c)
+        config = cli.RunConfig(cir=sol.cir, contract=sol.contract)
+        checks, _, _ = cli._shooting_checks(config, sol)
+        assert _statuses(checks) == {"shooting_agreement": "pass"}, \
+            ((k, theta, sigma, c), checks)
 
 
 def test_criterion_5_closed_form_vs_finite_differences(primary_solution):
     t0 = time.monotonic()
-    sol = primary_solution
-    x_max = 50.0 * PRIMARY_CIR.theta
-    fd_hi = fd_steady_state(PRIMARY_CIR, CONTRACT, GridSpec(x_max, 2000))
-    fd_lo = fd_steady_state(PRIMARY_CIR, CONTRACT, GridSpec(x_max, 1000))
-    dx = fd_hi.grid[1] - fd_hi.grid[0]
-    assert abs(fd_hi.h_trace[-1, 1] - sol.x_star) <= 2.0 * dx
-
-    probes = np.linspace(1.05 * sol.x_star, 0.8 * x_max, 20)
-    v_cf = value(sol, probes)
-    v_hi = np.interp(probes, fd_hi.grid, fd_hi.v_steady)
-    v_lo = np.interp(probes, fd_lo.grid, fd_lo.v_steady)
-    richardson = float(np.max(np.abs(v_hi - v_lo))) / 3.0
-    assert float(np.max(np.abs(v_hi - v_cf))) <= 5.0 * richardson
+    # FD on 2000 and 1000 nodes: the boundary within 2 cells, the profile
+    # within 5 Richardson estimates of the FD error
+    config = cli.RunConfig(cir=PRIMARY_CIR, contract=CONTRACT, fd_nodes=2000)
+    checks, _, _ = cli._fd_checks(config, primary_solution)
+    assert _statuses(checks) == {"fd_boundary": "pass",
+                                 "fd_profile": "pass"}, checks
+    # the bound is the Richardson estimate itself, not its 1e-9 floor
+    tolerance = {ch["name"]: ch["tolerance"] for ch in checks}["fd_profile"]
+    assert tolerance > 5.0 * 1e-9, checks
     assert time.monotonic() - t0 < 60.0
 
 
 def test_criterion_6_monte_carlo_consistency(primary_solution):
     t0 = time.monotonic()
-    sol = primary_solution
-    x_star = sol.x_star
-    # one common-random-number run covers both sub-criteria: the middle
-    # boundary is the policy whose value must match V(theta)
-    lo, mid, hi = mc_optimality_probe(
-        PRIMARY_CIR, CONTRACT, x0=PRIMARY_CIR.theta, boundary=x_star,
-        delta=0.1 * x_star, paths=100_000, dt=1.0 / 252.0, horizon=400.0,
-        seed=0)
-    v_theta = value(sol, PRIMARY_CIR.theta)
-    assert abs(mid.value_estimate - v_theta) <= 3.0 * mid.std_error, \
-        (mid.value_estimate, v_theta, mid.std_error)
-    # the borrower minimizes value, so perturbed boundaries must not beat
-    # the solved one by more than noise
-    for other in (lo, hi):
-        beat = mid.value_estimate - other.value_estimate
-        assert beat <= 3.0 * math.hypot(mid.std_error, other.std_error), \
-            (other.boundary_used, beat)
+    # one common-random-number run from theta covers both sub-criteria: the
+    # middle boundary's value must match V(theta), and since the borrower
+    # minimizes value, the boundaries 10% off must not beat it by more than
+    # noise
+    config = cli.RunConfig(cir=PRIMARY_CIR, contract=CONTRACT,
+                           mc_paths=100_000)
+    checks, _, v_theta = cli._mc_checks(config, primary_solution)
+    assert v_theta is not None           # the paths start at theta
+    assert _statuses(checks) == {"mc_agreement": "pass",
+                                 "mc_optimality": "pass"}, checks
     assert time.monotonic() - t0 < 120.0
 
 
@@ -200,7 +184,7 @@ def test_criterion_9_determinism(capsys):
                    "--mc-dt", "0.02", "--mc-horizon", "60"]
     outs = []
     for argv in (solve_argv, solve_argv, verify_argv, verify_argv):
-        assert main(argv) == 0
+        assert cli.main(argv) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert outs[2] == outs[3]

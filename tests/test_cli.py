@@ -196,20 +196,23 @@ def test_mc_checks_start_above_a_boundary_over_theta(capsys):
 
 def test_verify_and_compare_share_one_mc_estimate(capsys):
     # one common-path run per command: verify's mc_agreement and compare's
-    # MC row read the same middle report
-    argv = [*PRIMARY, "--mc-paths", "2000", "--skip", "fd",
-            "--skip", "shooting"]
+    # MC row read the same middle report; likewise each oracle's compare row
+    # reports that oracle's first verify check
+    argv = [*PRIMARY, "--mc-paths", "2000"]
     code, out, _ = run_cli(capsys, ["verify", *argv])
     assert code == 0
-    check = {ch["name"]: ch for ch in json.loads(out)["checks"]}[
-        "mc_agreement"]
+    checks = {ch["name"]: ch for ch in json.loads(out)["checks"]}
     code, out, _ = run_cli(capsys, ["compare", *argv])
     assert code == 0
-    row = json.loads(out)["rows"][-1]
-    assert row["method"] == "monte_carlo"
-    assert (row["gap"], row["tolerance"]) \
-        == (check["measured"], check["tolerance"])
-    assert check["tolerance"] > 0.0
+    rows = {r["method"]: r for r in json.loads(out)["rows"]}
+    for method, name in (("shooting", "shooting_agreement"),
+                         ("finite_difference", "fd_boundary"),
+                         ("monte_carlo", "mc_agreement")):
+        check, row = checks[name], rows[method]
+        assert (row["gap"], row["tolerance"], row["status"]) \
+            == (check["measured"], check["tolerance"],
+                check["status"].upper()), method
+    assert checks["mc_agreement"]["tolerance"] > 0.0
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -7,11 +7,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cirmort.closed_form import (_Workspace, boundary_residual,
-                                 boundary_residual_ratio_form, kernel_weight,
-                                 ode_residual, particular_solution,
-                                 solve_boundary, source_term, value,
-                                 value_curve, value_derivative)
+from cirmort.closed_form import (_Workspace, ode_residual, solve_boundary,
+                                 value, value_curve, value_derivative)
 from cirmort.errors import (DomainError, NoBracketError, RangeOverflowError,
                             ValidationError)
 from cirmort.model import CirParams, ContractParams, derive_constants
@@ -21,6 +18,10 @@ from cirmort.specfun import _CF_MARGIN  # where IU~ switches route
 from cirmort.specfun import _kummer_m_scaled, tricomi_u  # noqa: the scaled
 # helper is internal but is the only overflow-free route for the
 # asymptotic-elimination check below
+from closed_form_reference import (boundary_residual,
+                                   boundary_residual_ratio_form,
+                                   kernel_weight, particular_solution,
+                                   source_term)
 
 UNIT_CIR = CirParams(k=1.0, theta=1.0, sigma=1.0)
 PRIMARY_CIR = CirParams(k=0.25, theta=0.06, sigma=0.1)
@@ -206,7 +207,6 @@ def test_ratio_form_shares_the_root(primary_solution, primary_consts):
 def test_solve_primary_fixture(primary_solution):
     sol = primary_solution
     assert sol.x_star == pytest.approx(sol.z_star / sol.consts.p, rel=1e-14)
-    assert sol.c1 == 0.0
     assert sol.c2 > 0
     # boundary fixture recorded from the shooting oracle at first build
     assert sol.x_star == pytest.approx(0.009217280309, rel=1e-8)
@@ -398,12 +398,13 @@ def test_value_curve_invariants(primary_solution):
     assert all(b < a for a, b in zip(vs, vs[1:]))
 
 
-def test_ode_residual_along_curve(primary_solution):
-    sol = primary_solution
-    c = sol.contract.c
-    xs = np.geomspace(1.001 * sol.x_star, 10.0 * max(0.06, c), 100)
-    worst = max(abs(ode_residual(sol, float(x))) for x in xs)
-    assert worst <= 1e-6 * c
+def test_value_curve_names_the_bad_argument(primary_solution):
+    with pytest.raises(ValidationError) as exc:
+        value_curve(primary_solution, 0.5, 0.1, 11)
+    assert exc.value.field == "x_lo"
+    with pytest.raises(ValidationError) as exc:
+        value_curve(primary_solution, 0.1, 0.5, 1)
+    assert exc.value.field == "n"
 
 
 def test_tail_tracks_first_order_correction(primary_solution):
