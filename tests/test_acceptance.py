@@ -130,18 +130,31 @@ def test_criterion_5_closed_form_vs_finite_differences(primary_solution):
     assert time.monotonic() - t0 < 60.0
 
 
-def test_criterion_6_monte_carlo_consistency(primary_solution):
+def test_criterion_6_monte_carlo_consistency(primary_solution, monkeypatch):
     t0 = time.monotonic()
     # one common-random-number run from theta covers both sub-criteria: the
     # middle boundary's value must match V(theta), and since the borrower
     # minimizes value, the boundaries 10% off must not beat it by more than
     # noise
+    probe, reports = cli.oracles.mc_optimality_probe, []
+
+    def recording_probe(*args, **kwargs):
+        reports.append(probe(*args, **kwargs))
+        return reports[-1]
+    monkeypatch.setattr(cli.oracles, "mc_optimality_probe", recording_probe)
     config = cli.RunConfig(cir=PRIMARY_CIR, contract=CONTRACT,
                            mc_paths=100_000)
     checks, _, v_theta = cli._mc_checks(config, primary_solution)
     assert v_theta is not None           # the paths start at theta
     assert _statuses(checks) == {"mc_agreement": "pass",
                                  "mc_optimality": "pass"}, checks
+    # verify's mc_optimality pools the two sides; hold each side to its own
+    # 3-SE bound
+    (lo, mid, hi), = reports
+    for other in (lo, hi):
+        beat = mid.value_estimate - other.value_estimate
+        assert beat <= 3.0 * math.hypot(mid.std_error, other.std_error), \
+            (other.boundary_used, beat)
     assert time.monotonic() - t0 < 120.0
 
 

@@ -9,8 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cirmort import cli
 from cirmort.cli import main
 
 PRIMARY = ["--k", "0.25", "--theta", "0.06", "--sigma", "0.1", "--c", "0.05"]
@@ -167,6 +169,20 @@ def test_verify_detects_corrupted_boundary(capsys, monkeypatch):
     assert "smooth_pasting_slope" in rep["failed"]
 
 
+def test_wronskian_grid_fails_on_nan(monkeypatch):
+    # a NaN on one (alpha, gamma) pair must fail the check, not be folded
+    # away by the maximum over pairs
+    exact = cli.specfun.wronskian_mu
+
+    def wronskian_mu(hp, zs):
+        w = exact(hp, zs)
+        return np.where(hp.alpha == 3.0, np.nan, w)
+    monkeypatch.setattr(cli.specfun, "wronskian_mu", wronskian_mu)
+    checks = {ch["name"]: ch for ch in cli._specfun_checks()}
+    assert checks["wronskian_grid"]["status"] == "fail"
+    assert checks["specfun_identities"]["status"] == "pass"
+
+
 def test_verify_determinism_byte_identical(capsys):
     argv = ["verify", *PRIMARY, *FAST_VERIFY]
     _, out1, _ = run_cli(capsys, argv)
@@ -202,6 +218,10 @@ def test_verify_and_compare_share_one_mc_estimate(capsys):
     code, out, _ = run_cli(capsys, ["verify", *argv])
     assert code == 0
     checks = {ch["name"]: ch for ch in json.loads(out)["checks"]}
+    # the oracle table names exactly the checks its functions return, so
+    # --skip marks the checks a run would produce
+    assert list(checks)[-5:] == [name for _, _, names, _ in cli._ORACLES
+                                 for name in names]
     code, out, _ = run_cli(capsys, ["compare", *argv])
     assert code == 0
     rows = {r["method"]: r for r in json.loads(out)["rows"]}
@@ -234,6 +254,15 @@ def test_verify_fd_profile_at_high_volatility(capsys):
 
 # ---------------------------------------------------------------------------
 # compare
+
+def test_compare_shares_verify_minimum_fd_nodes(capsys):
+    # compare runs verify's FD check, half-size grid included
+    argv = [*PRIMARY, "--fd-nodes", "10", "--skip", "mc",
+            "--skip", "shooting"]
+    results = [run_cli(capsys, [cmd, *argv]) for cmd in ("verify", "compare")]
+    assert [code for code, _, _ in results] == [2, 2]
+    assert json.loads(results[0][2]) == json.loads(results[1][2])
+    assert json.loads(results[1][2])["field"] == "n_nodes"
 
 def test_compare_json_rows(capsys):
     code, out, _ = run_cli(capsys, ["compare", *PRIMARY, *FAST_VERIFY])
