@@ -23,6 +23,8 @@ KS = (0.1, 0.25, 0.5)
 THETAS = (0.03, 0.06, 0.1)
 SIGMAS = (0.05, 0.1, 0.2)
 COUPONS = (0.03, 0.05, 0.08)
+# the 81 (k, theta, sigma, c) sets, also the acceptance tests' grid
+GRID = list(itertools.product(KS, THETAS, SIGMAS, COUPONS))
 
 
 def main(argv=None):
@@ -34,7 +36,7 @@ def main(argv=None):
     rows = []
     t0 = time.monotonic()
     warnings.simplefilter("ignore", FellerWarning)
-    for k, theta, sigma, c in itertools.product(KS, THETAS, SIGMAS, COUPONS):
+    for k, theta, sigma, c in GRID:
         cir = CirParams(k=k, theta=theta, sigma=sigma)
         con = ContractParams(c=c, m=c)
         try:

@@ -11,9 +11,7 @@ identical configurations reproduce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -25,11 +23,6 @@ from .model import CirParams, ContractParams, derive_constants
 
 __all__ = ["RunConfig", "main", "cmd_solve", "cmd_curve", "cmd_verify",
            "cmd_compare"]
-
-# test hook: set to a float factor (e.g. "1.01") to corrupt the solved
-# boundary before verification runs; exercises the failure path of cmd_verify
-_CORRUPT_ENV = "CIRMORT_CORRUPT_XSTAR"
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -100,14 +93,8 @@ def _error_json(exc: Exception) -> None:
 # commands
 
 def _solve(config: RunConfig):
-    solution = closed_form.solve_boundary(
+    return closed_form.solve_boundary(
         config.cir, config.solver_contract, tol=config.tol_root)
-    factor = os.environ.get(_CORRUPT_ENV)
-    if factor:
-        f = float(factor)
-        solution = dataclasses.replace(
-            solution, x_star=solution.x_star * f, z_star=solution.z_star * f)
-    return solution
 
 
 def cmd_solve(config: RunConfig) -> int:
@@ -143,6 +130,8 @@ def cmd_curve(config: RunConfig) -> int:
     solution = _solve(config)
     x_lo = config.x_min if config.x_min is not None else solution.x_star
     x_hi = config.x_max if config.x_max is not None else 5.0 * solution.x_star
+    if not math.isfinite(x_hi):
+        raise ValidationError("x_max", f"must be finite, got {x_hi!r}")
     if not (0 <= x_lo < x_hi):
         raise ValidationError("x_min", "need 0 <= x_min < x_max")
     curve = closed_form.value_curve(solution, x_lo, x_hi, config.points)
@@ -244,7 +233,7 @@ def _fd_checks(config: RunConfig, solution) -> tuple:
                                 oracles.GridSpec(x_max, nodes))
         for nodes in (config.fd_nodes, config.fd_nodes // 2))
     dx = fd_hi.grid[1] - fd_hi.grid[0]
-    h_fd = fd_hi.h_trace[-1, 1]
+    h_fd = fd_hi.boundary
     probes = np.linspace(1.05 * x_star, 0.8 * x_max, 20)
     v_cf = closed_form.value(solution, probes)
     v_hi = np.interp(probes, fd_hi.grid, fd_hi.v_steady)

@@ -92,6 +92,8 @@ _SCAN_POINTS = 64
 # IM~ panel widths (see _Workspace): GK15 integrates e^{c xi} to about 1e-22
 # relative on a panel of width _IM_SPAN / |c|
 _IM_SPAN = 2.0
+# ode_residual's finite-difference step in dV/dx, relative to x
+_STEP_SCALE = 1e-5
 
 
 class _Workspace:
@@ -269,8 +271,8 @@ def _branch(sol: SteadyStateSolution,
 
 def _rates(x, name: str) -> tuple[np.ndarray, bool]:
     xs = np.asarray(x, dtype=float)
-    if np.any(xs < 0):
-        raise DomainError(f"{name} requires x >= 0")
+    if not np.all((xs >= 0) & np.isfinite(xs)):
+        raise DomainError(f"{name} requires finite x >= 0")
     return np.atleast_1d(xs), xs.ndim == 0
 
 
@@ -308,8 +310,7 @@ def pasting_value_error(solution: SteadyStateSolution) -> float:
     return _pasting(solution)[0]
 
 
-def ode_residual(solution: SteadyStateSolution, x: Real,
-                 step_scale: float = 1e-5) -> Real:
+def ode_residual(solution: SteadyStateSolution, x: Real) -> Real:
     """Steady ODE residual (sigma^2/2) x V'' + k(theta - x) V' - x V + c, at
     one x or at each x of an array: c - x on the stopped branch x <= x*
     (V = 1, V' = V'' = 0); on the continuation branch V'' is a finite
@@ -321,7 +322,7 @@ def ode_residual(solution: SteadyStateSolution, x: Real,
     cont = xs > solution.x_star
     if cont.any():
         x = xs[cont]
-        h = step_scale * x
+        h = _STEP_SCALE * x
         central = x - h > solution.x_star
         n = x.size
         v, dv = _branch(solution, np.concatenate(
@@ -340,6 +341,8 @@ class ValueCurve:
 
 def value_curve(solution: SteadyStateSolution, x_lo: float, x_hi: float,
                 n: int) -> ValueCurve:
+    if not math.isfinite(x_hi):
+        raise ValidationError("x_hi", f"must be finite, got {x_hi!r}")
     if not (0 <= x_lo < x_hi):
         raise ValidationError("x_lo", "need 0 <= x_lo < x_hi")
     if n < 2:
@@ -351,10 +354,10 @@ def value_curve(solution: SteadyStateSolution, x_lo: float, x_hi: float,
 
 
 def solve_boundary(cir: CirParams, contract: ContractParams,
-                   tol: float = 1e-10,
-                   diagnostics: bool = True) -> SteadyStateSolution:
+                   tol: float = 1e-10) -> SteadyStateSolution:
     """Locate the free boundary: geometric scan for a sign change of the
-    smooth-pasting residual, Brent refinement, then assemble the solution."""
+    smooth-pasting residual, Brent refinement, then assemble the solution
+    with its pasting and ODE-residual diagnostics."""
     if not tol >= 1e-12:
         raise ValidationError("tol", f"must be >= 1e-12, got {tol!r}")
     if abs(contract.m - contract.c) > 1e-15 * max(contract.m, contract.c):
@@ -396,10 +399,8 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
         diagnostics=Diagnostics(0.0, 0.0, 0.0),
         workspace=ws, u_at_star=u_star, amp=amp)
 
-    if diagnostics:
-        v_err, slope = _pasting(sol)
-        probes = np.geomspace(1.02 * x_star, 5.0 * x_star, 7)
-        res_max = float(np.max(np.abs(ode_residual(sol, probes))))
-        sol = dataclasses.replace(
-            sol, diagnostics=Diagnostics(v_err, slope, res_max))
-    return sol
+    v_err, slope = _pasting(sol)
+    probes = np.geomspace(1.02 * x_star, 5.0 * x_star, 7)
+    res_max = float(np.max(np.abs(ode_residual(sol, probes))))
+    return dataclasses.replace(
+        sol, diagnostics=Diagnostics(v_err, slope, res_max))

@@ -2,7 +2,7 @@
 loan balance function.
 
 Time convention: the public API uses time-to-expiry tau everywhere, so the
-balance ODE reads dB/dtau = m - c*B with B(0) = 0.
+balance ODE reads B'(tau) = m - c*B with B(0) = 0.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ class CirParams:
 
 @dataclass(frozen=True)
 class ContractParams:
-    """Contract rate c, continuous payment rate m, duration T (years).
+    """Contract rate c and continuous payment rate m of a loan with no
+    maturity: the steady state is the infinite-horizon problem.
 
     The steady-state solver additionally requires m = c (values are reported
     for general m by rescaling at the CLI layer).
@@ -67,7 +68,6 @@ class ContractParams:
 
     c: float
     m: float
-    T: float = math.inf
 
     def __post_init__(self):
         for name in ("c", "m"):
@@ -76,8 +76,6 @@ class ContractParams:
                     and value > 0):
                 raise ValidationError(name, f"must be a positive finite "
                                             f"number, got {value!r}")
-        if not self.T > 0:
-            raise ValidationError("T", f"must be positive, got {self.T!r}")
 
 
 @dataclass(frozen=True)

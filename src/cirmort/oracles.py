@@ -1,9 +1,8 @@
 """Independent numerical oracles for the closed-form solution:
 
 * shooting/bisection on the steady ODE,
-* a finite-difference obstacle solver on the tridiagonal generator: policy
-  iteration on the stationary problem, or implicit time steps of the
-  time-dependent one up to a finite horizon,
+* a finite-difference obstacle solver: policy iteration on the stationary
+  problem over the tridiagonal generator,
 * Monte Carlo valuation of the threshold prepayment policy with exact CIR
   transition sampling.
 
@@ -18,7 +17,6 @@ transition converges to the boundary.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,17 +32,12 @@ __all__ = [
     "GridSpec",
     "FdReport",
     "McReport",
-    "CflWarning",
     "shoot_classify",
     "shoot_solve",
     "fd_steady_state",
     "mc_value",
     "mc_optimality_probe",
 ]
-
-
-class CflWarning(UserWarning):
-    """Advisory: the time step is coarse relative to the advection term."""
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +145,6 @@ def shoot_solve(cir: CirParams, contract: ContractParams,
 # ---------------------------------------------------------------------------
 # Finite differences
 
-# sup-norm update below which the time march has reached the steady state
-_STEADY_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class GridSpec:
     x_max: float
@@ -172,8 +161,7 @@ class GridSpec:
 class FdReport:
     grid: np.ndarray
     v_steady: np.ndarray
-    h_trace: np.ndarray                 # rows (tau, h(tau))
-    steps_to_steady: int
+    boundary: float                     # right edge of the contact set
 
 
 def _operator_coeffs(cir: CirParams, xs: np.ndarray, dx: float):
@@ -193,18 +181,18 @@ def _operator_coeffs(cir: CirParams, xs: np.ndarray, dx: float):
     return lo, dg, up
 
 
-def _howard(band: np.ndarray, rhs: np.ndarray, obstacle: float,
-            contact: np.ndarray):
+def _howard(band: np.ndarray, rhs: np.ndarray, obstacle: float):
     """Policy iteration for the discrete obstacle problem
     min(obstacle - v, rhs - B v) = 0, B tridiagonal in `solve_banded` form
     with a Dirichlet last row.
 
-    Contact rows are pinned to the obstacle and the rest solved exactly;
-    each row then keeps whichever constraint binds.  B is an M-matrix, so
-    this settles in at most n + 1 iterations (Bokanowski, Maroso & Zidani,
-    SIAM J. Numer. Anal. 47, 2009).  Returns (v, contact set).
+    Starting from an empty contact set, contact rows are pinned to the
+    obstacle and the rest solved exactly; each row then keeps whichever
+    constraint binds.  B is an M-matrix, so this settles in at most n + 1
+    iterations (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).
     """
     n = rhs.size
+    contact = np.zeros(n, dtype=bool)
     for _ in range(n + 1):
         pinned = band.copy()
         pinned[1] = np.where(contact, 1.0, band[1])
@@ -218,7 +206,7 @@ def _howard(band: np.ndarray, rhs: np.ndarray, obstacle: float,
         new_contact[-1] = False
         if np.array_equal(new_contact, contact):
             v[:-1] = np.minimum(v[:-1], obstacle)
-            return v, contact
+            return v
         contact = new_contact
     raise ConvergenceError(
         f"policy iteration did not settle in {n + 1} iterations")
@@ -235,29 +223,20 @@ def _contact_edge(xs: np.ndarray, v: np.ndarray, obstacle: float) -> float:
 
 
 def fd_steady_state(cir: CirParams, contract: ContractParams,
-                    grid_spec: GridSpec, dtau: float = 0.05,
-                    tau_max: float | None = None) -> FdReport:
-    """Finite-difference obstacle solver on the tridiagonal generator.
-
-    With tau_max None, the stationary problem min(m/c - v, c - M v) = 0,
-    M = -A, is solved directly by policy iteration; the report carries
-    h_trace = [[inf, h]] and steps_to_steady = 0.  With a finite tau_max,
-    the time-dependent problem is marched by implicit steps of size dtau
-    against the balance obstacle (m/c)(1 - e^{-c tau}), each step the same
-    policy iteration on (I + dtau M) v = v_old + dtau c, until the update
-    falls below _STEADY_TOL or tau reaches tau_max.  At x = 0 the operator
-    degenerates to first order and is discretized one-sided; at x_max a
-    Dirichlet value c/x_max (the tail of the steady solution) is imposed.
+                    grid_spec: GridSpec) -> FdReport:
+    """Finite-difference solve of the stationary obstacle problem
+    min(m/c - v, c - M v) = 0, M = -A, by policy iteration on the monotone
+    tridiagonal generator.  At x = 0 the operator degenerates to first order
+    and is discretized one-sided; at x_max a Dirichlet value c/x_max (the
+    tail of the steady solution) is imposed.
     """
-    if not dtau > 0:
-        raise ValidationError("dtau", "must be positive")
     n = grid_spec.n_nodes
     xs = np.linspace(0.0, grid_spec.x_max, n)
     dx = xs[1] - xs[0]
     c = contract.c
 
     # banded M = -A; row 0 is the degenerate one-sided equation, the last
-    # row (zero here) carries the Dirichlet condition
+    # row carries the Dirichlet condition
     lo_i, dg_i, up_i = _operator_coeffs(cir, xs[1:-1], dx)
     adv0 = cir.k * cir.theta / dx
     m_band = np.zeros((3, n))
@@ -265,45 +244,14 @@ def fd_steady_state(cir: CirParams, contract: ContractParams,
     m_band[0, 2:] = -up_i
     m_band[1, 0] = adv0
     m_band[1, 1:-1] = -dg_i
+    m_band[1, -1] = 1.0
     m_band[2, :-2] = -lo_i
     rhs = np.full(n, c)
     rhs[-1] = c / grid_spec.x_max
-    no_contact = np.zeros(n, dtype=bool)
-
-    if tau_max is None:
-        m_band[1, -1] = 1.0
-        obstacle = balance(contract, math.inf)
-        v, _ = _howard(m_band, rhs, obstacle, no_contact)
-        return FdReport(grid=xs, v_steady=v,
-                        h_trace=np.array([[math.inf,
-                                           _contact_edge(xs, v, obstacle)]]),
-                        steps_to_steady=0)
-
-    adv_cfl = dtau * np.max(np.abs(cir.k * (cir.theta - xs))) / dx
-    if adv_cfl > 100.0:
-        warnings.warn(
-            f"dtau advects across {adv_cfl:.0f} cells per step; "
-            f"consider a smaller dtau", CflWarning, stacklevel=2)
-    step_band = dtau * m_band
-    step_band[1] += 1.0
-    v = np.zeros(n)
-    contact = no_contact
-    h_trace = []
-    n_steps = int(math.ceil(tau_max / dtau))
-    steps_taken = n_steps
-    for step in range(1, n_steps + 1):
-        tau = step * dtau
-        obstacle = balance(contract, tau)
-        v_old = v
-        step_rhs = v + dtau * rhs
-        step_rhs[-1] = rhs[-1]
-        v, contact = _howard(step_band, step_rhs, obstacle, contact)
-        h_trace.append((tau, _contact_edge(xs, v, obstacle)))
-        if float(np.max(np.abs(v - v_old))) <= _STEADY_TOL:
-            steps_taken = step
-            break
-    return FdReport(grid=xs, v_steady=v, h_trace=np.array(h_trace),
-                    steps_to_steady=steps_taken)
+    obstacle = balance(contract, math.inf)
+    v = _howard(m_band, rhs, obstacle)
+    return FdReport(grid=xs, v_steady=v,
+                    boundary=_contact_edge(xs, v, obstacle))
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +300,10 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
     paths left in the set still draw random numbers, so the stream, and
     with it each estimate, depends on when paths retire.
     """
-    if not dt > 0:
-        raise ValidationError("dt", "must be positive")
-    if not horizon >= dt:
-        raise ValidationError("horizon", "must be at least dt")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise ValidationError("dt", "must be positive and finite")
+    if not (horizon >= dt and math.isfinite(horizon)):
+        raise ValidationError("horizon", "must be finite and at least dt")
     if paths < 1:
         raise ValidationError("paths", "need at least one path")
     if not x0 > 0:

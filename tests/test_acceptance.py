@@ -1,17 +1,20 @@
 """Acceptance criteria: property-based and cross-method checks with pinned
 tolerances and runtime budgets.
 
-The 81-point parameter grid is solved once per session; 31 of the sets have
-no interior boundary (the continuation value stays below par everywhere), in
-which case the closed form raises NoBracketError.  Cross-method criteria
+The 81-point parameter grid of scripts/solve_grid.py is solved once per
+session; 31 of the sets have no interior boundary (the continuation value
+stays below par everywhere), in which case the closed form raises
+NoBracketError.  Cross-method criteria
 treat a matched NoBracketError from the independent oracle as agreement and
 the per-curve criteria quantify over the solved subset.  Criteria that
 repeat a check of `cirmort verify` call the same check function.
 """
 
-import itertools
+import csv
 import math
+import runpy
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,8 +27,9 @@ from cirmort.oracles import shoot_solve
 from cirmort.specfun import (HypergeometricParams, kummer_m, log_gamma,
                              tricomi_u)
 
-GRID = list(itertools.product((0.1, 0.25, 0.5), (0.03, 0.06, 0.1),
-                              (0.05, 0.1, 0.2), (0.03, 0.05, 0.08)))
+SOLVE_GRID = runpy.run_path(
+    str(Path(__file__).resolve().parents[1] / "scripts" / "solve_grid.py"))
+GRID = SOLVE_GRID["GRID"]
 
 PRIMARY_CIR = CirParams(k=0.25, theta=0.06, sigma=0.1)
 CONTRACT = ContractParams(c=0.05, m=0.05)
@@ -43,6 +47,25 @@ def grid_solutions():
         except NoBracketError:
             out[(k, theta, sigma, c)] = None
     return out, time.monotonic() - t0
+
+
+def test_solve_grid_script_writes_the_grid(grid_solutions, tmp_path,
+                                           capsys):
+    sols, _ = grid_solutions
+    out = tmp_path / "grid.csv"
+    assert SOLVE_GRID["main"](["--csv", str(out)]) == 0
+    capsys.readouterr()
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 81
+    assert sum(1 for r in rows if r["x_star"] == "") == 31
+    for r in rows:
+        sol = sols[tuple(float(r[name]) for name in ("k", "theta", "sigma",
+                                                     "c"))]
+        if sol is None:
+            assert r["x_star"] == ""
+        else:
+            assert float(r["x_star"]) == sol.x_star
 
 
 def _statuses(checks):

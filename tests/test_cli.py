@@ -1,6 +1,7 @@
 """CLI tests: output formats, exit codes, determinism, and the structured
 error channel.  All runs go through main() in-process with captured stdio."""
 
+import dataclasses
 import json
 import math
 import os
@@ -80,6 +81,13 @@ def test_validation_error_exit_2_names_field(capsys):
     payload = json.loads(err)
     assert payload["error"] == "ValidationError"
     assert payload["field"] == "k"
+    # a non-finite MC horizon leaves no step count to simulate
+    code, out, err = run_cli(capsys, ["verify", *PRIMARY, "--mc-horizon",
+                                      "inf", "--skip", "fd",
+                                      "--skip", "shooting"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["field"] == "horizon"
 
 
 def test_no_bracket_exit_3(capsys):
@@ -122,10 +130,13 @@ def test_curve_csv_invariants(capsys):
 
 
 def test_curve_rejects_bad_window(capsys):
-    code, _, err = run_cli(capsys, ["curve", *PRIMARY, "--x-min", "0.5",
-                                    "--x-max", "0.1"])
-    assert code == 2
-    assert json.loads(err)["field"] == "x_min"
+    for window, field in ((["--x-min", "0.5", "--x-max", "0.1"], "x_min"),
+                          (["--x-max", "inf"], "x_max"),
+                          (["--x-min", "0.01", "--x-max", "nan"], "x_max")):
+        code, out, err = run_cli(capsys, ["curve", *PRIMARY, *window])
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["field"] == field
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +168,13 @@ def test_verify_skip_marks_checks_skipped(capsys):
 
 
 def test_verify_detects_corrupted_boundary(capsys, monkeypatch):
-    monkeypatch.setenv("CIRMORT_CORRUPT_XSTAR", "1.01")
+    solve = cli.closed_form.solve_boundary
+
+    def shifted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        return dataclasses.replace(sol, x_star=1.01 * sol.x_star,
+                                   z_star=1.01 * sol.z_star)
+    monkeypatch.setattr(cli.closed_form, "solve_boundary", shifted)
     code, out, _ = run_cli(capsys, ["verify", *PRIMARY, "--skip", "mc",
                                     "--skip", "fd", "--skip", "shooting"])
     assert code == 5

@@ -365,14 +365,22 @@ def test_value_path_calls_the_tail_kernel_once_per_chunk(monkeypatch):
         sizes.append(zs.size)
         return iu_scaled(ws, zs)
 
+    residual_scaled = _Workspace.residual_scaled
+    residual_calls = []
+
+    def counted_residual(ws, z):
+        residual_calls.append(np.size(z))
+        return residual_scaled(ws, z)
+
     monkeypatch.setattr(_Workspace, "iu_scaled", counted)
-    solve_boundary(PRIMARY_CIR, CONTRACT, diagnostics=False)
-    bare = len(sizes)
-    sizes.clear()
+    monkeypatch.setattr(_Workspace, "residual_scaled", counted_residual)
     sol = solve_boundary(PRIMARY_CIR, CONTRACT)
-    # diagnostics: one call at x*, one for the 7 probes' 21 stencil points
-    assert len(sizes) - bare == 2
-    assert sorted(sizes[bare:]) == [1, 21]
+    # one call per residual (the scan, then Brent's), one for u_p at x*, and
+    # the diagnostics last: one call at x*, one for the 7 probes' 21 stencil
+    # points
+    assert sizes[:len(residual_calls)] == residual_calls
+    assert len(sizes) == len(residual_calls) + 3
+    assert sizes[-3:] == [1, 1, 21]
     sizes.clear()
     value_curve(sol, sol.x_star, 5.0 * sol.x_star, 101)
     # V at the 100 points past x* and the residual at their 300 stencil
@@ -405,6 +413,18 @@ def test_value_curve_names_the_bad_argument(primary_solution):
     with pytest.raises(ValidationError) as exc:
         value_curve(primary_solution, 0.1, 0.5, 1)
     assert exc.value.field == "n"
+    for x_hi in (math.inf, math.nan):
+        with pytest.raises(ValidationError) as exc:
+            value_curve(primary_solution, 0.1, x_hi, 11)
+        assert exc.value.field == "x_hi"
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf,
+                               np.array([0.02, math.nan])])
+def test_value_rejects_non_finite_rate(primary_solution, x):
+    for fn in (value, value_derivative, ode_residual):
+        with pytest.raises(DomainError):
+            fn(primary_solution, x)
 
 
 def test_tail_tracks_first_order_correction(primary_solution):

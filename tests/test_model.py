@@ -115,7 +115,7 @@ def test_balance_properties(tau, c, m):
 
 @given(st.floats(0.01, 100.0), st.floats(0.01, 0.2))
 def test_balance_satisfies_the_defining_ode(tau, c):
-    # dM/dtau = m - c M in time-to-expiry
+    # M'(tau) = m - c M in time-to-expiry
     con = ContractParams(c=c, m=1.0)
     h = 1e-6 * max(1.0, tau)
     dm = (balance(con, tau + h) - balance(con, tau - h)) / (2.0 * h)

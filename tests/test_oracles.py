@@ -10,8 +10,8 @@ from scipy.integrate import quad
 from cirmort.closed_form import solve_boundary, value
 from cirmort.errors import ConvergenceError, ValidationError
 from cirmort.model import CirParams, ContractParams
-from cirmort.oracles import (DECAYED, DIVERGED_UP, CflWarning, GridSpec,
-                             _howard, _operator_coeffs, _simulate_threshold,
+from cirmort.oracles import (DECAYED, DIVERGED_UP, GridSpec, _howard,
+                             _operator_coeffs, _simulate_threshold,
                              fd_steady_state, mc_optimality_probe, mc_value,
                              shoot_classify, shoot_solve)
 
@@ -72,8 +72,7 @@ def test_grid_spec_validation():
 
 @pytest.fixture(scope="module")
 def fd_coarse():
-    return fd_steady_state(PRIMARY_CIR, CONTRACT, GridSpec(3.0, 500),
-                           dtau=0.05)
+    return fd_steady_state(PRIMARY_CIR, CONTRACT, GridSpec(3.0, 500))
 
 
 def test_fd_comparison_principle(fd_coarse):
@@ -86,20 +85,10 @@ def test_fd_comparison_principle(fd_coarse):
 def test_fd_boundary_location(primary_solution, fd_coarse):
     xs = fd_coarse.grid
     dx = xs[1] - xs[0]
-    h_final = fd_coarse.h_trace[-1, 1]
-    assert abs(h_final - primary_solution.x_star) <= 2.0 * dx
+    assert abs(fd_coarse.boundary - primary_solution.x_star) <= 2.0 * dx
 
 
-def test_fd_stationary_solve_is_the_limit_of_the_march(fd_coarse):
-    assert fd_coarse.steps_to_steady == 0
-    assert fd_coarse.h_trace.shape == (1, 2)
-    march = fd_steady_state(PRIMARY_CIR, CONTRACT, GridSpec(3.0, 500),
-                            tau_max=200.0 / PRIMARY_CIR.k)
-    assert march.steps_to_steady > 0
-    assert fd_coarse.h_trace[-1, 1] == march.h_trace[-1, 1]
-    # what is left is the march's obstacle gap e^{-c tau} at tau_max
-    assert float(np.max(np.abs(fd_coarse.v_steady - march.v_steady))) <= 1e-6
-
+def test_fd_stationary_solve_meets_discrete_complementarity(fd_coarse):
     # discrete complementarity min(1 - v, c - M v) = 0 with M = -A, on every
     # row but the Dirichlet one
     xs, v, c = fd_coarse.grid, fd_coarse.v_steady, CONTRACT.c
@@ -109,7 +98,7 @@ def test_fd_stationary_solve_is_the_limit_of_the_march(fd_coarse):
     mv[0] = PRIMARY_CIR.k * PRIMARY_CIR.theta / dx * (v[0] - v[1])
     mv[1:] = -(lo * v[:-2] + dg * v[1:-1] + up * v[2:])
     slack = c - mv
-    contact = xs[:-1] <= fd_coarse.h_trace[-1, 1]
+    contact = xs[:-1] <= fd_coarse.boundary
     assert contact.any() and not contact.all()
     assert float(v.max()) <= 1.0
     assert v[:-1][contact] == pytest.approx(1.0, abs=1e-12)
@@ -124,8 +113,7 @@ def test_fd_profile_converges_under_refinement(primary_solution):
     probes = np.linspace(0.05, 2.0, 15)
     errs = []
     for n in (500, 1000):
-        rep = fd_steady_state(PRIMARY_CIR, CONTRACT, GridSpec(3.0, n),
-                              dtau=0.05)
+        rep = fd_steady_state(PRIMARY_CIR, CONTRACT, GridSpec(3.0, n))
         vfd = np.interp(probes, rep.grid, rep.v_steady)
         vref = np.array([value(primary_solution, float(x)) for x in probes])
         errs.append(float(np.max(np.abs(vfd - vref))))
@@ -140,30 +128,7 @@ def test_howard_raises_when_the_policy_cycles():
     # (v = 1, above the obstacle 0) and contact (v = 0, PDE slack -1)
     band = np.array([[0.0, 0.0], [-1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ConvergenceError):
-        _howard(band, np.array([-1.0, 0.0]), 0.0, np.zeros(2, dtype=bool))
-
-
-def test_fd_early_boundary_tracks_coupon():
-    # as tau -> 0 the moving boundary starts at x = c
-    rep = fd_steady_state(PRIMARY_CIR, CONTRACT, GridSpec(0.15, 1500),
-                          dtau=5e-4, tau_max=0.05)
-    taus = rep.h_trace[:, 0]
-    hs = rep.h_trace[:, 1]
-    early = hs[(taus >= 0.005) & (taus <= 0.02)]
-    assert early.size > 0
-    assert np.all(early >= 0.8 * CONTRACT.c)
-    assert np.all(early <= 1.2 * CONTRACT.c)
-
-
-def test_fd_warns_on_coarse_time_step():
-    with pytest.warns(CflWarning):
-        fd_steady_state(PRIMARY_CIR, CONTRACT, GridSpec(3.0, 20000),
-                        dtau=10.0, tau_max=20.0)
-
-
-def test_fd_rejects_bad_dtau():
-    with pytest.raises(ValidationError):
-        fd_steady_state(PRIMARY_CIR, CONTRACT, GridSpec(3.0, 100), dtau=0.0)
+        _howard(band, np.array([-1.0, 0.0]), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +170,12 @@ def test_mc_validation_errors():
     with pytest.raises(ValidationError):
         mc_value(PRIMARY_CIR, CONTRACT, 0.06, 0.009, paths=10, dt=0.5,
                  horizon=0.1)
+    # non-finite step or horizon: no step count can be formed
+    for dt, horizon in ((0.01, math.inf), (math.inf, math.inf),
+                        (math.nan, 1.0), (0.01, math.nan)):
+        with pytest.raises(ValidationError):
+            mc_value(PRIMARY_CIR, CONTRACT, 0.06, 0.009, paths=10, dt=dt,
+                     horizon=horizon)
     with pytest.raises(ValidationError):
         mc_optimality_probe(PRIMARY_CIR, CONTRACT, 0.06, boundary=0.009,
                             delta=0.01, paths=10, dt=0.01, horizon=1.0)
