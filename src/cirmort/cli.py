@@ -206,10 +206,13 @@ def _closed_form_checks(config: RunConfig, solution) -> list:
     tail_err = abs(x_tail * closed_form.value(solution, x_tail) - c) / c
     return [
         _check("smooth_pasting_value",
-               abs(closed_form.pasting_value_error(solution)), 1e-8),
+               abs(closed_form.pasting_value_error(solution)),
+               closed_form.PASTING_VALUE_TOL),
         _check("smooth_pasting_slope",
-               abs(closed_form.value_derivative(solution, x_star)), 1e-6),
-        _check("ode_residual", res_max, 1e-6 * c),
+               abs(closed_form.value_derivative(solution, x_star)),
+               closed_form.PASTING_SLOPE_TOL),
+        _check("ode_residual", res_max,
+               closed_form.ODE_RESIDUAL_TOL_PER_C * c),
         _check("monotonic_bounds", violations, 0.5),
         _check("tail_decay", tail_err, 1.5 * cir.k / x_tail),
     ]

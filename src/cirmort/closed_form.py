@@ -42,9 +42,13 @@ gamma Q (DLMF 8.2.4), and with b = 1 - a + t
     IU~(z) = (c/s) int_0^inf t^{alpha-1} (1+t)^{gamma-alpha-1} b^{-gamma}
                              e^{(1-a) z} Q(gamma, b z) dt.
 
-The integrand is built in log space as e^{-t z} e^y Q(gamma, y), y = b z,
-with e^y Q from y^gamma U(1, 1+gamma, y) (DLMF 8.5.3) where gammaincc would
-underflow.  One GK15 rule in t, shared with small-z U, serves all z at once.
+The integrand is built in log space as e^{-t z} e^y Q(gamma, y), y = b z.
+e^y Q has three regimes (specfun._log_gammaincc_scaled): for gamma < 1 and
+y <= 1.1 the series of DLMF 8.7.3, summed with ln Gamma(1 + gamma) once per
+call where scipy's gammaincc would recompute it for every element; scipy's
+gammaincc up to y = gamma + 30; and y^gamma U(1, 1+gamma, y) (DLMF 8.5.3)
+from a continued fraction beyond, where gammaincc would underflow.  One
+GK15 rule in t, shared with U, serves all z at once.
 
 Smooth pasting V(x*) = 1, V'(x*) = 0 fixes c2 and the boundary: with
 z_ref = z the residual
@@ -61,6 +65,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -77,6 +82,7 @@ from .specfun import (_kummer_m_prime_scaled, _kummer_m_scaled,
 __all__ = [
     "SteadyStateSolution",
     "Diagnostics",
+    "DiagnosticsWarning",
     "ValueCurve",
     "solve_boundary",
     "pasting_value_error",
@@ -94,6 +100,16 @@ _SCAN_POINTS = 64
 _IM_SPAN = 2.0
 # ode_residual's finite-difference step in dV/dx, relative to x
 _STEP_SCALE = 1e-5
+# Bounds on a solution's diagnostics, which cirmort verify's pasting and
+# ODE-residual checks also apply
+PASTING_VALUE_TOL = 1e-8
+PASTING_SLOPE_TOL = 1e-6
+ODE_RESIDUAL_TOL_PER_C = 1e-6           # times the coupon c
+
+
+class DiagnosticsWarning(UserWarning):
+    """A solved boundary's diagnostic misses its bound: the boundary or the
+    value function may be less accurate than documented."""
 
 
 class _Workspace:
@@ -357,7 +373,9 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
                    tol: float = 1e-10) -> SteadyStateSolution:
     """Locate the free boundary: geometric scan for a sign change of the
     smooth-pasting residual, Brent refinement, then assemble the solution
-    with its pasting and ODE-residual diagnostics."""
+    with its pasting and ODE-residual diagnostics.  Warns with
+    DiagnosticsWarning, naming each diagnostic, when one misses its bound
+    (PASTING_VALUE_TOL, PASTING_SLOPE_TOL, ODE_RESIDUAL_TOL_PER_C times c)."""
     if not tol >= 1e-12:
         raise ValidationError("tol", f"must be >= 1e-12, got {tol!r}")
     if abs(contract.m - contract.c) > 1e-15 * max(contract.m, contract.c):
@@ -402,5 +420,15 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
     v_err, slope = _pasting(sol)
     probes = np.geomspace(1.02 * x_star, 5.0 * x_star, 7)
     res_max = float(np.max(np.abs(ode_residual(sol, probes))))
+    missed = [f"{name} = {measured!r} (bound {bound!r})"
+              for name, measured, bound in (
+                  ("pasting_value_error", v_err, PASTING_VALUE_TOL),
+                  ("pasting_slope", slope, PASTING_SLOPE_TOL),
+                  ("ode_residual_max", res_max,
+                   ODE_RESIDUAL_TOL_PER_C * contract.c))
+              if not abs(measured) <= bound]
+    if missed:
+        warnings.warn("diagnostics miss their bounds: " + "; ".join(missed),
+                      DiagnosticsWarning, stacklevel=2)
     return dataclasses.replace(
         sol, diagnostics=Diagnostics(v_err, slope, res_max))

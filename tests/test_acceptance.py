@@ -124,6 +124,7 @@ def test_criterion_3_ode_residual_on_grid(grid_solutions):
         assert _statuses(checks)["ode_residual"] == "pass", (key, checks)
 
 
+@pytest.mark.slow
 def test_criterion_4_closed_form_vs_shooting(grid_solutions):
     sols, _ = grid_solutions
     for (k, theta, sigma, c), sol in sols.items():
@@ -153,6 +154,7 @@ def test_criterion_5_closed_form_vs_finite_differences(primary_solution):
     assert time.monotonic() - t0 < 60.0
 
 
+@pytest.mark.slow
 def test_criterion_6_monte_carlo_consistency(primary_solution, monkeypatch):
     t0 = time.monotonic()
     # one common-random-number run from theta covers both sub-criteria: the

@@ -2,13 +2,16 @@
 solution, boundary residual, and the solved value function."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from cirmort.closed_form import (_Workspace, ode_residual, solve_boundary,
-                                 value, value_curve, value_derivative)
+from cirmort import closed_form
+from cirmort.closed_form import (DiagnosticsWarning, _Workspace, ode_residual,
+                                 solve_boundary, value, value_curve,
+                                 value_derivative)
 from cirmort.errors import (DomainError, NoBracketError, RangeOverflowError,
                             ValidationError)
 from cirmort.model import CirParams, ContractParams, derive_constants
@@ -210,6 +213,26 @@ def test_solve_primary_fixture(primary_solution):
     assert sol.c2 > 0
     # boundary fixture recorded from the shooting oracle at first build
     assert sol.x_star == pytest.approx(0.009217280309, rel=1e-8)
+
+
+def test_solve_warns_only_when_a_diagnostic_misses(monkeypatch):
+    def missed():
+        with pytest.warns(DiagnosticsWarning) as rec:
+            solve_boundary(PRIMARY_CIR, CONTRACT)
+        return " ".join(str(w.message) for w in rec
+                        if w.category is DiagnosticsWarning)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DiagnosticsWarning)
+        solve_boundary(PRIMARY_CIR, CONTRACT)
+    # a 1000x coarser V'' stencil leaves an ODE residual of about 1e-5
+    monkeypatch.setattr(closed_form, "_STEP_SCALE", 1e-2)
+    msg = missed()
+    assert "ode_residual_max" in msg and "pasting" not in msg
+    monkeypatch.undo()
+    monkeypatch.setattr(closed_form, "PASTING_SLOPE_TOL", 0.0)
+    msg = missed()
+    assert "pasting_slope" in msg and "ode_residual_max" not in msg
 
 
 def test_solve_second_fixture():

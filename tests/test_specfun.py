@@ -16,11 +16,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from cirmort import specfun
 from cirmort.errors import DomainError, RangeOverflowError
-from cirmort.specfun import (_CF_MARGIN, HypergeometricParams,
-                             _log_gammaincc_scaled, kummer_m, kummer_m_prime,
-                             log_gamma, tricomi_u, tricomi_u_prime,
-                             wronskian_mu)
+from cirmort.specfun import (_CF_MARGIN, _SERIES_Y_MAX,
+                             HypergeometricParams, _log_gammaincc_scaled,
+                             kummer_m, kummer_m_prime, log_gamma, tricomi_u,
+                             tricomi_u_prime, wronskian_mu)
 
 PAIRS = [(0.2, 0.5), (0.2, 3.0), (0.5, 1.5), (1.0, 1.0), (1.0, 4.0),
          (2.5, 2.0), (3.0, 8.0), (5.0, 5.5), (8.0, 24.0)]
@@ -215,6 +216,10 @@ def test_u_domain_errors():
         tricomi_u(HypergeometricParams(1.0, 2.0), 0.0)
     with pytest.raises(DomainError):
         tricomi_u(HypergeometricParams(1.0, 2.0), -1.0)
+    for z in (math.nan, math.inf, np.array([1.0, math.nan])):
+        for fn in (tricomi_u, tricomi_u_prime):
+            with pytest.raises(DomainError, match="z must be finite"):
+                fn(HypergeometricParams(1.0, 2.0), z)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +278,9 @@ def test_wronskian_identity_on_log_grid(alpha, gamma):
 def test_wronskian_domain_and_overflow():
     with pytest.raises(DomainError):
         wronskian_mu(HypergeometricParams(1.0, 2.0), 0.0)
+    for z in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="z must be finite"):
+            wronskian_mu(HypergeometricParams(1.0, 2.0), z)
     with pytest.raises(RangeOverflowError):
         wronskian_mu(HypergeometricParams(1.0, 2.0), 1e4)
 
@@ -286,14 +294,34 @@ def test_wronskian_identity_property(alpha, gamma, z):
     assert abs(num - ref) <= 1e-8 * abs(ref)
 
 
-@pytest.mark.parametrize("gamma", [0.15, 3.0, 40.0, 133.0])
+@pytest.mark.parametrize("gamma", [0.002, 0.15, 0.5, 0.9, 3.0, 40.0, 133.0])
 def test_scaled_incomplete_gamma_matches_mpmath(gamma):
     # both sides of the switch to the continued fraction, and far past the
-    # underflow of gammaincc near y = 745
+    # underflow of gammaincc near y = 745; for gamma < 1 also both sides of
+    # the switch from the series to gammaincc, and y = 1e-8 (in the series
+    # at gamma = 0.002)
     ys = np.array([0.01, 1.0, gamma, gamma + 0.99 * _CF_MARGIN,
-                   gamma + 1.01 * _CF_MARGIN, 745.0, 1400.0])
+                   gamma + 1.01 * _CF_MARGIN, 745.0, 1400.0,
+                   1e-8, _SERIES_Y_MAX, np.nextafter(_SERIES_Y_MAX, 2.0)])
     got = _log_gammaincc_scaled(gamma, ys)
     for y, v in zip(ys, got):
         want = float(y + mpmath.log(mpmath.gammainc(gamma, y, mpmath.inf,
                                                     regularized=True)))
         assert abs(v - want) <= 1e-13 * max(1.0, abs(want)), y
+
+
+def test_small_gamma_series_keeps_gammaincc_off_its_slow_branch(monkeypatch):
+    # at gamma = 0.15 and y in [0.1, 1.1] gammaincc would sum the series of
+    # DLMF 8.7.3 per element; the series route must take all of them
+    seen = []
+    gammaincc = specfun.special.gammaincc
+
+    def recording(a, y):
+        seen.append(np.asarray(y).size)
+        return gammaincc(a, y)
+    monkeypatch.setattr(specfun.special, "gammaincc", recording)
+    ys = np.geomspace(0.1, _SERIES_Y_MAX, 50)
+    got = _log_gammaincc_scaled(0.15, ys)
+    assert sum(seen) == 0
+    assert np.allclose(got, ys + np.log(gammaincc(0.15, ys)),
+                       rtol=1e-13, atol=0.0)
