@@ -1,64 +1,46 @@
-"""Analytical steady-state solution: variation-of-parameters particular
-solution, smooth-pasting boundary residual, boundary solve, and evaluation of
-the value function V(x).
+"""Analytical steady-state solution: the annuity form of the value function,
+the smooth-pasting boundary residual, the boundary solve, and evaluation of
+V(x).
 
-Transformed problem.  With s = sqrt(k^2 + 2 sigma^2), lam = (k - s)/sigma^2,
-p = 2s/sigma^2, z = p x and V(x) = e^{lam x} u(z), the steady ODE
+Annuity form.  The steady ODE
 
     (sigma^2/2) x V'' + k (theta - x) V' - x V + c = 0
 
-becomes z u'' + (gamma - z) u' - alpha u = g(z) with source
-g(z) = -(c/s) e^{a z}, a = a_exp = 1/2 - k/(2s).  Since lam = -a p, the value
-is V(x) = e^{-a z} u(z): every formula below is assembled in this scaled
-space, where nothing overflows for any z the solver visits.
+has the decaying particular solution A(x) = c int_0^inf P(x, t) dt, the value
+of a loan that is never prepaid, where P is the Cox-Ingersoll-Ross
+zero-coupon bond price (model.bond_price_terms; it solves the ODE by
+Feynman-Kac).  With s = sqrt(k^2 + 2 sigma^2), lam = (k - s)/sigma^2,
+p = 2s/sigma^2 and z = p x, the decaying homogeneous solution is
+W(x) = e^{lam x} U(alpha, gamma, z), so every decaying solution is A + C W.
+Smooth pasting V(x*) = 1, V'(x*) = 0 gives C = (1 - A(x*)) / W(x*) and the
+boundary residual
 
-Particular solution (variation of parameters, split form):
+    R(x) = (1 - A) (lam + p U'/U) + A',
+    U'/U = -alpha U(alpha+1, gamma+1, z) / U(alpha, gamma, z),
 
-    u_p(z) = M(z) I_U(z) + U(z) I_M(z),
-    I_U(z) = int_z^inf  U(xi) w(xi) dxi,
-    I_M(z) = int_zref^z M(xi) w(xi) dxi,
-    w(xi)  = kappa xi^{gamma-1} e^{-(1-a) xi},
-    kappa  = (Gamma(alpha)/Gamma(gamma)) (c/s) > 0.
+whose root is x*; the solver scans and refines R/p in z (_Workspace
+.residual_scaled).  The value on the continuation branch x >= x* is
 
-Both split integrals converge (the combined single-integral form does not,
-term by term: M(xi) w(xi) grows like xi^{alpha} e^{a xi}).  The scaled
-variants used internally are
+    V(x) = A(x) + (1 - A(x*)) e^{lam (x - x*)} U(z) / U(z*).
 
-    IU~(z) = e^{(1-a) z} I_U(z),   IM~(z) = e^{-a z} I_M(z),
-    e^{-a z} u_p(z) = Msc(z) IU~(z) + U(z) IM~(z),   Msc = e^{-z} M.
+A and A' = -c int B P dt come from one fixed GK15 rule in t (_annuity_rule)
+and one matrix product per array of x; they agree with a 25-digit mpmath
+quadrature to 7e-15 relative for x up to 1e6 on the supported box (see
+specfun); the rule has about 400 nodes.  U enters only as exp of a difference of logs
+(specfun._tricomi_u_raw returns ln U), so nothing overflows.  Near x* with
+A >> 1 the factor 1 - A(x*) multiplies U's error, which is why U at small
+alpha takes the recurrence step of specfun.
 
-IM~ at a sorted array of z comes from one outward pass of fixed GK15 panels
-from z_ref: between consecutive abscissae z_j < z_{j+1}
+The paper's variation-of-parameters form, V = e^{lam x} (c2 U + u_p) with
+u_p = M I_U + U I_M and z_ref = z*, is a 30-digit reference in the tests.
+Its constant c2, which `cirmort solve` prints, needs M only at z*: there
+I_M = 0, so e^{-a z} u_p = Msc IU~ (Msc = e^{-z} M, IU~ = e^{(1-a) z} I_U,
+a = 1/2 - k/(2s) = -lam/p) and the same with M' for the derivative, while
+e^{-a z} u_p = A + D with D a multiple of W.  Matching value and slope in z
+gives the 2x2 solve
 
-    IM~(z_{j+1}) = e^{-a (z_{j+1} - z_j)} IM~(z_j)
-                   + int_{z_j}^{z_{j+1}} Msc(xi) w~(xi) e^{a (xi - z_{j+1})} dxi,
-
-w~ = kappa xi^{gamma-1}; since 0 < a < 1/2 the carried sum only shrinks.
-
-IU~ swaps the order of integration: with the Laplace integral of U
-(DLMF 13.4.4) inside, the xi-integral is a regularized upper incomplete
-gamma Q (DLMF 8.2.4), and with b = 1 - a + t
-
-    IU~(z) = (c/s) int_0^inf t^{alpha-1} (1+t)^{gamma-alpha-1} b^{-gamma}
-                             e^{(1-a) z} Q(gamma, b z) dt.
-
-The integrand is built in log space as e^{-t z} e^y Q(gamma, y), y = b z.
-e^y Q has three regimes (specfun._log_gammaincc_scaled): for gamma < 1 and
-y <= 1.1 the series of DLMF 8.7.3, summed with ln Gamma(1 + gamma) once per
-call where scipy's gammaincc would recompute it for every element; scipy's
-gammaincc up to y = gamma + 30; and y^gamma U(1, 1+gamma, y) (DLMF 8.5.3)
-from a continued fraction beyond, where gammaincc would underflow.  One
-GK15 rule in t, shared with U, serves all z at once.
-
-Smooth pasting V(x*) = 1, V'(x*) = 0 fixes c2 and the boundary: with
-z_ref = z the residual
-
-    F(z) = c2(z) U'(z) + u_p'(z) - a e^{a z},
-    c2(z) = (e^{a z} - u_p(z)) / U(z),
-
-vanishes exactly at z = z*.  The boundary in rate space is x* = z*/p, the
-relation consistent with the substitution z = p x and confirmed by the
-shooting and finite-difference oracles.
+    Msc IU~ = (A_z - (U'/U - a) A) / (M'/M - U'/U),   A_z = A' / p,
+    c2      = e^{a z*} (1 - Msc IU~) / U(z*).
 """
 
 from __future__ import annotations
@@ -71,13 +53,13 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (DomainError, NoBracketError, SingularityError,
-                     ValidationError)
-from .model import CirParams, ContractParams, DerivedConstants, derive_constants
-from .numerics import _WGK, _XGK, find_root_bracketed
-from .specfun import (_kummer_m_prime_scaled, _kummer_m_scaled,
-                      _laplace_rule, _log_gammaincc_scaled,
-                      _tricomi_u_raw)
+from .errors import DomainError, NoBracketError, ValidationError
+from .model import (CirParams, ContractParams, DerivedConstants,
+                    bond_price_terms, derive_constants)
+from .numerics import find_root_bracketed, gk15_panels
+from .specfun import (HypergeometricParams, _kummer_m_prime_scaled,
+                      _kummer_m_scaled, _tricomi_u_raw, kummer_m,
+                      kummer_m_prime)
 
 __all__ = [
     "SteadyStateSolution",
@@ -95,9 +77,15 @@ __all__ = [
 Real = Union[float, np.ndarray]
 
 _SCAN_POINTS = 64
-# IM~ panel widths (see _Workspace): GK15 integrates e^{c xi} to about 1e-22
-# relative on a panel of width _IM_SPAN / |c|
-_IM_SPAN = 2.0
+# The annuity rule in t (years): GK15 on [0, _T_FIRST], then panels growing
+# by _T_RATIO until their width reaches _T_SPAN / r_inf, equal panels of that
+# width beyond, out to _T_REACH / r_inf, where P has decayed like
+# e^{-r_inf t}; r_inf = 2 k theta / (s + k) is the long rate.  The first
+# panel resolves the e^{-B x} ~ e^{-x t} start of P while x _T_FIRST <= 10.
+_T_FIRST = 1e-6
+_T_RATIO = 3.0
+_T_SPAN = 8.0
+_T_REACH = 60.0
 # ode_residual's finite-difference step in dV/dx, relative to x
 _STEP_SCALE = 1e-5
 # Bounds on a solution's diagnostics, which cirmort verify's pasting and
@@ -112,118 +100,50 @@ class DiagnosticsWarning(UserWarning):
     value function may be less accurate than documented."""
 
 
+def _annuity_rule(r_inf: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights in t of the annuity integral (see _T_FIRST)."""
+    width = _T_SPAN / r_inf
+    t_switch = min(width / (_T_RATIO - 1.0), _T_REACH / r_inf)
+    n = math.ceil(math.log(t_switch / _T_FIRST) / math.log(_T_RATIO))
+    grown = _T_FIRST * _T_RATIO ** np.arange(n + 1)
+    even = np.arange(grown[-1], _T_REACH / r_inf + width, width)[1:]
+    return gk15_panels(np.concatenate([[0.0], grown, even]))
+
+
 class _Workspace:
-    """Per-(consts, contract) evaluation context for the scaled formulas.
+    """Per-(cir, contract) evaluation context: the annuity rule with its
+    bond-price terms, and the basis U; all public entry points funnel
+    through here."""
 
-    It holds no memo: IU~ is one fixed rule per array of z (iu_scaled) and IM~
-    one outward pass of fixed panels (im_scaled); all public entry points
-    funnel through here.
-    """
-
-    def __init__(self, consts: DerivedConstants, contract: ContractParams):
-        self.consts = consts
-        self.contract = contract
+    def __init__(self, cir: CirParams, contract: ContractParams):
+        self.consts = consts = derive_constants(cir)
         self.alpha = consts.alpha
         self.gamma = consts.gamma
         self.a = consts.a_exp
-        self.kappa_log = (math.lgamma(self.alpha) - math.lgamma(self.gamma)
-                          + math.log(contract.c / consts.s))
-        # IM~ panels: in ln xi at most one unit of variation of the kernel
-        # xi^{gamma-1}, in xi at most one of e^{a xi}; panels are geometric
-        # up to where the two widths meet and uniform beyond
-        self.im_ln_step = min(math.log(2.0),
-                              _IM_SPAN / max(self.gamma - 1.0, 1.0))
-        self.im_width = _IM_SPAN / self.a
-        self.im_xi_switch = self.im_width / self.im_ln_step
+        t, w = _annuity_rule(2.0 * cir.k * cir.theta / (consts.s + cir.k))
+        self.log_a, b = bond_price_terms(cir, t)
+        # columns: c w for A, -c w B for A'
+        self.weights = contract.c * np.stack([w, -w * b], axis=1)
+        self.b = b
 
-    # homogeneous basis, scaled where growth demands it
-    def u_fn(self, zs: np.ndarray) -> np.ndarray:
-        return _tricomi_u_raw(self.alpha, self.gamma, zs)
+    def annuity(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(A, dA/dx) at every rate x of xs, one matrix product."""
+        both = np.exp(self.log_a - np.outer(xs, self.b)) @ self.weights
+        return both[:, 0], both[:, 1]
 
-    def u_prime_fn(self, zs: np.ndarray) -> np.ndarray:
-        return -self.alpha * _tricomi_u_raw(
-            self.alpha + 1.0, self.gamma + 1.0, zs)
-
-    def m_scaled(self, zs: np.ndarray) -> np.ndarray:
-        return _kummer_m_scaled(self.alpha, self.gamma, zs)
-
-    def m_prime_scaled(self, zs: np.ndarray) -> np.ndarray:
-        return _kummer_m_prime_scaled(self.alpha, self.gamma, zs)
-
-    def iu_scaled(self, zs: np.ndarray) -> np.ndarray:
-        """IU~ at every z of zs, on one rule in t (see the module
-        docstring)."""
-        # for large y, e^y Q(gamma, y) ~ y^{gamma-1} / Gamma(gamma)
-        t, w = _laplace_rule(self.alpha, self.gamma - 1.0, zs)
-        b = 1.0 - self.a + t
-        # log of the integrand, one row per z, built in place
-        e = _log_gammaincc_scaled(self.gamma, np.outer(zs, b).ravel())
-        e = e.reshape(zs.size, t.size)
-        e -= np.outer(zs, t)
-        e += ((self.gamma - self.alpha - 1.0) * np.log1p(t)
-              - self.gamma * np.log(b))
-        peak = e.max(axis=1)
-        e -= peak[:, None]
-        np.exp(e, out=e)
-        return (self.contract.c / self.consts.s) * np.exp(peak) * (e @ w)
-
-    def _panel_coord(self, xi: np.ndarray) -> np.ndarray:
-        """Coordinate in which every IM~ panel has unit width: ln xi / step
-        up to the switch, then (xi - switch) / width beyond it."""
-        sw = self.im_xi_switch
-        near = np.log(np.minimum(xi, sw)) / self.im_ln_step
-        return near + np.maximum(xi - sw, 0.0) / self.im_width
-
-    def _panel_xi(self, u: np.ndarray) -> np.ndarray:
-        """Inverse of _panel_coord."""
-        u_sw = math.log(self.im_xi_switch) / self.im_ln_step
-        return (np.exp(np.minimum(u, u_sw) * self.im_ln_step)
-                + np.maximum(u - u_sw, 0.0) * self.im_width)
-
-    def im_scaled(self, z0: float, im0: float, zs: np.ndarray) -> np.ndarray:
-        """IM~ at every z of the sorted array zs >= z0, given IM~(z0) = im0,
-        by one outward pass of fixed GK15 panels (see the module
-        docstring)."""
-        ends = np.concatenate([[z0], zs])
-        u = self._panel_coord(ends)
-        n = np.ceil(np.diff(u)).astype(int)     # panels per gap
-        gap = np.repeat(np.arange(zs.size), n)
-        k = np.arange(gap.size) - np.repeat(np.cumsum(n) - n, n)
-        du = (u[1:] - u[:-1])[gap] / n[gap]
-        lo = self._panel_xi(u[gap] + k * du)
-        hi = self._panel_xi(u[gap] + (k + 1) * du)
-        first, last = k == 0, k == n[gap] - 1
-        lo[first] = ends[gap[first]]
-        hi[last] = ends[gap[last] + 1]
-        half = 0.5 * (hi - lo)
-        xi = (0.5 * (hi + lo))[:, None] + half[:, None] * _XGK
-        f = self.m_scaled(xi.ravel()).reshape(xi.shape) * np.exp(
-            self.kappa_log + (self.gamma - 1.0) * np.log(xi)
-            + self.a * (xi - zs[gap][:, None]))
-        gains = np.bincount(gap, weights=half * (f @ _WGK),
-                            minlength=zs.size)
-        decay = np.exp(-self.a * np.diff(ends))
-        out = np.empty_like(zs)
-        carry = im0
-        for j, (d, g) in enumerate(zip(decay.tolist(), gains.tolist())):
-            carry = carry * d + g
-            out[j] = carry
-        return out
+    def log_u_and_ratio(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(ln U, U'/U) at every z of zs."""
+        log_u = _tricomi_u_raw(self.alpha, self.gamma, zs)
+        return log_u, -self.alpha * np.exp(
+            _tricomi_u_raw(self.alpha + 1.0, self.gamma + 1.0, zs) - log_u)
 
     def residual_scaled(self, z: Real) -> Real:
-        """e^{-a z} F(z) with z_ref = z (so IM~ = 0), at one z or at each z
-        of an array.  Where U underflows the residual is undefined: a single
-        z raises SingularityError, an array reads NaN there."""
+        """R/p = dV/dz at x = z/p for the V that pastes there, at one z or at
+        each z of an array."""
         zs = np.atleast_1d(np.asarray(z, dtype=float))
-        u = self.u_fn(zs)
-        if np.ndim(z) == 0 and u[0] == 0.0:
-            raise SingularityError(f"U(alpha, gamma, z) underflowed at "
-                                   f"z = {z!r}")
-        iu = self.iu_scaled(zs)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            res = ((1.0 - self.m_scaled(zs) * iu) * self.u_prime_fn(zs) / u
-                   + self.m_prime_scaled(zs) * iu - self.a)
-        res[u == 0.0] = np.nan
+        ann, ann_x = self.annuity(zs / self.consts.p)
+        ratio = self.log_u_and_ratio(zs)[1]
+        res = (1.0 - ann) * (ratio - self.a) + ann_x / self.consts.p
         return float(res[0]) if np.ndim(z) == 0 else res
 
 
@@ -244,40 +164,36 @@ class SteadyStateSolution:
     c2: float
     diagnostics: Diagnostics
     workspace: _Workspace = field(repr=False, compare=False, default=None)
-    u_at_star: float = field(repr=False, compare=False, default=0.0)
-    amp: float = field(repr=False, compare=False, default=0.0)
+    log_u_at_star: float = field(repr=False, compare=False, default=0.0)
+    amp: float = field(repr=False, compare=False, default=0.0)  # 1 - A(x*)
 
 
 def _branch(sol: SteadyStateSolution,
             xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(V, dV/dx) on the continuation branch at each rate x >= x* of the
-    array xs, in any order, at z = max(p x, z*), everything in scaled space:
+    array xs, in any order, at z = max(p x, z*):
 
-        V     = g(z) U(z) / U(z*) + Msc(z) IU~(z) + U(z) IM~(z),
-        dV/dx = p (g U' / U(z*) + Msc' IU~ + U' IM~ - a V),
-        g(z)  = amp e^{-a (z - z*)},
+        V     = A(x) + g,   g = amp e^{-a (z - z*)} U(z) / U(z*),
+        dV/dx = A'(x) + p g (U'/U - a),
 
-    with one call of each basis function and of iu_scaled per chunk of at
-    most _SCAN_POINTS sorted abscissae, IM~ carried from chunk to chunk."""
+    with one call of the annuity kernel and of each U per chunk of at most
+    _SCAN_POINTS sorted abscissae."""
     ws = sol.workspace
-    z = np.maximum(ws.consts.p * xs, sol.z_star)
+    p = ws.consts.p
+    z = np.maximum(p * xs, sol.z_star)
     order = np.argsort(z, kind="stable")
     zs = z[order]
     v = np.empty_like(zs)
     dv = np.empty_like(zs)
-    z0, im0 = sol.z_star, 0.0
     for lo in range(0, zs.size, _SCAN_POINTS):
         part = slice(lo, lo + _SCAN_POINTS)
         c = zs[part]
-        u, u_p = ws.u_fn(c), ws.u_prime_fn(c)
-        iu = ws.iu_scaled(c)
-        im = ws.im_scaled(z0, im0, c)
-        z0, im0 = float(c[-1]), float(im[-1])
-        g = sol.amp * np.exp(-ws.a * (c - sol.z_star))
-        v[part] = g * u / sol.u_at_star + ws.m_scaled(c) * iu + u * im
-        dv[part] = ws.consts.p * (g * u_p / sol.u_at_star
-                                  + ws.m_prime_scaled(c) * iu + u_p * im
-                                  - ws.a * v[part])
+        ann, ann_x = ws.annuity(c / p)
+        log_u, ratio = ws.log_u_and_ratio(c)
+        g = sol.amp * np.exp(log_u - sol.log_u_at_star
+                             - ws.a * (c - sol.z_star))
+        v[part] = ann + g
+        dv[part] = ann_x + p * g * (ratio - ws.a)
     out_v = np.empty_like(zs)
     out_dv = np.empty_like(zs)
     out_v[order] = v
@@ -382,8 +298,8 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
         raise ValidationError(
             "m", "the steady-state solver requires the m = c normalization; "
                  "rescale reported values by m/c instead")
-    consts = derive_constants(cir)
-    ws = _Workspace(consts, contract)
+    ws = _Workspace(cir, contract)
+    consts = ws.consts
 
     z_lo = 1e-4 * consts.p * cir.theta
     z_hi = 10.0 * consts.p * max(cir.theta, contract.c)
@@ -403,19 +319,26 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
     x_star = z_star / consts.p
 
     zs = np.array([z_star])
-    u_star = float(ws.u_fn(zs)[0])
-    if u_star == 0.0:
-        raise SingularityError("U underflowed at the solved boundary")
-    # e^{-a z*} u_p(z*) with z_ref = z*, where IM~ = 0
-    up_t = float(ws.m_scaled(zs)[0] * ws.iu_scaled(zs)[0])
-    amp = 1.0 - up_t                      # V(x*) = amp + up_t = 1 exactly
-    c2 = math.exp(consts.a_exp * z_star) * amp / u_star
+    ann, ann_x = (float(v[0]) for v in ws.annuity(zs / consts.p))
+    log_u, ratio = (float(v[0]) for v in ws.log_u_and_ratio(zs))
+    # the paper's c2 with z_ref = z*: the 2x2 solve of the module docstring,
+    # which needs M only through M'/M
+    a = consts.a_exp
+    m_sc_z = float(_kummer_m_prime_scaled(consts.alpha, consts.gamma, zs)[0])
+    if m_sc_z >= np.finfo(float).tiny:
+        m_ratio = m_sc_z / float(_kummer_m_scaled(consts.alpha, consts.gamma,
+                                                  zs)[0])
+    else:       # e^{-z} M underflows at large gamma, where M is in range
+        hp = HypergeometricParams(consts.alpha, consts.gamma)
+        m_ratio = kummer_m_prime(hp, z_star) / kummer_m(hp, z_star)
+    m_iu = (ann_x / consts.p - (ratio - a) * ann) / (m_ratio - ratio)
+    c2 = math.exp(a * z_star - log_u) * (1.0 - m_iu)
 
     sol = SteadyStateSolution(
         cir=cir, contract=contract, consts=consts,
         z_star=z_star, x_star=x_star, c2=c2,
         diagnostics=Diagnostics(0.0, 0.0, 0.0),
-        workspace=ws, u_at_star=u_star, amp=amp)
+        workspace=ws, log_u_at_star=log_u, amp=1.0 - ann)
 
     v_err, slope = _pasting(sol)
     probes = np.geomspace(1.02 * x_star, 5.0 * x_star, 7)

@@ -1,5 +1,5 @@
-"""Model and contract parameters, derived transformation constants, and the
-loan balance function.
+"""Model and contract parameters, derived transformation constants, the
+Cox-Ingersoll-Ross bond price, and the loan balance function.
 
 Time convention: the public API uses time-to-expiry tau everywhere, so the
 balance ODE reads B'(tau) = m - c*B with B(0) = 0.
@@ -11,6 +11,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 
 __all__ = [
@@ -19,6 +21,7 @@ __all__ = [
     "DerivedConstants",
     "FellerWarning",
     "derive_constants",
+    "bond_price_terms",
     "balance",
 ]
 
@@ -94,19 +97,38 @@ def derive_constants(cir: CirParams) -> DerivedConstants:
     k, theta, sigma = cir.k, cir.theta, cir.sigma
     sigma2 = sigma * sigma
     s = math.sqrt(k * k + 2.0 * sigma2)
+    # s - k = 2 sigma^2 / (s + k) without the cancellation of s - k when
+    # sigma << k
     consts = DerivedConstants(
         s=s,
-        lam=(k - s) / sigma2,
+        lam=-2.0 / (s + k),
         p=2.0 * s / sigma2,
-        alpha=(k * theta / sigma2) * (1.0 - k / s),
+        alpha=2.0 * k * theta / (s * (s + k)),
         gamma=2.0 * k * theta / sigma2,
-        a_exp=0.5 - k / (2.0 * s),
+        a_exp=sigma2 / (s * (s + k)),
     )
     # s > k makes these automatic; guard anyway so downstream can rely on them
     assert consts.lam < 0 and consts.p > 0
     assert 0.0 < consts.a_exp < 0.5
     assert consts.alpha > 0 and consts.gamma > 0
     return consts
+
+
+def bond_price_terms(cir: CirParams,
+                     t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ln A(t), B(t)) at each maturity t >= 0 of an array, for the zero-coupon
+    bond price P(x, t) = E[exp(-int_0^t x)] = A(t) e^{-B(t) x} of Cox,
+    Ingersoll & Ross (Econometrica 53, 1985), written with e^{-h t},
+    h = sqrt(k^2 + 2 sigma^2), so that nothing overflows at any t."""
+    t = np.asarray(t, dtype=float)
+    k = cir.k
+    h = math.sqrt(k * k + 2.0 * cir.sigma ** 2)
+    k_minus_h = -2.0 * cir.sigma ** 2 / (h + k)
+    em = np.expm1(-h * t)                               # e^{-ht} - 1
+    den = 2.0 * h + k_minus_h * -em
+    log_a = (2.0 * k * cir.theta / cir.sigma ** 2) * (
+        0.5 * k_minus_h * t - np.log1p(k_minus_h * -em / (2.0 * h)))
+    return log_a, -2.0 * em / den
 
 
 def balance(contract: ContractParams, tau: float) -> float:

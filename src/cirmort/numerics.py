@@ -2,7 +2,7 @@
 refinement, and an adaptive ODE stepper.
 
 The GK15 nodes and weights serve the fixed panel rules of `specfun` (the
-Laplace integral of U and IU~) and of `closed_form` (IM~).
+Laplace integral of U) and of `closed_form` (the annuity integral in t).
 """
 
 from __future__ import annotations
@@ -43,6 +43,14 @@ _XGK = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])          # 15 nodes
 _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])      # Gauss nodes
+
+
+def gk15_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GK15 nodes and weights of the panels between consecutive edges."""
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return ((mid[:, None] + half[:, None] * _XGK[None, :]).ravel(),
+            (half[:, None] * _WGK[None, :]).ravel())
 
 
 def find_root_bracketed(

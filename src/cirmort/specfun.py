@@ -9,28 +9,36 @@ on the nodes of _laplace_rule: geometric panels in u = t^alpha up to
 t = min(1, 1/z_max), which absorb the t^{alpha-1} endpoint singularity, then
 geometric panels in t out to e^{-50} below the integrand's peak.  All terms
 are positive, so there is no cancellation and the point-to-point noise stays
-at rounding level, which downstream residual checks rely on.  U' =
--alpha U(alpha+1, gamma+1, z) and closed_form's tail integral IU~ use the
-same rule.
+at rounding level, which downstream residual checks rely on.  The sum is
+taken in log space (log-sum-exp over the nodes): _tricomi_u_raw returns
+ln U, which stays finite where U itself leaves float range (U(0.05, 133,
+1e-3) is about 10^617), and closed_form uses U only as exp of a difference
+of logs.  tricomi_u and tricomi_u_prime exponentiate and raise
+RangeOverflowError where the result does not fit.  U' =
+-alpha U(alpha+1, gamma+1, z) uses the same rule.
 
 Measured relative accuracy of U against mpmath at 30 digits, for alpha in
 [0.03, 21], gamma in [0.5, 41] and z in [0.01, 500]: 4e-14 on one array
-spanning those z, 4e-13 at single points.  At smaller alpha the last linear
-u-panels map to t = u^{1/alpha}, which GK15 cannot resolve once 1/alpha is
-well above 22: the error is 6e-12 at alpha = 0.01, 8e-8 at 0.003 and 5e-6
-at 0.001.
+spanning those z, 4e-13 at single points; ln U to 2.3e-13 absolute at
+gamma = 133 and 180.
 
-The tail integral IU~ also needs e^y Q(gamma, y), Q the regularized upper
-incomplete gamma function, at every (z, t) node pair, which makes it the
-hot spot of a solve.  _log_gammaincc_scaled takes it from three regimes:
-for gamma < 1 and y <= _SERIES_Y_MAX, the series of DLMF 8.7.3 (Gil, Segura
-& Temme, Numerical Methods for Special Functions, SIAM 2007, ch. 8),
-vectorized with ln Gamma(1 + gamma) computed once per call, where scipy's
-gammaincc sums the same series but recomputes that term for every element
-and runs 10-50x slower than elsewhere; scipy's gammaincc up to y = gamma +
-_CF_MARGIN; and a continued fraction beyond, where gammaincc underflows.
-Measured against mpmath: within 1.3e-14 on gamma in [0.002, 0.999] and y in
-[1e-8, 3].
+Small alpha.  Below alpha = _ALPHA_STEP = 0.03 the last u-panels map to
+t = u^{1/alpha}, which GK15 cannot resolve (the rule alone is off by 1e-6 at
+alpha = 8.3e-4).  There U comes from one backward step of the recurrence in
+a (DLMF 13.3.7) from U(alpha+1) and U(alpha+2), which the rule resolves; U
+is the minimal solution as a grows, so the backward direction is stable
+(Gil, Segura & Temme, Numerical Methods for Special Functions, SIAM 2007,
+ch. 4).  Measured against mpmath on 12 z in [1e-3, 500] at alpha in
+{8.3e-4, 2.1e-3, 8.9e-3}: 4.5e-15 relative for gamma <= 0.5 and 1.0e-12 at
+gamma = 3.  Where z < gamma the two terms of the step cancel, by up to
+about gamma/alpha: the error grows to 1.4e-9 at gamma = 40 and 5e-8 at
+gamma = 180 (alpha = 8.3e-4).  The rule alone does better at those z, but
+it is off by up to 1e-6 at z > gamma.
+
+Supported box.  On 60 log-uniform draws over k in [0.01, 5], theta in
+[0.003, 0.3], sigma in [0.005, 0.5] and c in [0.005, 0.2] (gamma from 0.0043
+to 35,000) every solve either meets its diagnostic bounds or raises
+NoBracketError; no special function leaves float range there.
 
 M is evaluated by scipy's hyp1f1 to a target of 1e-10 relative on z in
 [-50, 200] (series/rational machinery, verified to ~1e-14 on the contract
@@ -51,8 +59,8 @@ from typing import Union
 import numpy as np
 from scipy import special
 
-from .errors import ConvergenceError, DomainError, RangeOverflowError
-from .numerics import _WGK, _XGK
+from .errors import DomainError, RangeOverflowError
+from .numerics import gk15_panels
 
 __all__ = [
     "HypergeometricParams",
@@ -120,18 +128,12 @@ def kummer_m_prime(params: HypergeometricParams, z: Real) -> Real:
     return (params.alpha / params.gamma) * kummer_m(shifted, z)
 
 
-def _gk15_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GK15 nodes and weights of the panels between consecutive edges."""
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return ((mid[:, None] + half[:, None] * _XGK[None, :]).ravel(),
-            (half[:, None] * _WGK[None, :]).ravel())
-
-
 # The inner u-panels of _laplace_rule on (0, 1]: geometric from 1e-18 to 1/2,
 # then linear; each call scales them to u in (0, t_split^alpha].
-_U_NODES, _U_WEIGHTS = _gk15_panels(np.concatenate(
+_U_NODES, _U_WEIGHTS = gk15_panels(np.concatenate(
     [np.geomspace(1e-18, 0.5, 24), np.linspace(0.5, 1.0, 6)[1:]]))
+# Below this alpha, U comes from one backward step of the recurrence in a
+_ALPHA_STEP = 0.03
 
 
 def _laplace_rule(alpha: float, g: float,
@@ -147,7 +149,7 @@ def _laplace_rule(alpha: float, g: float,
     t_max = (60.0 + 3.0 * max(g, 0.0)) / float(zs.min())
     step = min(math.log(2.0), 1.3 / math.sqrt(max(g, 1.0)))
     ln_span = math.log(t_max / t_split)
-    t_outer, w_outer = _gk15_panels(t_split * np.exp(
+    t_outer, w_outer = gk15_panels(t_split * np.exp(
         np.linspace(0.0, ln_span, math.ceil(ln_span / step) + 1)))
     return (np.concatenate([t_split * _U_NODES ** (1.0 / alpha), t_outer]),
             np.concatenate([(t_split ** alpha / alpha) * _U_WEIGHTS,
@@ -155,15 +157,25 @@ def _laplace_rule(alpha: float, g: float,
 
 
 def _u_panels(alpha: float, gamma: float, zs: np.ndarray) -> np.ndarray:
-    """U at every z of zs by panel-wise GK15 over the Laplace integral,
-    whose integrand decays like (z t)^{gamma-2} e^{-z t} at large t and
-    like (z t)^{alpha-1} e^{-z t} for t << 1, where large z puts the mass."""
+    """ln U at every z of zs by panel-wise GK15 over the Laplace integral,
+    summed in log space (log-sum-exp over the nodes).  The integrand decays
+    like (z t)^{gamma-2} e^{-z t} at large t and like (z t)^{alpha-1}
+    e^{-z t} for t << 1, where large z puts the mass."""
     t, w = _laplace_rule(alpha, max(gamma - 2.0, alpha - 1.0), zs)
-    log_f = (gamma - alpha - 1.0) * np.log1p(t) - math.lgamma(alpha)
-    return np.exp(-zs[:, None] * t[None, :] + log_f[None, :]) @ w
+    e = np.log(w) + (gamma - alpha - 1.0) * np.log1p(t) - np.outer(zs, t)
+    peak = e.max(axis=1)
+    e -= peak[:, None]
+    np.exp(e, out=e)
+    return peak + np.log(e.sum(axis=1)) - math.lgamma(alpha)
 
 
 def _tricomi_u_raw(alpha: float, gamma: float, zs: np.ndarray) -> np.ndarray:
+    """ln U(alpha, gamma, z) at every z of zs.  For alpha < _ALPHA_STEP, one
+    backward step of DLMF 13.3.7 in a, at the same gamma and z,
+        U(alpha) = (z + 2 + 2 alpha - gamma) U(alpha + 1)
+                   + (alpha + 1)(gamma - alpha - 2) U(alpha + 2),
+    the stable direction for the minimal solution U, replaces the Laplace
+    rule, which cannot resolve t^{alpha-1} there."""
     if alpha <= 0.0:
         raise DomainError(f"tricomi_u requires alpha > 0, got {alpha!r}")
     if not np.all(np.isfinite(zs)):
@@ -172,7 +184,20 @@ def _tricomi_u_raw(alpha: float, gamma: float, zs: np.ndarray) -> np.ndarray:
         raise DomainError("tricomi_u requires z > 0")
     if zs.size == 0:
         return np.empty_like(zs)
-    out = _u_panels(alpha, gamma, zs.ravel()).reshape(zs.shape)
+    z = zs.ravel()
+    if alpha >= _ALPHA_STEP:
+        return _u_panels(alpha, gamma, z).reshape(zs.shape)
+    log_u1 = _u_panels(alpha + 1.0, gamma, z)
+    ratio = np.exp(_u_panels(alpha + 2.0, gamma, z) - log_u1)
+    return (log_u1 + np.log(z + 2.0 + 2.0 * alpha - gamma
+                            + (alpha + 1.0) * (gamma - alpha - 2.0) * ratio)
+            ).reshape(zs.shape)
+
+
+def _exp_u(log_u: np.ndarray, alpha: float, gamma: float,
+           zs: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        out = np.exp(log_u)
     if not np.all(np.isfinite(out)):
         raise RangeOverflowError(
             f"U({alpha}, {gamma}, z) exceeds float range "
@@ -183,15 +208,16 @@ def _tricomi_u_raw(alpha: float, gamma: float, zs: np.ndarray) -> np.ndarray:
 def tricomi_u(params: HypergeometricParams, z: Real) -> Real:
     """Tricomi function U(alpha, gamma, z), z > 0."""
     zs, scalar = _as_array(z)
-    return _ret(_tricomi_u_raw(params.alpha, params.gamma, zs), scalar)
+    a, g = params.alpha, params.gamma
+    return _ret(_exp_u(_tricomi_u_raw(a, g, zs), a, g, zs), scalar)
 
 
 def tricomi_u_prime(params: HypergeometricParams, z: Real) -> Real:
     """dU/dz via the shifted-parameter identity -alpha U(a+1, g+1, z)."""
     zs, scalar = _as_array(z)
-    out = -params.alpha * _tricomi_u_raw(
-        params.alpha + 1.0, params.gamma + 1.0, zs)
-    return _ret(out, scalar)
+    a, g = params.alpha + 1.0, params.gamma + 1.0
+    return _ret(-params.alpha * _exp_u(_tricomi_u_raw(a, g, zs), a, g, zs),
+                scalar)
 
 
 def wronskian_mu(params: HypergeometricParams, z: Real) -> Real:
@@ -250,103 +276,3 @@ def _kummer_m_prime_scaled(alpha: float, gamma: float,
                            zs: np.ndarray) -> np.ndarray:
     """e^{-z} dM/dz."""
     return (alpha / gamma) * _kummer_m_scaled(alpha + 1.0, gamma + 1.0, zs)
-
-
-# Past gamma + _CF_MARGIN, e^y Q(gamma, y) comes from the continued fraction:
-# gammaincc underflows near y = 745, and the fraction converges fast there.
-_CF_MARGIN = 30.0
-# Up to y = _SERIES_Y_MAX, for gamma < 1, gammaincc may take the slow series
-# branch that _log_gammaincc_series replaces (see _series_entries).
-_SERIES_Y_MAX = 1.1
-# zeta(2), ..., zeta(42): the Taylor coefficients of ln Gamma(1 + x) at 0
-_ZETA_N = np.arange(2, 43)
-_ZETA = special.zeta(_ZETA_N.astype(float))
-
-
-def _lgamma1p(x: float) -> float:
-    """ln Gamma(1 + x) for 0 < x < 1, from its Taylor series
-    -euler_gamma x + sum_n (-x)^n zeta(n) / n at 0 for x <= 1/2, and from
-    ln x + ln Gamma(x) at x - 1 above (cephes lgam1p): accurate to rounding
-    where math.lgamma(1 + x) loses the digits of x below 1 in 1 + x."""
-    if x > 0.5:
-        return math.log(x) + _lgamma1p(x - 1.0)
-    return -np.euler_gamma * x + float(np.sum(_ZETA * (-x) ** _ZETA_N
-                                              / _ZETA_N))
-
-
-def _log_gammaincc_series(gamma: float, ys: np.ndarray) -> np.ndarray:
-    """log(e^y Q(gamma, y)) for 0 < gamma < 1 and 0 < y <= _SERIES_Y_MAX
-    (DLMF 8.7.3, cephes igamc_series), with ln Gamma(1 + gamma) once:
-    Q = -expm1(gamma ln y - ln Gamma(1 + gamma))
-        - (y^gamma / Gamma(gamma)) sum_{n>=1} (-y)^n / (n! (gamma + n)).
-    """
-    lg1p = _lgamma1p(gamma)
-    ln_y = np.log(ys)
-    fac = np.ones_like(ys)
-    total = np.zeros_like(ys)
-    for n in range(1, 100):
-        fac *= -ys / n
-        term = fac / (gamma + n)
-        total += term
-        # 2^-53: the unit roundoff
-        if np.all(np.abs(term) <= 2.0 ** -53 * np.abs(total)):
-            break
-    else:
-        raise ConvergenceError("incomplete gamma series: no convergence in "
-                               f"100 terms, gamma = {gamma!r}")
-    # y^gamma / Gamma(gamma) = gamma y^gamma / Gamma(1 + gamma)
-    x = gamma * ln_y - lg1p
-    return ys + np.log(-np.expm1(x) - gamma * np.exp(x) * total)
-
-
-def _series_entries(gamma: float, ys: np.ndarray) -> np.ndarray:
-    """Indices of the ys where scipy's gammaincc sums the series of
-    _log_gammaincc_series (cephes igamc, gamma < 1): y <= _SERIES_Y_MAX and
-    gamma ln y >= -0.4 up to y = 1/2, 1.1 y >= gamma above; at the other
-    y <= _SERIES_Y_MAX it sums the fast series of P = 1 - Q."""
-    idx = np.flatnonzero(ys <= _SERIES_Y_MAX)
-    y = ys[idx]
-    return idx[np.where(y > 0.5, 1.1 * y >= gamma, gamma * np.log(y) >= -0.4)]
-
-
-def _log_gammaincc_scaled(gamma: float, ys: np.ndarray) -> np.ndarray:
-    """log(e^y Q(gamma, y)), Q = Gamma(gamma, y)/Gamma(gamma) (DLMF 8.2.4), for
-    y > 0, in three regimes:
-    - gamma < 1 and y <= _SERIES_Y_MAX, where gammaincc would sum the same
-      series (_series_entries): _log_gammaincc_series, vectorized, with
-      ln Gamma(1 + gamma) computed once per call instead of per element;
-    - up to y = gamma + _CF_MARGIN otherwise: scipy's gammaincc;
-    - past gamma + _CF_MARGIN, where gammaincc would underflow near
-      y = 745: e^y Gamma(gamma, y) = y^gamma U(1, 1 + gamma, y) (DLMF 8.5.3)
-      with U from the even contraction of Legendre's continued fraction
-      (DLMF 8.9.2), summed by the modified Lentz method."""
-    out = np.empty_like(ys)
-    far = ys > gamma + _CF_MARGIN
-    near = ~far
-    if gamma < 1.0:
-        series = _series_entries(gamma, ys)
-        out[series] = _log_gammaincc_series(gamma, ys[series])
-        near[series] = False
-    # b holds one subset of ys at a time: ys may be large
-    b = ys[near]
-    out[near] = b + np.log(special.gammaincc(gamma, b))
-    b = ys[far]
-    out[far] = gamma * np.log(b) - math.lgamma(gamma)
-    b += 1.0 - gamma
-    c = np.full_like(b, 1e300)
-    d = 1.0 / b
-    frac = d.copy()
-    for i in range(1, 2000):
-        an = -i * (i - gamma)
-        b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        delta = c * d
-        frac *= delta
-        if np.all(np.abs(delta - 1.0) <= 4e-16):
-            break
-    else:
-        raise ConvergenceError("incomplete gamma continued fraction: no "
-                               f"convergence in 2000 terms, gamma = {gamma!r}")
-    out[far] += np.log(frac)
-    return out

@@ -1,15 +1,17 @@
 """Reference forms of the closed-form solution that the solver itself does
-not use: the source term, the variation-of-parameters kernel, the particular
-solution at any z_ref, and two forms of the smooth-pasting residual.  The
-tests check them against each other and against the solver's root."""
+not use, in mpmath at 30 digits: the source term, the variation-of-parameters
+kernel, the paper's particular solution u_p = M I_U + U I_M at any z_ref, two
+forms of its smooth-pasting residual, and the annuity-form residual R(x).
+The tests check them against each other and against the solver's root."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 
-from cirmort.closed_form import _Workspace
 from cirmort.errors import DomainError, SingularityError
-from cirmort.specfun import _tricomi_u_raw
+
+DPS = 30
 
 
 def source_term(consts, contract, z):
@@ -32,34 +34,53 @@ def kernel_weight(consts, contract, xi):
                   - (1.0 - consts.a_exp) * xs)
 
 
-def particular_solution(consts, contract, z, z_ref):
-    """(u_p(z), u_p'(z)) by the split variation-of-parameters form.
+def _mp_constants(consts, contract):
+    """alpha, gamma, a and the kernel factor kappa as mpf."""
+    al, g, a = (mp.mpf(consts.alpha), mp.mpf(consts.gamma),
+                mp.mpf(consts.a_exp))
+    kappa = mp.gamma(al) / mp.gamma(g) * mp.mpf(contract.c) / consts.s
+    return al, g, a, kappa
 
-    The instantaneous kernel terms cancel in u_p', so both components are
-    plain basis-times-integral combinations.  Shifting z_ref moves u_p by a
-    multiple of U, absorbed downstream into c2.
-    """
+
+def _particular_mp(consts, contract, z, z_ref):
+    """(u_p, u_p', e^{a z}, U, U') at z as mpf: the split form
+    u_p = M I_U + U I_M with I_U = int_z^inf U w, I_M = int_zref^z M w;
+    the instantaneous kernel terms cancel in u_p'."""
+    al, g, a, kappa = _mp_constants(consts, contract)
+    z, z_ref = mp.mpf(z), mp.mpf(z_ref)
+
+    def w(xi):
+        return kappa * xi ** (g - 1) * mp.exp(-(1 - a) * xi)
+
+    i_u = mp.quad(lambda xi: mp.hyperu(al, g, xi) * w(xi),
+                  [z + s for s in (0, 1, 10, 60)] + [mp.inf])
+    i_m = (mp.quad(lambda xi: mp.hyp1f1(al, g, xi) * w(xi), [z_ref, z])
+           if z > z_ref else mp.mpf(0))
+    m, m_p = mp.hyp1f1(al, g, z), al / g * mp.hyp1f1(al + 1, g + 1, z)
+    u, u_p = mp.hyperu(al, g, z), -al * mp.hyperu(al + 1, g + 1, z)
+    return m * i_u + u * i_m, m_p * i_u + u_p * i_m, mp.exp(a * z), u, u_p
+
+
+def particular_solution(consts, contract, z, z_ref):
+    """(u_p(z), u_p'(z)) by the split variation-of-parameters form.  Shifting
+    z_ref moves u_p by a multiple of U, absorbed downstream into c2."""
     if not (z >= z_ref > 0):
         raise DomainError(f"need z >= z_ref > 0, got z={z!r}, z_ref={z_ref!r}")
-    ws = _Workspace(consts, contract)
-    zs = np.array([z])
-    iu = float(ws.iu_scaled(zs)[0])
-    im = float(ws.im_scaled(z_ref, 0.0, zs)[0])
-    up = float(ws.m_scaled(zs)[0]) * iu + float(ws.u_fn(zs)[0]) * im
-    upp = (float(ws.m_prime_scaled(zs)[0]) * iu
-           + float(ws.u_prime_fn(zs)[0]) * im)
-    scale = math.exp(consts.a_exp * z)
-    return up * scale, upp * scale
+    with mp.workdps(DPS):
+        up, upp = _particular_mp(consts, contract, z, z_ref)[:2]
+        return float(up), float(upp)
 
 
 def boundary_residual(consts, contract, z_candidate):
     """Smooth-pasting residual F(z) = c2(z) U'(z) + u_p'(z) - a e^{a z}
-    with z_ref = z_candidate; F(z*) = 0."""
+    with z_ref = z_candidate and c2(z) = (e^{a z} - u_p(z)) / U(z);
+    F(z*) = 0."""
     if not z_candidate > 0:
         raise DomainError("boundary_residual requires z_candidate > 0")
-    ws = _Workspace(consts, contract)
-    return ws.residual_scaled(z_candidate) * math.exp(
-        consts.a_exp * z_candidate)
+    with mp.workdps(DPS):
+        up, upp, e_az, u, u_p = _particular_mp(consts, contract, z_candidate,
+                                               z_candidate)
+        return float((e_az - up) / u * u_p + upp - consts.a_exp * e_az)
 
 
 def boundary_residual_ratio_form(consts, contract, z_candidate):
@@ -74,13 +95,53 @@ def boundary_residual_ratio_form(consts, contract, z_candidate):
     """
     if not z_candidate > 0:
         raise DomainError("requires z_candidate > 0")
-    zs = np.array([float(z_candidate)])
-    u = float(_tricomi_u_raw(consts.alpha, consts.gamma, zs)[0])
-    u_shift = float(_tricomi_u_raw(consts.alpha + 1.0, consts.gamma + 1.0,
-                                   zs)[0])
-    up, upp = particular_solution(consts, contract, z_candidate, z_candidate)
-    e_az = math.exp(consts.a_exp * z_candidate)
-    denom = upp - consts.a_exp * e_az
-    if denom == 0.0 or u_shift == 0.0:
-        raise SingularityError("ratio form degenerate at this z")
-    return u / u_shift - consts.alpha * (e_az - up) / denom
+    with mp.workdps(DPS):
+        up, upp, e_az, u, u_p = _particular_mp(consts, contract, z_candidate,
+                                               z_candidate)
+        denom = upp - consts.a_exp * e_az
+        if denom == 0:
+            raise SingularityError("ratio form degenerate at this z")
+        al = mp.mpf(consts.alpha)
+        return float(u / (-u_p / al) - al * (e_az - up) / denom)
+
+
+def annuity_mp(cir, contract, x, dps=DPS):
+    """(A, A') = (c int_0^inf P(x, t) dt, -c int_0^inf B P dt) by mp.quad of
+    the Cox-Ingersoll-Ross bond price P = A_P(t) e^{-B(t) x}, as mpf."""
+    with mp.workdps(dps):
+        k, theta, sigma = map(mp.mpf, (cir.k, cir.theta, cir.sigma))
+        c, x = mp.mpf(contract.c), mp.mpf(x)
+        h = mp.sqrt(k * k + 2 * sigma ** 2)
+        g = 2 * k * theta / sigma ** 2
+
+        def terms(t):
+            e = mp.exp(-h * t)
+            den = (h + k) * (1 - e) + 2 * h * e
+            b = 2 * (1 - e) / den
+            return b, mp.exp(g * mp.log(2 * h * mp.exp((k - h) * t / 2) / den)
+                             - b * x)
+
+        # the long rate r_inf sets the decay; split at powers of ten below
+        r_inf = 2 * k * theta / (h + k)
+        pts = ([0] + [mp.mpf(10) ** j for j in range(-8, 8)
+                      if mp.mpf(10) ** j < 200 / r_inf]
+               + [200 / r_inf, mp.inf])
+        ann = c * mp.quad(lambda t: terms(t)[1], pts)
+        ann_x = -c * mp.quad(lambda t: mp.fprod(terms(t)), pts)
+        return +ann, +ann_x
+
+
+def annuity_residual_mp(cir, contract, x):
+    """The annuity-form boundary residual
+    R(x) = (1 - A)(lam + p U'/U) + A' at 30 digits, with mp.hyperu for U;
+    R(x*) = 0."""
+    with mp.workdps(DPS):
+        k, sigma = mp.mpf(cir.k), mp.mpf(cir.sigma)
+        s = mp.sqrt(k * k + 2 * sigma ** 2)
+        lam, p = (k - s) / sigma ** 2, 2 * s / sigma ** 2
+        g = 2 * k * mp.mpf(cir.theta) / sigma ** 2
+        al = g / 2 * (1 - k / s)
+        z = p * mp.mpf(x)
+        ann, ann_x = annuity_mp(cir, contract, x)
+        ratio = -al * mp.hyperu(al + 1, g + 1, z) / mp.hyperu(al, g, z)
+        return float((1 - ann) * (lam + p * ratio) + ann_x)

@@ -1,5 +1,5 @@
 """Unit tests for the analytical solution: source term, kernel, particular
-solution, boundary residual, and the solved value function."""
+solution, annuity, boundary residual, and the solved value function."""
 
 import math
 import warnings
@@ -12,16 +12,15 @@ from cirmort import closed_form
 from cirmort.closed_form import (DiagnosticsWarning, _Workspace, ode_residual,
                                  solve_boundary, value, value_curve,
                                  value_derivative)
-from cirmort.errors import (DomainError, NoBracketError, RangeOverflowError,
-                            ValidationError)
+from cirmort.errors import DomainError, NoBracketError, ValidationError
 from cirmort.model import CirParams, ContractParams, derive_constants
 from cirmort.numerics import find_root_bracketed
 from cirmort.oracles import shoot_solve
-from cirmort.specfun import _CF_MARGIN  # where IU~ switches route
 from cirmort.specfun import _kummer_m_scaled, tricomi_u  # noqa: the scaled
 # helper is internal but is the only overflow-free route for the
 # asymptotic-elimination check below
-from closed_form_reference import (boundary_residual,
+from closed_form_reference import (annuity_mp, annuity_residual_mp,
+                                   boundary_residual,
                                    boundary_residual_ratio_form,
                                    kernel_weight, particular_solution,
                                    source_term)
@@ -134,42 +133,32 @@ def test_particular_solution_requires_ordered_arguments(primary_consts):
 
 
 # ---------------------------------------------------------------------------
-# tail integral IU~
+# annuity A = c int P dt
 
-def _iu_nested(consts, contract, z):
-    """IU~(z) = kappa int_0^inf U(z+s) (z+s)^{gamma-1} e^{-(1-a) s} ds: the
-    nested definition, with mpmath's U and quadrature."""
-    with mp.workdps(20):
-        al, g, a = (mp.mpf(consts.alpha), mp.mpf(consts.gamma),
-                    mp.mpf(consts.a_exp))
-        z = mp.mpf(z)
-        kappa = mp.gamma(al) / mp.gamma(g) * mp.mpf(contract.c) / consts.s
-        total = mp.quad(lambda s: mp.hyperu(al, g, z + s) * (z + s) ** (g - 1)
-                        * mp.exp(-(1 - a) * s), [0, 1, 10, 60, mp.inf])
-        return float(kappa * total)
-
-
-@pytest.mark.parametrize("cir", [
-    PRIMARY_CIR,
-    CirParams(k=0.1, theta=0.03, sigma=0.2),     # alpha = 0.05, gamma = 0.15
-    CirParams(k=0.5, theta=0.1, sigma=0.05),     # gamma = 40
-], ids=["primary", "low_alpha", "gamma_40"])
-def test_iu_matches_nested_definition(cir):
-    d = derive_constants(cir)
-    ws = _Workspace(d, CONTRACT)
-    # from the first scan point to the tail probe of cmd_verify; at the
-    # third z the bulk of y = (1-a+t) z sits at the switch from gammaincc
-    # to the continued fraction, at the fourth the bulk is far beyond it
-    zs = np.array([1e-4 * d.p * cir.theta, 1.0,
-                   (d.gamma + _CF_MARGIN) / (1.0 - d.a_exp), 1400.0])
-    got = ws.iu_scaled(zs)
-    for z, v in zip(zs, got):
-        want = _iu_nested(d, CONTRACT, z)
-        assert abs(v - want) <= 1e-12 * want, z
+@pytest.mark.parametrize("cir,c", [
+    (PRIMARY_CIR, 0.05),
+    (CirParams(k=0.1, theta=0.03, sigma=0.2), 0.05),     # alpha = 0.05
+    (CirParams(k=0.5, theta=0.1, sigma=0.05), 0.05),     # gamma = 40
+    (CirParams(k=0.21605, theta=0.014419, sigma=0.49818), 0.037467),
+    (CirParams(k=0.024337, theta=0.021019, sigma=0.168964), 0.023025),
+], ids=["primary", "low_alpha", "gamma_40", "gamma_0.025", "gamma_0.036"])
+def test_annuity_matches_bond_price_quadrature(cir, c):
+    con = ContractParams(c=c, m=c)
+    ws = _Workspace(cir, con)
+    d = ws.consts
+    # from the first scan point to the tail probe of cmd_verify
+    xs = np.array([1e-4 * cir.theta, 1.0 / d.p, cir.theta,
+                   10.0 * max(cir.theta, c), 1400.0 / d.p,
+                   max(50.0 * max(cir.theta, c), 100.0 * cir.k)])
+    got, got_x = ws.annuity(xs)
+    for x, v, v_x in zip(xs, got, got_x):
+        want, want_x = annuity_mp(cir, con, x, dps=25)
+        assert abs(v - want) <= 1e-13 * want, x
+        assert abs(v_x - want_x) <= 1e-13 * abs(want_x), x
 
 
 def test_residual_on_an_array_matches_single_points(primary_consts):
-    ws = _Workspace(primary_consts, CONTRACT)
+    ws = _Workspace(PRIMARY_CIR, CONTRACT)
     grid = np.geomspace(1e-4 * primary_consts.p * PRIMARY_CIR.theta,
                         10.0 * primary_consts.p * PRIMARY_CIR.theta, 64)
     single = [ws.residual_scaled(float(z)) for z in grid]
@@ -261,15 +250,52 @@ def test_solve_tolerance_monotonicity():
     assert abs(a.z_star - b.z_star) <= 10.0 * tol * a.z_star
 
 
-@pytest.mark.xfail(strict=True, raises=RangeOverflowError,
-                   reason="at gamma = 2 k theta / sigma^2 of about 133, U "
-                          "overflows at the small-z end of the scan, while "
-                          "the shooting oracle finds x* near 0.004308")
-def test_large_gamma_boundary_matches_shooting():
-    cir = CirParams(k=0.25, theta=0.06, sigma=0.015)
-    sol = solve_boundary(cir, CONTRACT)
-    rep = shoot_solve(cir, CONTRACT, tol=1e-8)
+@pytest.mark.parametrize("cir,c", [
+    (CirParams(k=0.25, theta=0.06, sigma=0.015), 0.05),
+    (CirParams(k=0.5, theta=0.05, sigma=0.02), 0.06),
+    # two draws of the fuzz box below; the second has alpha = 8.3e-4
+    (CirParams(k=1.0609, theta=0.05, sigma=0.0131), 0.0825),
+    (CirParams(k=4.4479, theta=0.0037, sigma=0.0135), 0.0056),
+], ids=["gamma_133", "gamma_125", "gamma_618", "gamma_180"])
+def test_large_gamma_boundary_matches_shooting(cir, c):
+    # U leaves float range at the small-z end of the scan; ln U does not
+    con = ContractParams(c=c, m=c)
+    sol = solve_boundary(cir, con)
+    rep = shoot_solve(cir, con, tol=1e-8)
     assert abs(sol.x_star - rep.r_star) <= 1e-6 * rep.r_star
+
+
+def test_fuzz_box_solves_within_bounds_or_has_no_bracket():
+    # 60 log-uniform draws over k in [0.01, 5], theta in [0.003, 0.3],
+    # sigma in [0.005, 0.5] and c in [0.005, 0.2]: gamma from 0.0043 to
+    # 35,000, alpha down to 8e-4
+    rng = np.random.default_rng(12345)
+    lo = np.log([0.01, 0.003, 0.005, 0.005])
+    hi = np.log([5.0, 0.3, 0.5, 0.2])
+    solved = 0
+    for _ in range(60):
+        k, theta, sigma, c = np.exp(lo + (hi - lo) * rng.random(4)).tolist()
+        cir = CirParams(k=k, theta=theta, sigma=sigma)
+        con = ContractParams(c=c, m=c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DiagnosticsWarning)
+            try:
+                solve_boundary(cir, con)
+            except NoBracketError:
+                continue
+        solved += 1
+    assert solved > 0
+
+
+def test_annuity_residual_changes_sign_across_the_small_alpha_root():
+    # gamma = 0.0043, alpha = 0.0021 and A(x*) of about 59: without the
+    # small-alpha step of U the boundary sits 3.3e-6 below this root
+    cir = CirParams(k=0.013318, theta=0.011423, sigma=0.265309)
+    con = ContractParams(c=0.045874, m=0.045874)
+    x_star = solve_boundary(cir, con).x_star
+    lo = annuity_residual_mp(cir, con, x_star * (1.0 - 1e-6))
+    hi = annuity_residual_mp(cir, con, x_star * (1.0 + 1e-6))
+    assert lo * hi < 0
 
 
 def test_no_interior_boundary_regime_raises_no_bracket():
@@ -295,36 +321,14 @@ def test_value_boundary_conditions(primary_solution):
     assert value_derivative(sol, 0.5 * sol.x_star) == 0.0
 
 
-def _im_definition(consts, contract, z_star, zs):
-    """IM~(z) = kappa int_{z*}^z e^{-xi} M(xi) xi^{gamma-1} e^{a (xi - z)}
-    dxi at each z of the sorted zs, with mpmath's M and Gauss-Legendre
-    quadrature: the integral is split at the abscissae, each piece summed
-    over pieces at most 2x and 4/a wide, and the pieces added up with their
-    exact factors e^{-a (z_j - z_i)}."""
-    with mp.workdps(20):
-        al, g, a = (mp.mpf(consts.alpha), mp.mpf(consts.gamma),
-                    mp.mpf(consts.a_exp))
-        kappa = mp.gamma(al) / mp.gamma(g) * mp.mpf(contract.c) / consts.s
-        out, total, lo = [], mp.mpf(0), mp.mpf(z_star)
-        for z in map(mp.mpf, zs):
-            edges = [lo]
-            while edges[-1] < z:
-                edges.append(min(z, edges[-1] + min(edges[-1], 4 / a)))
-            piece = mp.quad(lambda xi: mp.hyp1f1(al, g, xi) * xi ** (g - 1)
-                            * mp.exp(-(1 - a) * xi - a * z), edges,
-                            method="gauss-legendre")
-            total = total * mp.exp(-a * (z - lo)) + piece
-            out.append(kappa * total)
-            lo = z
-        return out
-
-
 @pytest.mark.parametrize("cir,c", [
     (PRIMARY_CIR, 0.05),
     (CirParams(k=0.1, theta=0.03, sigma=0.2), 0.05),    # gamma = 0.15
     (CirParams(k=0.5, theta=0.1, sigma=0.05), 0.12),    # gamma = 40
 ], ids=["primary", "low_alpha", "gamma_40"])
 def test_value_path_matches_mpmath_definition(cir, c):
+    # V = A + (1 - A(x*)) e^{lam (x - x*)} U(z) / U(z*), with A from
+    # mp.quad of the bond price and mpmath's U
     con = ContractParams(c=c, m=c)
     sol = solve_boundary(cir, con)
     d = sol.consts
@@ -332,26 +336,25 @@ def test_value_path_matches_mpmath_definition(cir, c):
     x_tail = max(50.0 * max(cir.theta, c, sol.x_star), 100.0 * cir.k)
     xs = np.append(sol.x_star * np.array([1.001, 1.1, 2.0, 5.0, 20.0]),
                    x_tail)
-    zs = np.maximum(d.p * xs, sol.z_star)
-    ims = _im_definition(d, con, sol.z_star, zs)
-    # IU~ is the package's, pinned by test_iu_matches_nested_definition
-    ius = sol.workspace.iu_scaled(zs)
     got_v, got_dv = value(sol, xs), value_derivative(sol, xs)
-    with mp.workdps(20):
-        al, g, a = (mp.mpf(d.alpha), mp.mpf(d.gamma), mp.mpf(d.a_exp))
-        for z, im, iu, v, dv in zip(zs, ims, ius, got_v, got_dv):
-            z = mp.mpf(z)
-            u = mp.hyperu(al, g, z)
-            u_p = -al * mp.hyperu(al + 1, g + 1, z)
-            m = mp.exp(-z) * mp.hyp1f1(al, g, z)
-            m_p = al / g * mp.exp(-z) * mp.hyp1f1(al + 1, g + 1, z)
-            h = sol.amp * mp.exp(-a * (z - sol.z_star)) / sol.u_at_star
-            want = h * u + m * iu + u * im
-            assert abs(v - want) <= 1e-12 * abs(want), z
+    with mp.workdps(30):
+        al, g = mp.mpf(d.alpha), mp.mpf(d.gamma)
+        p, lam = mp.mpf(d.p), mp.mpf(d.lam)
+        x_star = mp.mpf(sol.x_star)
+        amp = 1 - annuity_mp(cir, con, sol.x_star)[0]
+        u_star = mp.hyperu(al, g, p * x_star)
+        for x, v, dv in zip(map(mp.mpf, xs), got_v, got_dv):
+            ann, ann_x = annuity_mp(cir, con, x)
+            w = amp * mp.exp(lam * (x - x_star)) * mp.hyperu(al, g, p * x) \
+                / u_star
+            want = ann + w
+            assert abs(v - want) <= 1e-12 * abs(want), x
             # dV/dx cancels to 0 at x*: bound it against its terms
-            terms = [h * u_p, m_p * iu, u_p * im, -a * want]
-            assert abs(dv - d.p * mp.fsum(terms)) \
-                <= 1e-12 * d.p * mp.fsum(map(abs, terms)), z
+            ratio = -al * mp.hyperu(al + 1, g + 1, p * x) / mp.hyperu(
+                al, g, p * x)
+            terms = [ann_x, w * (lam + p * ratio)]
+            assert abs(dv - mp.fsum(terms)) \
+                <= 1e-12 * mp.fsum(map(abs, terms)), x
 
 
 def test_value_path_semantics(primary_solution):
@@ -380,13 +383,13 @@ def test_value_path_semantics(primary_solution):
         assert np.array_equal(fn(sol, xs[perm]), got[perm]), fn.__name__
 
 
-def test_value_path_calls_the_tail_kernel_once_per_chunk(monkeypatch):
+def test_value_path_calls_the_annuity_kernel_once_per_chunk(monkeypatch):
     sizes = []
-    iu_scaled = _Workspace.iu_scaled
+    annuity = _Workspace.annuity
 
-    def counted(ws, zs):
-        sizes.append(zs.size)
-        return iu_scaled(ws, zs)
+    def counted(ws, xs):
+        sizes.append(xs.size)
+        return annuity(ws, xs)
 
     residual_scaled = _Workspace.residual_scaled
     residual_calls = []
@@ -395,10 +398,10 @@ def test_value_path_calls_the_tail_kernel_once_per_chunk(monkeypatch):
         residual_calls.append(np.size(z))
         return residual_scaled(ws, z)
 
-    monkeypatch.setattr(_Workspace, "iu_scaled", counted)
+    monkeypatch.setattr(_Workspace, "annuity", counted)
     monkeypatch.setattr(_Workspace, "residual_scaled", counted_residual)
     sol = solve_boundary(PRIMARY_CIR, CONTRACT)
-    # one call per residual (the scan, then Brent's), one for u_p at x*, and
+    # one call per residual (the scan, then Brent's), one for A at x*, and
     # the diagnostics last: one call at x*, one for the 7 probes' 21 stencil
     # points
     assert sizes[:len(residual_calls)] == residual_calls

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from cirmort.closed_form import solve_boundary, value
 from cirmort.errors import ConvergenceError, ValidationError
-from cirmort.model import CirParams, ContractParams
+from cirmort.model import CirParams, ContractParams, bond_price_terms
 from cirmort.oracles import (DECAYED, DIVERGED_UP, GridSpec, _howard,
                              _operator_coeffs, _simulate_threshold,
                              fd_steady_state, mc_optimality_probe, mc_value,
@@ -218,18 +218,6 @@ def test_mc_vanishing_coupon_limit():
     assert 0.0 <= rep.value_estimate <= 1e-5
 
 
-def _cir_bond_price(cir, x0, t):
-    # zero-coupon price E[exp(-int_0^t x)] (Cox, Ingersoll & Ross 1985),
-    # written with e^{-ht} so that it cannot overflow
-    h = math.sqrt(cir.k ** 2 + 2.0 * cir.sigma ** 2)
-    e = math.exp(-h * t)
-    den = (h + cir.k) * (1.0 - e) + 2.0 * h * e
-    b = 2.0 * (1.0 - e) / den
-    log_a = (2.0 * cir.k * cir.theta / cir.sigma ** 2) * math.log(
-        2.0 * h * math.exp(0.5 * (cir.k - h) * t) / den)
-    return math.exp(log_a - b * x0)
-
-
 @pytest.mark.parametrize("x0, horizon, dt, paths", [
     (0.06, 100.0, 1.0 / 50.0, 5000),
     (0.06, 400.0, 1.0 / 252.0, 2000),
@@ -241,8 +229,11 @@ def test_mc_annuity_matches_cir_bond_prices(x0, horizon, dt, paths):
     # banking against an exact reference
     rep = mc_value(PRIMARY_CIR, CONTRACT, x0=x0, boundary=1e-9, paths=paths,
                    dt=dt, horizon=horizon, seed=4)
-    integral, err = quad(lambda t: _cir_bond_price(PRIMARY_CIR, x0, t),
-                         0.0, horizon, limit=200)
+    def bond_price(t):
+        log_a, b = bond_price_terms(PRIMARY_CIR, t)
+        return math.exp(log_a - b * x0)
+
+    integral, err = quad(bond_price, 0.0, horizon, limit=200)
     assert err <= 1e-6 * integral
     want = CONTRACT.c * integral
     assert abs(rep.value_estimate - want) <= 3.0 * rep.std_error, \

@@ -16,12 +16,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from cirmort import specfun
 from cirmort.errors import DomainError, RangeOverflowError
-from cirmort.specfun import (_CF_MARGIN, _SERIES_Y_MAX,
-                             HypergeometricParams, _log_gammaincc_scaled,
-                             kummer_m, kummer_m_prime, log_gamma, tricomi_u,
-                             tricomi_u_prime, wronskian_mu)
+from cirmort.specfun import (_ALPHA_STEP, HypergeometricParams,
+                             _tricomi_u_raw, kummer_m, kummer_m_prime,
+                             log_gamma, tricomi_u, tricomi_u_prime,
+                             wronskian_mu)
 
 PAIRS = [(0.2, 0.5), (0.2, 3.0), (0.5, 1.5), (1.0, 1.0), (1.0, 4.0),
          (2.5, 2.0), (3.0, 8.0), (5.0, 5.5), (8.0, 24.0)]
@@ -206,6 +205,36 @@ def test_u_matches_mpmath_on_array_and_points(alpha):
             assert abs(got - w) <= 1e-12 * abs(w), (gamma, z)
 
 
+@pytest.mark.parametrize("alpha", [8.3e-4, 2.1e-3, 8.9e-3])
+def test_u_at_small_alpha_matches_mpmath(alpha):
+    # below _ALPHA_STEP the Laplace rule cannot resolve t^{alpha-1}, and the
+    # backward recurrence step in a takes over; on arrays and single points
+    assert alpha < _ALPHA_STEP
+    zs = np.geomspace(1e-3, 500.0, 12)
+    for gamma in (0.0043, 0.5, 3.0):
+        params = HypergeometricParams(alpha, gamma)
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.hyperu(alpha, gamma, z))
+                             for z in zs])
+        got = tricomi_u(params, zs)
+        assert np.all(np.abs(got - want) <= 1e-11 * want), gamma
+        for z, w in zip(zs, want):
+            assert abs(tricomi_u(params, float(z)) - w) <= 1e-11 * w, \
+                (gamma, z)
+
+
+def test_log_u_stays_finite_where_u_overflows():
+    # at gamma = 133 and z = 1e-3, U is about 1e-3^{-132} Gamma(132) /
+    # Gamma(alpha): far beyond float range, while ln U is not
+    alpha, gamma, z = 0.05, 133.0, 1e-3
+    with pytest.raises(RangeOverflowError):
+        tricomi_u(HypergeometricParams(alpha, gamma), z)
+    got = float(_tricomi_u_raw(alpha, gamma, np.array([z]))[0])
+    with mpmath.workdps(30):
+        want = float(mpmath.log(mpmath.hyperu(alpha, gamma, z)))
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_u_empty_input():
     got = tricomi_u(HypergeometricParams(1.0, 2.0), np.array([]))
     assert isinstance(got, np.ndarray) and got.shape == (0,)
@@ -292,36 +321,3 @@ def test_wronskian_identity_property(alpha, gamma, z):
     num = (kummer_m(params, z) * tricomi_u_prime(params, z)
            - kummer_m_prime(params, z) * tricomi_u(params, z))
     assert abs(num - ref) <= 1e-8 * abs(ref)
-
-
-@pytest.mark.parametrize("gamma", [0.002, 0.15, 0.5, 0.9, 3.0, 40.0, 133.0])
-def test_scaled_incomplete_gamma_matches_mpmath(gamma):
-    # both sides of the switch to the continued fraction, and far past the
-    # underflow of gammaincc near y = 745; for gamma < 1 also both sides of
-    # the switch from the series to gammaincc, and y = 1e-8 (in the series
-    # at gamma = 0.002)
-    ys = np.array([0.01, 1.0, gamma, gamma + 0.99 * _CF_MARGIN,
-                   gamma + 1.01 * _CF_MARGIN, 745.0, 1400.0,
-                   1e-8, _SERIES_Y_MAX, np.nextafter(_SERIES_Y_MAX, 2.0)])
-    got = _log_gammaincc_scaled(gamma, ys)
-    for y, v in zip(ys, got):
-        want = float(y + mpmath.log(mpmath.gammainc(gamma, y, mpmath.inf,
-                                                    regularized=True)))
-        assert abs(v - want) <= 1e-13 * max(1.0, abs(want)), y
-
-
-def test_small_gamma_series_keeps_gammaincc_off_its_slow_branch(monkeypatch):
-    # at gamma = 0.15 and y in [0.1, 1.1] gammaincc would sum the series of
-    # DLMF 8.7.3 per element; the series route must take all of them
-    seen = []
-    gammaincc = specfun.special.gammaincc
-
-    def recording(a, y):
-        seen.append(np.asarray(y).size)
-        return gammaincc(a, y)
-    monkeypatch.setattr(specfun.special, "gammaincc", recording)
-    ys = np.geomspace(0.1, _SERIES_Y_MAX, 50)
-    got = _log_gammaincc_scaled(0.15, ys)
-    assert sum(seen) == 0
-    assert np.allclose(got, ys + np.log(gammaincc(0.15, ys)),
-                       rtol=1e-13, atol=0.0)
