@@ -285,6 +285,23 @@ def value_curve(solution: SteadyStateSolution, x_lo: float, x_hi: float,
         ode_residual(solution, xs).tolist())))
 
 
+def _msc_iu(ws: _Workspace, z: float, ann: float, ann_x: float,
+            ratio: float) -> float:
+    """Msc IU~ at z, given A, A' at x = z/p and U'/U at z: the 2x2 solve of
+    the module docstring with z_ref = z, which needs M only through M'/M."""
+    consts = ws.consts
+    zs = np.array([z])
+    m_sc_z = float(_kummer_m_prime_scaled(consts.alpha, consts.gamma, zs)[0])
+    if m_sc_z >= np.finfo(float).tiny:
+        m_ratio = m_sc_z / float(_kummer_m_scaled(consts.alpha, consts.gamma,
+                                                  zs)[0])
+    else:       # e^{-z} M underflows at large gamma, where M is in range
+        hp = HypergeometricParams(consts.alpha, consts.gamma)
+        m_ratio = kummer_m_prime(hp, z) / kummer_m(hp, z)
+    return ((ann_x / consts.p - (ratio - consts.a_exp) * ann)
+            / (m_ratio - ratio))
+
+
 def solve_boundary(cir: CirParams, contract: ContractParams,
                    tol: float = 1e-10) -> SteadyStateSolution:
     """Locate the free boundary: geometric scan for a sign change of the
@@ -321,18 +338,9 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
     zs = np.array([z_star])
     ann, ann_x = (float(v[0]) for v in ws.annuity(zs / consts.p))
     log_u, ratio = (float(v[0]) for v in ws.log_u_and_ratio(zs))
-    # the paper's c2 with z_ref = z*: the 2x2 solve of the module docstring,
-    # which needs M only through M'/M
-    a = consts.a_exp
-    m_sc_z = float(_kummer_m_prime_scaled(consts.alpha, consts.gamma, zs)[0])
-    if m_sc_z >= np.finfo(float).tiny:
-        m_ratio = m_sc_z / float(_kummer_m_scaled(consts.alpha, consts.gamma,
-                                                  zs)[0])
-    else:       # e^{-z} M underflows at large gamma, where M is in range
-        hp = HypergeometricParams(consts.alpha, consts.gamma)
-        m_ratio = kummer_m_prime(hp, z_star) / kummer_m(hp, z_star)
-    m_iu = (ann_x / consts.p - (ratio - a) * ann) / (m_ratio - ratio)
-    c2 = math.exp(a * z_star - log_u) * (1.0 - m_iu)
+    # the paper's c2 with z_ref = z*
+    c2 = math.exp(consts.a_exp * z_star - log_u) * (
+        1.0 - _msc_iu(ws, z_star, ann, ann_x, ratio))
 
     sol = SteadyStateSolution(
         cir=cir, contract=contract, consts=consts,

@@ -157,6 +157,44 @@ def test_annuity_matches_bond_price_quadrature(cir, c):
         assert abs(v_x - want_x) <= 1e-13 * abs(want_x), x
 
 
+# ---------------------------------------------------------------------------
+# the tail integral IU~ behind c2
+
+def _msc_iu_nested(consts, contract, z):
+    """e^{-z} M(z) IU~(z) with IU~(z) = kappa int_0^inf U(z+s) (z+s)^{gamma-1}
+    e^{-(1-a) s} ds: the nested definition, with mpmath's M, U and
+    quadrature."""
+    with mp.workdps(20):
+        al, g, a = (mp.mpf(consts.alpha), mp.mpf(consts.gamma),
+                    mp.mpf(consts.a_exp))
+        z = mp.mpf(z)
+        kappa = mp.gamma(al) / mp.gamma(g) * mp.mpf(contract.c) / consts.s
+        total = mp.quad(lambda s: mp.hyperu(al, g, z + s) * (z + s) ** (g - 1)
+                        * mp.exp(-(1 - a) * s), [0, 1, 10, 60, mp.inf])
+        return float(kappa * total * mp.exp(-z) * mp.hyp1f1(al, g, z))
+
+
+@pytest.mark.parametrize("cir", [
+    PRIMARY_CIR,
+    CirParams(k=0.1, theta=0.03, sigma=0.2),     # alpha = 0.05, gamma = 0.15
+    CirParams(k=0.5, theta=0.1, sigma=0.05),     # gamma = 40
+], ids=["primary", "low_alpha", "gamma_40"])
+def test_iu_matches_nested_definition(cir):
+    ws = _Workspace(cir, CONTRACT)
+    d = ws.consts
+    # the 2x2 solve that gives c2 at z* holds at every z (with z_ref = z):
+    # from the first scan point to the tail probe of cmd_verify
+    zs = np.array([1e-4 * d.p * cir.theta, 1.0, d.p * cir.theta,
+                   10.0 * d.p * max(cir.theta, CONTRACT.c), 1400.0])
+    ann, ann_x = ws.annuity(zs / d.p)
+    ratio = ws.log_u_and_ratio(zs)[1]
+    for z, v, v_x, r in zip(zs, ann, ann_x, ratio):
+        got = closed_form._msc_iu(ws, float(z), float(v), float(v_x),
+                                  float(r))
+        want = _msc_iu_nested(d, CONTRACT, z)
+        assert abs(got - want) <= 1e-12 * want, z
+
+
 def test_residual_on_an_array_matches_single_points(primary_consts):
     ws = _Workspace(PRIMARY_CIR, CONTRACT)
     grid = np.geomspace(1e-4 * primary_consts.p * PRIMARY_CIR.theta,
