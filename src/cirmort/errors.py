@@ -45,11 +45,4 @@ class NoBracketError(CirMortError):
 
 
 class ConvergenceError(CirMortError):
-    """An iterative method failed to converge.
-
-    ``trace`` optionally carries the iteration history.
-    """
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """An iterative method failed to converge."""

@@ -1,5 +1,5 @@
-"""Shared numerical kernels: the Gauss-Kronrod 7/15 rule, bracketed root
-refinement, and an adaptive ODE stepper.
+"""Shared numerical kernels: the Gauss-Kronrod 7/15 rule and bracketed root
+refinement.
 
 The GK15 nodes and weights serve the fixed panel rules of `specfun` (the
 Laplace integral of U) and of `closed_form` (the annuity integral in t).
@@ -8,18 +8,14 @@ Laplace integral of U) and of `closed_form` (the annuity integral in t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ConvergenceError, NoBracketError
 
 __all__ = [
-    "Trajectory",
     "find_root_bracketed",
-    "ode_integrate",
 ]
 
 # Kronrod-15 abscissae on [-1, 1] (symmetric; nonnegative half listed) and the
@@ -111,39 +107,3 @@ def find_root_bracketed(
         fb = float(f(b))
     raise ConvergenceError(
         f"root refinement did not converge in {max_iter} iterations")
-
-
-@dataclass
-class Trajectory:
-    xs: np.ndarray
-    states: np.ndarray                 # shape (len(xs), dim)
-    success: bool
-    event_xs: Sequence[np.ndarray]
-
-
-def ode_integrate(
-    rhs: Callable,
-    x0: float,
-    state0,
-    x_end: float,
-    tol: float = 1e-10,
-    events=None,
-) -> Trajectory:
-    """Adaptive explicit Runge-Kutta (DOP853) integration with event
-    detection.  Raises ConvergenceError on step-size underflow, reporting the
-    last abscissa reached.
-    """
-    sol = solve_ivp(
-        rhs, (x0, x_end), np.asarray(state0, dtype=float),
-        method="DOP853", rtol=tol, atol=tol, events=events,
-        dense_output=False)
-    if sol.status == -1:
-        last = sol.t[-1] if sol.t.size else x0
-        raise ConvergenceError(
-            f"ODE step failed near x = {last!r}: {sol.message}")
-    return Trajectory(
-        xs=sol.t,
-        states=sol.y.T,
-        success=sol.status == 0 or sol.status == 1,
-        event_xs=sol.t_events if sol.t_events is not None else [],
-    )

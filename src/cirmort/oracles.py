@@ -1,17 +1,28 @@
 """Independent numerical oracles for the closed-form solution:
 
-* shooting/bisection on the steady ODE,
+* a backward Riccati sweep (invariant imbedding) of the steady ODE,
 * a finite-difference obstacle solver: policy iteration on the stationary
   problem over the tridiagonal generator,
 * Monte Carlo valuation of the threshold prepayment policy with exact CIR
   transition sampling.
 
-Shooting geometry (empirical, asserted by the classifier tests): starting the
-IVP at V = 1, V' = 0 from a candidate BELOW the true boundary produces a
-trajectory that dives down (classified "decayed"); a candidate ABOVE it picks
-up the growing mode and exits upward ("diverged_up").  The classification is
-monotone in the candidate, so bisection on the decayed -> diverged_up
-transition converges to the boundary.
+Riccati sweep.  With D = sigma^2 x / 2 and K = k (theta - x), the steady ODE
+D V'' + K V' - x V + c = 0 on x >= x* is written V' = q V + phi, where
+q = W'/W of the decaying homogeneous solution W and
+
+    q'   = (x - K q) / D - q^2,
+    phi' = -c / D - (K / D + q) phi.
+
+Smooth pasting (V = 1, V' = 0) is then the event q + phi = 0; q + phi equals
+the closed form's residual (1 - A) q + A' but needs no special function.
+Both equations are stable integrated towards x = 0 (Meyer & van der Hoek,
+Adv. Futures Options Res. 9, 1997; Ascher, Mattheij & Russell, SIAM 1995),
+so the sweep starts at a large X from the tails q = lam - alpha / X and
+phi = A' - q A with A = c/X + k c/X^2, A' = -c/X^2 - 2 k c/X^3, and the
+first event on the way down is x*.  Errors in those start values decay like
+exp(-(k + s)(X - x) / sigma^2), so X = max(50 max(theta, c),
+30 sigma^2 / (k + s)) leaves at most e^{-30} of them at the boundary even
+where sigma^2 is large against k + s.
 """
 
 from __future__ import annotations
@@ -21,18 +32,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, NoBracketError, ValidationError
-from .model import CirParams, ContractParams, balance
-from .numerics import ode_integrate
+from .model import CirParams, ContractParams, balance, derive_constants
 
 __all__ = [
     "ShootingReport",
     "GridSpec",
     "FdReport",
     "McReport",
-    "shoot_classify",
     "shoot_solve",
     "fd_steady_state",
     "mc_value",
@@ -43,103 +53,55 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Shooting
 
-DIVERGED_UP = "diverged_up"
-DECAYED = "decayed"
-
-_V_UP_BAND = 2.0
-_V_DOWN_BAND = 0.0
-# relative and absolute tolerance of each shooting IVP
-_ODE_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class ShootingReport:
     r_star: float
-    iterations: int
-    classification_trace: tuple          # of (candidate, label)
-    bracket: tuple                       # (lo, hi) at exit
-
-
-def shoot_classify(cir: CirParams, contract: ContractParams,
-                   r_candidate: float) -> str:
-    """Integrate the steady ODE from (r, V=1, V'=0) up to
-    x_max = 50 max(theta, c) and classify the exit.
-
-    Returns DIVERGED_UP if V exits through the upper band (candidate above
-    the boundary: the IVP start V = 1 overshoots the true value and excites
-    the growing mode) or DECAYED if V crosses below zero / settles onto the
-    c/x tail (candidate at or below the boundary).
-    """
-    x_max = 50.0 * max(cir.theta, contract.c)
-    if not (0.0 < r_candidate < x_max):
-        raise ValidationError(
-            "r_candidate", f"must lie in (0, {x_max!r}), got {r_candidate!r}")
-    k, theta, sigma2, c = cir.k, cir.theta, cir.sigma ** 2, contract.c
-
-    def rhs(x, y):
-        v, vp = y
-        return (vp, (x * v - c - k * (theta - x) * vp) / (0.5 * sigma2 * x))
-
-    def hit_up(x, y):
-        return y[0] - _V_UP_BAND
-
-    def hit_down(x, y):
-        return y[0] - _V_DOWN_BAND
-
-    hit_up.terminal = True
-    hit_down.terminal = True
-    traj = ode_integrate(rhs, r_candidate, (1.0, 0.0), x_max,
-                         tol=_ODE_TOL, events=(hit_up, hit_down))
-    if len(traj.event_xs[0]) > 0:
-        return DIVERGED_UP
-    if len(traj.event_xs[1]) > 0:
-        return DECAYED
-    # no band exit before x_max: compare the endpoint against the c/x tail
-    v_end = traj.states[-1, 0]
-    return DIVERGED_UP if v_end > 2.0 * c / x_max else DECAYED
+    rhs_calls: int
 
 
 def shoot_solve(cir: CirParams, contract: ContractParams,
                 tol: float = 1e-8) -> ShootingReport:
-    """Bisection on shoot_classify over a geometric candidate scan."""
-    if not tol >= 1e-10:
-        raise ValidationError("tol", f"must be >= 1e-10, got {tol!r}")
-    scan = np.geomspace(1e-4 * min(cir.theta, contract.c),
-                        2.0 * max(cir.theta, contract.c), 24)
-    trace = []
-    labels = []
-    for r in scan:
-        label = shoot_classify(cir, contract, float(r))
-        trace.append((float(r), label))
-        labels.append(label)
-    flips = [i for i in range(len(labels) - 1)
-             if labels[i] != labels[i + 1]]
-    if not flips:
-        raise NoBracketError(
-            f"all {len(scan)} scan candidates classified {labels[0]}",
-            scan_points=scan, scan_values=labels)
-    if len(flips) > 1 or labels[0] != DECAYED:
-        raise ConvergenceError(
-            "classification is not a monotone decayed -> diverged_up step",
-            trace=tuple(trace))
-    lo, hi = float(scan[flips[0]]), float(scan[flips[0] + 1])
+    """The boundary as the first zero of q + phi in one backward Riccati
+    sweep from X down to 1e-4 min(theta, c); NoBracketError if there is
+    none.  LSODA with the analytic Jacobian runs at rtol 1e-4 tol, and
+    tol >= 1e-9 keeps that above scipy's floor."""
+    if not tol >= 1e-9:
+        raise ValidationError("tol", f"must be >= 1e-9, got {tol!r}")
+    k, theta, sigma2, c = cir.k, cir.theta, cir.sigma ** 2, contract.c
+    consts = derive_constants(cir)
+    x_hi = max(50.0 * max(theta, c), 30.0 * sigma2 / (k + consts.s))
+    x_lo = 1e-4 * min(theta, c)
 
-    iterations = 0
-    while hi - lo > tol * 0.5 * (lo + hi):
-        mid = 0.5 * (lo + hi)
-        label = shoot_classify(cir, contract, mid)
-        trace.append((mid, label))
-        if label == DECAYED:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-        if iterations > 200:
-            raise ConvergenceError("bisection failed to close the bracket",
-                                   trace=tuple(trace))
-    return ShootingReport(r_star=0.5 * (lo + hi), iterations=iterations,
-                          classification_trace=tuple(trace),
-                          bracket=(lo, hi))
+    def rhs(x, y):
+        q, phi = y
+        d = 0.5 * sigma2 * x
+        kd = k * (theta - x) / d
+        return (x / d - kd * q - q * q, -c / d - (kd + q) * phi)
+
+    def jac(x, y):
+        q, phi = y
+        kd = k * (theta - x) / (0.5 * sigma2 * x)
+        return ((-kd - 2.0 * q, 0.0), (-phi, -(kd + q)))
+
+    def pasting(x, y):
+        return y[0] + y[1]
+
+    pasting.terminal = True
+    q0 = consts.lam - consts.alpha / x_hi
+    ann = c / x_hi + k * c / x_hi ** 2
+    ann_x = -c / x_hi ** 2 - 2.0 * k * c / x_hi ** 3
+    sol = solve_ivp(rhs, (x_hi, x_lo), (q0, ann_x - q0 * ann),
+                    method="LSODA", jac=jac, events=pasting,
+                    rtol=1e-4 * tol, atol=1e-14)
+    if sol.status == -1:
+        raise ConvergenceError(
+            f"Riccati sweep failed near x = {sol.t[-1]!r}: {sol.message}")
+    if sol.t_events[0].size == 0:
+        raise NoBracketError(
+            f"q + phi keeps its sign from {x_hi!r} down to {x_lo!r}",
+            scan_points=sol.t, scan_values=sol.y.sum(axis=0))
+    return ShootingReport(r_star=float(sol.t_events[0][0]),
+                          rhs_calls=int(sol.nfev))
 
 
 # ---------------------------------------------------------------------------

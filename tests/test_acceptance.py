@@ -124,7 +124,6 @@ def test_criterion_3_ode_residual_on_grid(grid_solutions):
         assert _statuses(checks)["ode_residual"] == "pass", (key, checks)
 
 
-@pytest.mark.slow
 def test_criterion_4_closed_form_vs_shooting(grid_solutions):
     sols, _ = grid_solutions
     for (k, theta, sigma, c), sol in sols.items():

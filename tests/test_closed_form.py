@@ -294,9 +294,15 @@ def test_solve_tolerance_monotonicity():
     # two draws of the fuzz box below; the second has alpha = 8.3e-4
     (CirParams(k=1.0609, theta=0.05, sigma=0.0131), 0.0825),
     (CirParams(k=4.4479, theta=0.0037, sigma=0.0135), 0.0056),
-], ids=["gamma_133", "gamma_125", "gamma_618", "gamma_180"])
-def test_large_gamma_boundary_matches_shooting(cir, c):
-    # U leaves float range at the small-z end of the scan; ln U does not
+    # two small-gamma draws where bisection shooting missed by 5.9e-6 and
+    # 8.6e-5; the 30-digit residual puts the root at the closed form
+    (CirParams(k=0.024337, theta=0.021019, sigma=0.168964), 0.023025),
+    (CirParams(k=0.21605, theta=0.014419, sigma=0.49818), 0.037467),
+], ids=["gamma_133", "gamma_125", "gamma_618", "gamma_180", "gamma_0.036",
+        "gamma_0.025"])
+def test_extreme_gamma_boundary_matches_shooting(cir, c):
+    # at large gamma U leaves float range at the small-z end of the scan;
+    # ln U does not
     con = ContractParams(c=c, m=c)
     sol = solve_boundary(cir, con)
     rep = shoot_solve(cir, con, tol=1e-8)
@@ -318,18 +324,28 @@ def test_fuzz_box_solves_within_bounds_or_has_no_bracket():
         with warnings.catch_warnings():
             warnings.simplefilter("error", DiagnosticsWarning)
             try:
-                solve_boundary(cir, con)
+                sol = solve_boundary(cir, con)
             except NoBracketError:
+                # the Riccati sweep finds no boundary either
+                with pytest.raises(NoBracketError):
+                    shoot_solve(cir, con, tol=1e-8)
                 continue
         solved += 1
+        r_star = shoot_solve(cir, con, tol=1e-8).r_star
+        assert abs(sol.x_star - r_star) <= 1e-6 * r_star, (k, theta, sigma, c)
     assert solved > 0
 
 
-def test_annuity_residual_changes_sign_across_the_small_alpha_root():
+@pytest.mark.parametrize("cir,c", [
     # gamma = 0.0043, alpha = 0.0021 and A(x*) of about 59: without the
     # small-alpha step of U the boundary sits 3.3e-6 below this root
-    cir = CirParams(k=0.013318, theta=0.011423, sigma=0.265309)
-    con = ContractParams(c=0.045874, m=0.045874)
+    (CirParams(k=0.013318, theta=0.011423, sigma=0.265309), 0.045874),
+    # the two small-gamma sets of the shooting test above
+    (CirParams(k=0.024337, theta=0.021019, sigma=0.168964), 0.023025),
+    (CirParams(k=0.21605, theta=0.014419, sigma=0.49818), 0.037467),
+], ids=["gamma_0.0043", "gamma_0.036", "gamma_0.025"])
+def test_annuity_residual_changes_sign_across_the_small_alpha_root(cir, c):
+    con = ContractParams(c=c, m=c)
     x_star = solve_boundary(cir, con).x_star
     lo = annuity_residual_mp(cir, con, x_star * (1.0 - 1e-6))
     hi = annuity_residual_mp(cir, con, x_star * (1.0 + 1e-6))

@@ -1,4 +1,4 @@
-"""Unit tests for the shared GK15 rule, root-finding, and ODE kernels."""
+"""Unit tests for the shared GK15 rule and root-finding."""
 
 import math
 
@@ -8,8 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cirmort.errors import ConvergenceError, NoBracketError
-from cirmort.numerics import (_WG, _WGK, _XGK, find_root_bracketed,
-                              ode_integrate)
+from cirmort.numerics import _WG, _WGK, _XGK, find_root_bracketed
 
 
 # ---------------------------------------------------------------------------
@@ -113,49 +112,3 @@ def test_root_property_cubic(shift, scale):
 
     r = find_root_bracketed(f, shift - 6.0, shift + 7.0, tol=1e-12)
     assert r == pytest.approx(shift, abs=1e-7 * max(1.0, abs(shift)))
-
-
-# ---------------------------------------------------------------------------
-# ODE stepping
-
-def test_ode_exponential_growth():
-    traj = ode_integrate(lambda x, y: y, 0.0, [1.0], 1.0, tol=1e-10)
-    assert traj.success
-    assert traj.states[-1, 0] == pytest.approx(math.e, rel=1e-9)
-
-
-def test_ode_exponential_decay():
-    traj = ode_integrate(lambda x, y: -y, 0.0, [1.0], 20.0, tol=1e-10)
-    assert traj.states[-1, 0] == pytest.approx(math.exp(-20.0), rel=1e-6)
-
-
-def test_ode_oscillator_energy_drift():
-    def rhs(x, y):
-        return (y[1], -y[0])
-
-    traj = ode_integrate(rhs, 0.0, [1.0, 0.0], 100.0 * 2.0 * math.pi,
-                         tol=1e-10)
-    energy = traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2
-    assert np.max(np.abs(energy - 1.0)) <= 1e-6
-
-
-def test_ode_event_detection():
-    def rhs(x, y):
-        return [-y[0]]
-
-    def cross(x, y):
-        return y[0] - 0.5
-
-    cross.terminal = True
-    traj = ode_integrate(rhs, 0.0, [1.0], 10.0, tol=1e-10, events=(cross,))
-    assert len(traj.event_xs[0]) == 1
-    assert traj.event_xs[0][0] == pytest.approx(math.log(2.0), rel=1e-8)
-
-
-def test_ode_tolerance_scaling():
-    # halving tol keeps reducing the achieved error (order consistency)
-    errs = []
-    for tol in (1e-6, 1e-8, 1e-10):
-        traj = ode_integrate(lambda x, y: y, 0.0, [1.0], 1.0, tol=tol)
-        errs.append(abs(traj.states[-1, 0] - math.e))
-    assert errs[2] <= errs[0] + 1e-15

@@ -8,12 +8,11 @@ import pytest
 from scipy.integrate import quad
 
 from cirmort.closed_form import solve_boundary, value
-from cirmort.errors import ConvergenceError, ValidationError
+from cirmort.errors import ConvergenceError, NoBracketError, ValidationError
 from cirmort.model import CirParams, ContractParams, bond_price_terms
-from cirmort.oracles import (DECAYED, DIVERGED_UP, GridSpec, _howard,
-                             _operator_coeffs, _simulate_threshold,
-                             fd_steady_state, mc_optimality_probe, mc_value,
-                             shoot_classify, shoot_solve)
+from cirmort.oracles import (GridSpec, _howard, _operator_coeffs,
+                             _simulate_threshold, fd_steady_state,
+                             mc_optimality_probe, mc_value, shoot_solve)
 
 PRIMARY_CIR = CirParams(k=0.25, theta=0.06, sigma=0.1)
 CONTRACT = ContractParams(c=0.05, m=0.05)
@@ -22,42 +21,26 @@ CONTRACT = ContractParams(c=0.05, m=0.05)
 # ---------------------------------------------------------------------------
 # shooting
 
-def test_classify_orientation(primary_solution):
-    x_star = primary_solution.x_star
-    assert shoot_classify(PRIMARY_CIR, CONTRACT, 0.25 * x_star) == DECAYED
-    assert shoot_classify(PRIMARY_CIR, CONTRACT, 4.0 * x_star) == DIVERGED_UP
-
-
-def test_classify_rejects_out_of_range_candidate():
-    with pytest.raises(ValidationError):
-        shoot_classify(PRIMARY_CIR, CONTRACT, 0.0)
-    with pytest.raises(ValidationError):
-        shoot_classify(PRIMARY_CIR, CONTRACT, 1e9)
-
-
 def test_shoot_solve_matches_closed_form(primary_solution):
     rep = shoot_solve(PRIMARY_CIR, CONTRACT, tol=1e-8)
     assert abs(rep.r_star - primary_solution.x_star) \
         <= 1e-6 * primary_solution.x_star
-    lo, hi = rep.bracket
-    assert lo <= rep.r_star <= hi
-    assert rep.iterations > 0
+    assert rep.rhs_calls > 0
 
 
-def test_shoot_solve_trace_is_a_monotone_step():
-    rep = shoot_solve(PRIMARY_CIR, CONTRACT, tol=1e-6)
-    scan = rep.classification_trace[:24]
-    labels = [lab for _, lab in scan]
-    # decayed prefix followed by a diverged_up suffix, one flip
-    flips = sum(1 for a, b in zip(labels, labels[1:]) if a != b)
-    assert flips == 1
-    assert labels[0] == DECAYED
-    assert labels[-1] == DIVERGED_UP
+def test_shoot_solve_raises_no_bracket_without_boundary():
+    # theta above c: q + phi keeps its sign over the whole sweep
+    with pytest.raises(NoBracketError):
+        shoot_solve(CirParams(k=0.1, theta=0.1, sigma=0.05),
+                    ContractParams(c=0.03, m=0.03), tol=1e-8)
 
 
 def test_shoot_solve_rejects_too_small_tolerance():
     with pytest.raises(ValidationError):
         shoot_solve(PRIMARY_CIR, CONTRACT, tol=1e-12)
+    # rtol 1e-4 tol would fall below scipy's 1e-13 floor
+    with pytest.raises(ValidationError):
+        shoot_solve(PRIMARY_CIR, CONTRACT, tol=1e-10)
 
 
 # ---------------------------------------------------------------------------
