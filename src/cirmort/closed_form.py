@@ -41,6 +41,10 @@ gives the 2x2 solve
 
     Msc IU~ = (A_z - (U'/U - a) A) / (M'/M - U'/U),   A_z = A' / p,
     c2      = e^{a z*} (1 - Msc IU~) / U(z*).
+
+M'/M, like U'/U, is the exp of a difference of logs
+(specfun._kummer_m_scaled returns ln(e^{-z} M)), so it stays in range where
+M itself does not.
 """
 
 from __future__ import annotations
@@ -57,9 +61,7 @@ from .errors import DomainError, NoBracketError, ValidationError
 from .model import (CirParams, ContractParams, DerivedConstants,
                     bond_price_terms, derive_constants)
 from .numerics import find_root_bracketed, gk15_panels
-from .specfun import (HypergeometricParams, _kummer_m_prime_scaled,
-                      _kummer_m_scaled, _tricomi_u_raw, kummer_m,
-                      kummer_m_prime)
+from .specfun import _kummer_m_scaled, _tricomi_u_raw
 
 __all__ = [
     "SteadyStateSolution",
@@ -288,16 +290,12 @@ def value_curve(solution: SteadyStateSolution, x_lo: float, x_hi: float,
 def _msc_iu(ws: _Workspace, z: float, ann: float, ann_x: float,
             ratio: float) -> float:
     """Msc IU~ at z, given A, A' at x = z/p and U'/U at z: the 2x2 solve of
-    the module docstring with z_ref = z, which needs M only through M'/M."""
+    the module docstring with z_ref = z, which needs M only through
+    M'/M = (alpha/gamma) M(alpha+1, gamma+1, z) / M(alpha, gamma, z)."""
     consts = ws.consts
-    zs = np.array([z])
-    m_sc_z = float(_kummer_m_prime_scaled(consts.alpha, consts.gamma, zs)[0])
-    if m_sc_z >= np.finfo(float).tiny:
-        m_ratio = m_sc_z / float(_kummer_m_scaled(consts.alpha, consts.gamma,
-                                                  zs)[0])
-    else:       # e^{-z} M underflows at large gamma, where M is in range
-        hp = HypergeometricParams(consts.alpha, consts.gamma)
-        m_ratio = kummer_m_prime(hp, z) / kummer_m(hp, z)
+    m_ratio = (consts.alpha / consts.gamma) * math.exp(
+        _kummer_m_scaled(consts.alpha + 1.0, consts.gamma + 1.0, z)
+        - _kummer_m_scaled(consts.alpha, consts.gamma, z))
     return ((ann_x / consts.p - (ratio - consts.a_exp) * ann)
             / (m_ratio - ratio))
 

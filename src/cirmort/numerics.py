@@ -1,5 +1,5 @@
 """Shared numerical kernels: the Gauss-Kronrod 7/15 rule and bracketed root
-refinement.
+refinement by scipy's brentq.
 
 The GK15 nodes and weights serve the fixed panel rules of `specfun` (the
 Laplace integral of U) and of `closed_form` (the annuity integral in t).
@@ -7,10 +7,10 @@ Laplace integral of U) and of `closed_form` (the annuity integral in t).
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
+from scipy import optimize
 
 from .errors import ConvergenceError, NoBracketError
 
@@ -40,6 +40,9 @@ _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])      # Gauss nodes
 
+# brentq rejects a relative tolerance below this
+_RTOL_FLOOR = 4.0 * np.finfo(float).eps
+
 
 def gk15_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GK15 nodes and weights of the panels between consecutive edges."""
@@ -56,54 +59,22 @@ def find_root_bracketed(
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> float:
-    """Brent's method: inverse quadratic / secant steps with bisection
-    fallback.  Requires f(lo) and f(hi) of opposite sign; never evaluates
-    outside [lo, hi].  Stops when the bracket width is ≤ tol * max(1, |root|)
-    (plus the unavoidable floating-point floor).
+    """Brent's method, as scipy's brentq: inverse quadratic / secant steps
+    with bisection fallback.  Requires f(lo) and f(hi) of opposite sign;
+    never evaluates outside [lo, hi].  Stops when the bracket width is about
+    tol * max(1, |root|); the relative part is held at brentq's floor of
+    4 eps when tol is below it.
     """
-    a, b = float(lo), float(hi)
-    fa, fb = float(f(a)), float(f(b))
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0.0:
+    try:
+        root, info = optimize.brentq(
+            f, lo, hi, xtol=tol, rtol=max(tol, _RTOL_FLOOR),
+            maxiter=max_iter, full_output=True, disp=False)
+    except ValueError as exc:
+        if "different signs" not in str(exc):
+            raise
         raise NoBracketError(
-            f"f({a!r}) = {fa!r} and f({b!r}) = {fb!r} have the same sign")
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(max_iter):
-        if fb * fc > 0.0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * tol * max(1.0, abs(b))
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d, e = xm, xm
-        else:
-            d, e = xm, xm
-        a, fa = b, fb
-        b = b + (d if abs(d) > tol1 else math.copysign(tol1, xm))
-        fb = float(f(b))
-    raise ConvergenceError(
-        f"root refinement did not converge in {max_iter} iterations")
+            f"f({lo!r}) and f({hi!r}) have the same sign") from None
+    if not info.converged:
+        raise ConvergenceError(
+            f"root refinement did not converge in {max_iter} iterations")
+    return root

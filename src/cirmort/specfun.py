@@ -35,19 +35,20 @@ about gamma/alpha: the error grows to 1.4e-9 at gamma = 40 and 5e-8 at
 gamma = 180 (alpha = 8.3e-4).  The rule alone does better at those z, but
 it is off by up to 1e-6 at z > gamma.
 
-Supported box.  On 60 log-uniform draws over k in [0.01, 5], theta in
-[0.003, 0.3], sigma in [0.005, 0.5] and c in [0.005, 0.2] (gamma from 0.0043
-to 35,000) every solve either meets its diagnostic bounds or raises
-NoBracketError; no special function leaves float range there.
+Supported box.  On 2000 log-uniform draws over k in [0.01, 5], theta in
+[0.003, 0.3], sigma in [0.005, 0.5] and c in [0.005, 0.2] (gamma from 6e-4
+to 75,000) every solve either meets its diagnostic bounds or raises
+NoBracketError.  On 51 of them M(z*) exceeds float range; ln(e^{-z} M) and
+ln U do not.
 
 M is evaluated by scipy's hyp1f1 to a target of 1e-10 relative on z in
 [-50, 200] (series/rational machinery, verified to ~1e-14 on the contract
-box including near-integer gamma).  U is never routed through scipy's
-hyperu: that implementation loses all accuracy for gamma within ~1e-15 of
-an integer, a regime gamma = 2*k*theta/sigma^2 hits for round model inputs.
-
-The _scaled helpers return e^{-z} M and friends so downstream code can work
-entirely in overflow-free scaled space.
+box including near-integer gamma).  Where the boundary solve needs M at
+large gamma and z, _kummer_m_scaled returns ln(e^{-z} M): ln hyp1f1 - z
+while hyp1f1 is in range, the large-z series (DLMF 13.7.2) summed in log
+form beyond it.  U is never routed through scipy's hyperu: that
+implementation loses all accuracy for gamma within ~1e-15 of an integer, a
+regime gamma = 2*k*theta/sigma^2 hits for round model inputs.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from typing import Union
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, RangeOverflowError
+from .errors import ConvergenceError, DomainError, RangeOverflowError
 from .numerics import gk15_panels
 
 __all__ = [
@@ -74,7 +75,7 @@ __all__ = [
 
 Real = Union[float, np.ndarray]
 
-# Overflow guards: exp() arguments beyond this are treated as out of range.
+# The Wronskian's exp() arguments beyond this are treated as out of range.
 _LOG_HUGE = 690.0
 
 
@@ -237,42 +238,23 @@ def wronskian_mu(params: HypergeometricParams, z: Real) -> Real:
     return _ret(-np.exp(log_mag), scalar)
 
 
-# ---------------------------------------------------------------------------
-# Scaled-space helpers (internal): e^{-z} M stays bounded for alpha < gamma,
-# so downstream formulas can avoid e^{+z} factors entirely.
-
-def _kummer_m_scaled_asymptotic(alpha: float, gamma: float,
-                                zs: np.ndarray) -> np.ndarray:
-    # e^{-z} M ~ (Gamma(gamma)/Gamma(alpha)) z^{alpha-gamma}
-    #            sum_n (gamma-alpha)_n (1-alpha)_n / (n! z^n)
-    prefix = np.exp(math.lgamma(gamma) - math.lgamma(alpha)
-                    + (alpha - gamma) * np.log(zs))
-    total = np.ones_like(zs)
-    term = np.ones_like(zs)
-    for n in range(60):
-        term = term * (gamma - alpha + n) * (1.0 - alpha + n) / ((n + 1) * zs)
+def _kummer_m_scaled(alpha: float, gamma: float, z: float) -> float:
+    """ln(e^{-z} M(alpha, gamma, z)) at one z > 0: ln hyp1f1 - z where
+    hyp1f1 is finite and positive, else the large-z series (DLMF 13.7.2)
+        e^{-z} M ~ Gamma(gamma)/Gamma(alpha) z^{alpha-gamma}
+                   sum_n (gamma-alpha)_n (1-alpha)_n / (n! z^n)
+    in log form, summed until a term falls below 1e-17 of the sum.  Its
+    terms shrink only while n < z - gamma; a sum that has not converged by
+    then raises ConvergenceError."""
+    m = float(special.hyp1f1(alpha, gamma, z))
+    if math.isfinite(m) and m > 0.0:
+        return math.log(m) - z
+    total = term = 1.0
+    for n in range(max(math.ceil(z - gamma), 0)):
+        term *= (gamma - alpha + n) * (1.0 - alpha + n) / ((n + 1) * z)
         total += term
-        if np.all(np.abs(term) <= 1e-17 * np.abs(total)):
-            break
-    return prefix * total
-
-
-def _kummer_m_scaled(alpha: float, gamma: float, zs: np.ndarray) -> np.ndarray:
-    """e^{-z} M(alpha, gamma, z) for z >= 0, overflow-free."""
-    log_est = (math.lgamma(gamma) - math.lgamma(alpha)
-               + (alpha - gamma) * np.log(np.maximum(zs, 1.0))
-               + zs)
-    # the z bound keeps the explicit exp(-z) factor away from underflow
-    direct = (log_est <= _LOG_HUGE) & (zs <= _LOG_HUGE)
-    out = np.empty_like(zs)
-    if direct.any():
-        out[direct] = special.hyp1f1(alpha, gamma, zs[direct]) * np.exp(-zs[direct])
-    if (~direct).any():
-        out[~direct] = _kummer_m_scaled_asymptotic(alpha, gamma, zs[~direct])
-    return out
-
-
-def _kummer_m_prime_scaled(alpha: float, gamma: float,
-                           zs: np.ndarray) -> np.ndarray:
-    """e^{-z} dM/dz."""
-    return (alpha / gamma) * _kummer_m_scaled(alpha + 1.0, gamma + 1.0, zs)
+        if abs(term) <= 1e-17 * total:
+            return (math.lgamma(gamma) - math.lgamma(alpha)
+                    + (alpha - gamma) * math.log(z) + math.log(total))
+    raise ConvergenceError(
+        f"the large-z series of M({alpha}, {gamma}, {z}) does not converge")

@@ -298,8 +298,13 @@ def test_solve_tolerance_monotonicity():
     # 8.6e-5; the 30-digit residual puts the root at the closed form
     (CirParams(k=0.024337, theta=0.021019, sigma=0.168964), 0.023025),
     (CirParams(k=0.21605, theta=0.014419, sigma=0.49818), 0.037467),
+    # three draws of the README box where M(alpha, gamma, z*) leaves float
+    # range (z* = 5554, 4444 and 19528), so c2 needs ln M
+    (CirParams(k=1.0, theta=0.02, sigma=0.006), 0.1),
+    (CirParams(k=0.452, theta=0.03076, sigma=0.00547), 0.14711),
+    (CirParams(k=4.27469, theta=0.05622, sigma=0.00739), 0.12475),
 ], ids=["gamma_133", "gamma_125", "gamma_618", "gamma_180", "gamma_0.036",
-        "gamma_0.025"])
+        "gamma_0.025", "gamma_1111", "gamma_929", "gamma_8801"])
 def test_extreme_gamma_boundary_matches_shooting(cir, c):
     # at large gamma U leaves float range at the small-z end of the scan;
     # ln U does not
@@ -333,6 +338,26 @@ def test_fuzz_box_solves_within_bounds_or_has_no_bracket():
         solved += 1
         r_star = shoot_solve(cir, con, tol=1e-8).r_star
         assert abs(sol.x_star - r_star) <= 1e-6 * r_star, (k, theta, sigma, c)
+    assert solved > 0
+
+
+def test_box_scan_solves_within_bounds_or_has_no_bracket():
+    # the first 400 draws of the README box's seed-2024 scan, without the
+    # shooting cross-check: 8 of them have M(z*) beyond float range
+    rng = np.random.default_rng(2024)
+    lo = np.log([0.01, 0.003, 0.005, 0.005])
+    hi = np.log([5.0, 0.3, 0.5, 0.2])
+    solved = 0
+    for _ in range(400):
+        k, theta, sigma, c = np.exp(lo + (hi - lo) * rng.random(4)).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DiagnosticsWarning)
+            try:
+                solve_boundary(CirParams(k=k, theta=theta, sigma=sigma),
+                               ContractParams(c=c, m=c))
+            except NoBracketError:
+                continue
+        solved += 1
     assert solved > 0
 
 
@@ -525,9 +550,7 @@ def test_asymptotic_elimination_of_m(primary_solution):
     d = sol.consts
     x = 100.0 * sol.cir.theta
     z = d.p * x
-    m_scaled = float(_kummer_m_scaled(d.alpha, d.gamma,
-                                      np.array([z]))[0])
-    log_m_branch = d.lam * x + z + math.log(m_scaled)
+    log_m_branch = d.lam * x + z + _kummer_m_scaled(d.alpha, d.gamma, z)
     assert log_m_branch > 50.0
     from cirmort.specfun import HypergeometricParams
     log_u_branch = d.lam * x + math.log(

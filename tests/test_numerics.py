@@ -105,6 +105,12 @@ def test_root_iteration_cap():
         find_root_bracketed(f, 0.0, 1.0, tol=1e-15, max_iter=5)
 
 
+def test_root_accepts_a_tolerance_below_the_float_floor():
+    # the relative tolerance is held at brentq's floor of 4 eps
+    r = find_root_bracketed(lambda x: x - 1.5e-6, 1e-6, 2e-6, tol=1e-18)
+    assert abs(r - 1.5e-6) <= 1e-15
+
+
 @given(st.floats(-5.0, 5.0), st.floats(0.1, 4.0))
 def test_root_property_cubic(shift, scale):
     def f(x):

@@ -18,9 +18,9 @@ from scipy.integrate import quad
 
 from cirmort.errors import DomainError, RangeOverflowError
 from cirmort.specfun import (_ALPHA_STEP, HypergeometricParams,
-                             _tricomi_u_raw, kummer_m, kummer_m_prime,
-                             log_gamma, tricomi_u, tricomi_u_prime,
-                             wronskian_mu)
+                             _kummer_m_scaled, _tricomi_u_raw, kummer_m,
+                             kummer_m_prime, log_gamma, tricomi_u,
+                             tricomi_u_prime, wronskian_mu)
 
 PAIRS = [(0.2, 0.5), (0.2, 3.0), (0.5, 1.5), (1.0, 1.0), (1.0, 4.0),
          (2.5, 2.0), (3.0, 8.0), (5.0, 5.5), (8.0, 24.0)]
@@ -120,6 +120,24 @@ def test_m_asymptotic_growth():
                     + (alpha - gamma) * math.log(z) + z)
         got = kummer_m(HypergeometricParams(alpha, gamma), z)
         assert abs(got / math.exp(log_lead) - 1.0) <= 0.05
+
+
+def test_kummer_m_ratio_matches_mpmath(primary_solution):
+    # M'/M = (alpha/gamma) M(alpha+1, gamma+1, z) / M(alpha, gamma, z) from
+    # ln(e^{-z} M): by hyp1f1 where it is in range, by the large-z series
+    # beyond; at gamma = 1111 and z = 5554 M itself exceeds float range
+    d = primary_solution.consts
+    points = [(0.033092, 530.04, 713.54), (0.019999, 1111.1, 5554.5),
+              (1.0, 180.0, 1e-3), (d.alpha, d.gamma, primary_solution.z_star)]
+    for alpha, gamma, z in points:
+        got = (alpha / gamma) * math.exp(
+            _kummer_m_scaled(alpha + 1.0, gamma + 1.0, z)
+            - _kummer_m_scaled(alpha, gamma, z))
+        with mpmath.workdps(30):
+            a, g = mpmath.mpf(alpha), mpmath.mpf(gamma)
+            want = float(a / g * mpmath.hyp1f1(a + 1, g + 1, z, maxterms=10**6)
+                         / mpmath.hyp1f1(a, g, z, maxterms=10**6))
+        assert abs(got - want) <= 1e-11 * want, (alpha, gamma, z)
 
 
 # ---------------------------------------------------------------------------
