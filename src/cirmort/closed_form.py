@@ -16,20 +16,23 @@ Smooth pasting V(x*) = 1, V'(x*) = 0 gives C = (1 - A(x*)) / W(x*) and the
 boundary residual
 
     R(x) = (1 - A) (lam + p U'/U) + A',
-    U'/U = -alpha U(alpha+1, gamma+1, z) / U(alpha, gamma, z),
+    U'/U = -<t>,
 
-whose root is x*; the solver scans and refines R/p in z (_Workspace
-.residual_scaled).  The value on the continuation branch x >= x* is
+where <t> is the mean of t under the weight e^{-z t} t^{alpha-1}
+(1 + t)^{gamma-alpha-1} of U's Laplace integral, so one pass of that rule
+gives ln U and U'/U (specfun._tricomi_u_raw).  R's root is x*; the solver
+scans and refines R/p in z (_Workspace.residual_scaled).  The value on the
+continuation branch x >= x* is
 
     V(x) = A(x) + (1 - A(x*)) e^{lam (x - x*)} U(z) / U(z*).
 
 A and A' = -c int B P dt come from one fixed GK15 rule in t (_annuity_rule)
 and one matrix product per array of x; they agree with a 25-digit mpmath
 quadrature to 7e-15 relative for x up to 1e6 on the supported box (see
-specfun); the rule has about 400 nodes.  U enters only as exp of a difference of logs
-(specfun._tricomi_u_raw returns ln U), so nothing overflows.  Near x* with
-A >> 1 the factor 1 - A(x*) multiplies U's error, which is why U at small
-alpha takes the recurrence step of specfun.
+specfun); the rule has about 400 nodes.  U enters only through U'/U and as
+exp of a difference of logs, so nothing overflows.  Near x* with A >> 1 the
+factor 1 - A(x*) multiplies U's error, which is why U at small alpha takes
+the recurrence step of specfun.
 
 The paper's variation-of-parameters form, V = e^{lam x} (c2 U + u_p) with
 u_p = M I_U + U I_M and z_ref = z*, is a 30-digit reference in the tests.
@@ -133,18 +136,12 @@ class _Workspace:
         both = np.exp(self.log_a - np.outer(xs, self.b)) @ self.weights
         return both[:, 0], both[:, 1]
 
-    def log_u_and_ratio(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(ln U, U'/U) at every z of zs."""
-        log_u = _tricomi_u_raw(self.alpha, self.gamma, zs)
-        return log_u, -self.alpha * np.exp(
-            _tricomi_u_raw(self.alpha + 1.0, self.gamma + 1.0, zs) - log_u)
-
     def residual_scaled(self, z: Real) -> Real:
         """R/p = dV/dz at x = z/p for the V that pastes there, at one z or at
         each z of an array."""
         zs = np.atleast_1d(np.asarray(z, dtype=float))
         ann, ann_x = self.annuity(zs / self.consts.p)
-        ratio = self.log_u_and_ratio(zs)[1]
+        ratio = _tricomi_u_raw(self.alpha, self.gamma, zs)[1]
         res = (1.0 - ann) * (ratio - self.a) + ann_x / self.consts.p
         return float(res[0]) if np.ndim(z) == 0 else res
 
@@ -178,7 +175,7 @@ def _branch(sol: SteadyStateSolution,
         V     = A(x) + g,   g = amp e^{-a (z - z*)} U(z) / U(z*),
         dV/dx = A'(x) + p g (U'/U - a),
 
-    with one call of the annuity kernel and of each U per chunk of at most
+    with one call of the annuity kernel and of U per chunk of at most
     _SCAN_POINTS sorted abscissae."""
     ws = sol.workspace
     p = ws.consts.p
@@ -191,7 +188,7 @@ def _branch(sol: SteadyStateSolution,
         part = slice(lo, lo + _SCAN_POINTS)
         c = zs[part]
         ann, ann_x = ws.annuity(c / p)
-        log_u, ratio = ws.log_u_and_ratio(c)
+        log_u, ratio = _tricomi_u_raw(ws.alpha, ws.gamma, c)
         g = sol.amp * np.exp(log_u - sol.log_u_at_star
                              - ws.a * (c - sol.z_star))
         v[part] = ann + g
@@ -287,15 +284,22 @@ def value_curve(solution: SteadyStateSolution, x_lo: float, x_hi: float,
         ode_residual(solution, xs).tolist())))
 
 
+def _log_msc_and_ratio(alpha: float, gamma: float,
+                       zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ln(e^{-z} M), M'/M) at every z >= 0 of zs, with
+    M'/M = (alpha/gamma) M(alpha+1, gamma+1, z) / M(alpha, gamma, z)."""
+    log_msc, log_msc1 = np.array(
+        [[_kummer_m_scaled(alpha, gamma, z),
+          _kummer_m_scaled(alpha + 1.0, gamma + 1.0, z)] for z in zs]).T
+    return log_msc, (alpha / gamma) * np.exp(log_msc1 - log_msc)
+
+
 def _msc_iu(ws: _Workspace, z: float, ann: float, ann_x: float,
             ratio: float) -> float:
     """Msc IU~ at z, given A, A' at x = z/p and U'/U at z: the 2x2 solve of
-    the module docstring with z_ref = z, which needs M only through
-    M'/M = (alpha/gamma) M(alpha+1, gamma+1, z) / M(alpha, gamma, z)."""
+    the module docstring with z_ref = z, which needs M only through M'/M."""
     consts = ws.consts
-    m_ratio = (consts.alpha / consts.gamma) * math.exp(
-        _kummer_m_scaled(consts.alpha + 1.0, consts.gamma + 1.0, z)
-        - _kummer_m_scaled(consts.alpha, consts.gamma, z))
+    m_ratio = float(_log_msc_and_ratio(consts.alpha, consts.gamma, [z])[1][0])
     return ((ann_x / consts.p - (ratio - consts.a_exp) * ann)
             / (m_ratio - ratio))
 
@@ -335,7 +339,8 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
 
     zs = np.array([z_star])
     ann, ann_x = (float(v[0]) for v in ws.annuity(zs / consts.p))
-    log_u, ratio = (float(v[0]) for v in ws.log_u_and_ratio(zs))
+    log_u, ratio = (float(v[0])
+                    for v in _tricomi_u_raw(ws.alpha, ws.gamma, zs))
     # the paper's c2 with z_ref = z*
     c2 = math.exp(consts.a_exp * z_star - log_u) * (
         1.0 - _msc_iu(ws, z_star, ann, ann_x, ratio))

@@ -23,14 +23,6 @@ class DomainError(CirMortError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class RangeOverflowError(CirMortError):
-    """Result exceeds the representable floating-point range."""
-
-
-class SingularityError(CirMortError):
-    """An intermediate quantity degenerated (e.g. a denominator underflowed)."""
-
-
 class NoBracketError(CirMortError):
     """A sign-change scan found no bracket.
 

@@ -9,7 +9,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from cirmort.errors import DomainError, SingularityError
+from cirmort.errors import DomainError
 
 DPS = 30
 
@@ -100,7 +100,7 @@ def boundary_residual_ratio_form(consts, contract, z_candidate):
                                                z_candidate)
         denom = upp - consts.a_exp * e_az
         if denom == 0:
-            raise SingularityError("ratio form degenerate at this z")
+            raise ZeroDivisionError("ratio form degenerate at this z")
         al = mp.mpf(consts.alpha)
         return float(u / (-u_p / al) - al * (e_az - up) / denom)
 

@@ -24,8 +24,7 @@ from cirmort.closed_form import solve_boundary, value
 from cirmort.errors import NoBracketError
 from cirmort.model import CirParams, ContractParams
 from cirmort.oracles import shoot_solve
-from cirmort.specfun import (HypergeometricParams, kummer_m, log_gamma,
-                             tricomi_u)
+from cirmort.specfun import _kummer_m_scaled, _tricomi_u_raw
 
 SOLVE_GRID = runpy.run_path(
     str(Path(__file__).resolve().parents[1] / "scripts" / "solve_grid.py"))
@@ -74,15 +73,16 @@ def _statuses(checks):
 
 def test_criterion_1_special_function_identities():
     t0 = time.monotonic()
-    hp = HypergeometricParams
-    assert abs(kummer_m(hp(1.0, 2.0), 1.0) - (math.e - 1.0)) \
-        <= 1e-10 * (math.e - 1.0)
+    # M from ln(e^{-z} M), U from ln U: the functions the solver calls
+    assert abs(math.exp(_kummer_m_scaled(1.0, 2.0, 1.0) + 1.0)
+               - (math.e - 1.0)) <= 1e-10 * (math.e - 1.0)
     for a, z in [(0.5, 4.0), (2.0, 1.5), (3.5, 30.0)]:
         want = z ** -a
-        assert abs(tricomi_u(hp(a, a + 1.0), z) - want) <= 1e-10 * want
+        got = math.exp(_tricomi_u_raw(a, a + 1.0, np.array([z]))[0][0])
+        assert abs(got - want) <= 1e-10 * want
     for alpha, gamma in [(0.7, 2.3), (3.0, 8.0)]:
-        assert kummer_m(hp(alpha, gamma), 0.0) == 1.0
-    assert abs(math.exp(log_gamma(0.5)) - math.sqrt(math.pi)) \
+        assert _kummer_m_scaled(alpha, gamma, 0.0) == 0.0
+    assert abs(math.exp(math.lgamma(0.5)) - math.sqrt(math.pi)) \
         <= 1e-10 * math.sqrt(math.pi)
     # verify's identities and its Wronskian grid
     checks = cli._specfun_checks()

@@ -15,6 +15,7 @@ import pytest
 
 from cirmort import cli
 from cirmort.cli import main
+from cirmort.closed_form import DiagnosticsWarning
 
 PRIMARY = ["--k", "0.25", "--theta", "0.06", "--sigma", "0.1", "--c", "0.05"]
 FAST_VERIFY = ["--fd-nodes", "400", "--mc-paths", "2000",
@@ -100,8 +101,11 @@ def test_no_bracket_exit_3(capsys):
 
 
 def test_tol_root_consistency(capsys):
-    _, out_loose, _ = run_cli(capsys, ["solve", *PRIMARY,
-                                       "--tol-root", "1e-3"])
+    # the loose tolerance leaves a pasting slope of about 2e-3, above its
+    # bound, and the solve says so
+    with pytest.warns(DiagnosticsWarning, match="pasting_slope"):
+        _, out_loose, _ = run_cli(capsys, ["solve", *PRIMARY,
+                                           "--tol-root", "1e-3"])
     _, out_tight, _ = run_cli(capsys, ["solve", *PRIMARY,
                                        "--tol-root", "1e-10"])
     a = json.loads(out_loose)["x_star"]
@@ -189,12 +193,11 @@ def test_verify_detects_corrupted_boundary(capsys, monkeypatch):
 def test_wronskian_grid_fails_on_nan(monkeypatch):
     # a NaN on one (alpha, gamma) pair must fail the check, not be folded
     # away by the maximum over pairs
-    exact = cli.specfun.wronskian_mu
+    exact = cli.specfun.log_wronskian
 
-    def wronskian_mu(hp, zs):
-        w = exact(hp, zs)
-        return np.where(hp.alpha == 3.0, np.nan, w)
-    monkeypatch.setattr(cli.specfun, "wronskian_mu", wronskian_mu)
+    def log_wronskian(alpha, gamma, zs):
+        return np.where(alpha == 3.0, np.nan, exact(alpha, gamma, zs))
+    monkeypatch.setattr(cli.specfun, "log_wronskian", log_wronskian)
     checks = {ch["name"]: ch for ch in cli._specfun_checks()}
     assert checks["wronskian_grid"]["status"] == "fail"
     assert checks["specfun_identities"]["status"] == "pass"
