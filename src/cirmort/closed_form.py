@@ -26,11 +26,14 @@ continuation branch x >= x* is
 
     V(x) = A(x) + (1 - A(x*)) e^{lam (x - x*)} U(z) / U(z*).
 
-A and A' = -c int B P dt come from one fixed GK15 rule in t (_annuity_rule)
-and one matrix product per array of x; they agree with a 25-digit mpmath
-quadrature to 7e-15 relative for x up to 1e6 on the supported box (see
-specfun); the rule has about 400 nodes.  U enters only through U'/U and as
-exp of a difference of logs, so nothing overflows.  Near x* with A >> 1 the
+A, A' = -c int B P dt and A'' = c int B^2 P dt come from one fixed GK15 rule
+in t (_annuity_rule) and one matrix product per array of x; A and A' agree
+with a 25-digit mpmath quadrature to 7e-15 relative for x up to 1e6 on the
+supported box (see specfun); the rule has about 400 nodes.  U enters only
+through U'/U, U''/U and as exp of a difference of logs, so nothing
+overflows.  One evaluation gives V, V' and V'' (_branch; V'' is within
+7.8e-14 of the sum of its terms' sizes against mpmath), and ode_residual
+applies the ODE to them.  Near x* with A >> 1 the
 factor 1 - A(x*) multiplies U's error, which is why U at small alpha takes
 the recurrence step of specfun.
 
@@ -72,9 +75,9 @@ __all__ = [
     "DiagnosticsWarning",
     "ValueCurve",
     "solve_boundary",
-    "pasting_value_error",
     "value",
     "value_derivative",
+    "pasting",
     "ode_residual",
     "value_curve",
 ]
@@ -91,8 +94,6 @@ _T_FIRST = 1e-6
 _T_RATIO = 3.0
 _T_SPAN = 8.0
 _T_REACH = 60.0
-# ode_residual's finite-difference step in dV/dx, relative to x
-_STEP_SCALE = 1e-5
 # Bounds on a solution's diagnostics, which cirmort verify's pasting and
 # ODE-residual checks also apply
 PASTING_VALUE_TOL = 1e-8
@@ -127,20 +128,21 @@ class _Workspace:
         self.a = consts.a_exp
         t, w = _annuity_rule(2.0 * cir.k * cir.theta / (consts.s + cir.k))
         self.log_a, b = bond_price_terms(cir, t)
-        # columns: c w for A, -c w B for A'
-        self.weights = contract.c * np.stack([w, -w * b], axis=1)
+        # columns: c w for A, -c w B for A', c w B^2 for A''
+        self.weights = contract.c * np.stack([w, -w * b, w * b * b], axis=1)
         self.b = b
 
-    def annuity(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(A, dA/dx) at every rate x of xs, one matrix product."""
-        both = np.exp(self.log_a - np.outer(xs, self.b)) @ self.weights
-        return both[:, 0], both[:, 1]
+    def annuity(self, xs: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A, dA/dx, d2A/dx2) at every rate x of xs, one matrix product."""
+        return tuple((np.exp(self.log_a - np.outer(xs, self.b))
+                      @ self.weights).T)
 
     def residual_scaled(self, z: Real) -> Real:
         """R/p = dV/dz at x = z/p for the V that pastes there, at one z or at
         each z of an array."""
         zs = np.atleast_1d(np.asarray(z, dtype=float))
-        ann, ann_x = self.annuity(zs / self.consts.p)
+        ann, ann_x, _ = self.annuity(zs / self.consts.p)
         ratio = _tricomi_u_raw(self.alpha, self.gamma, zs)[1]
         res = (1.0 - ann) * (ratio - self.a) + ann_x / self.consts.p
         return float(res[0]) if np.ndim(z) == 0 else res
@@ -167,13 +169,13 @@ class SteadyStateSolution:
     amp: float = field(repr=False, compare=False, default=0.0)  # 1 - A(x*)
 
 
-def _branch(sol: SteadyStateSolution,
-            xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(V, dV/dx) on the continuation branch at each rate x >= x* of the
-    array xs, in any order, at z = max(p x, z*):
+def _branch(sol: SteadyStateSolution, xs: np.ndarray) -> np.ndarray:
+    """The rows (V, dV/dx, d2V/dx2) on the continuation branch at each rate
+    x >= x* of the array xs, in any order, at z = max(p x, z*):
 
-        V     = A(x) + g,   g = amp e^{-a (z - z*)} U(z) / U(z*),
-        dV/dx = A'(x) + p g (U'/U - a),
+        V       = A(x) + g,   g = amp e^{-a (z - z*)} U(z) / U(z*),
+        dV/dx   = A'(x) + p g (U'/U - a),
+        d2V/dx2 = A''(x) + p^2 g (U''/U - 2 a U'/U + a^2),
 
     with one call of the annuity kernel and of U per chunk of at most
     _SCAN_POINTS sorted abscissae."""
@@ -182,22 +184,19 @@ def _branch(sol: SteadyStateSolution,
     z = np.maximum(p * xs, sol.z_star)
     order = np.argsort(z, kind="stable")
     zs = z[order]
-    v = np.empty_like(zs)
-    dv = np.empty_like(zs)
+    rows = np.empty((3, zs.size))
     for lo in range(0, zs.size, _SCAN_POINTS):
         part = slice(lo, lo + _SCAN_POINTS)
         c = zs[part]
-        ann, ann_x = ws.annuity(c / p)
-        log_u, ratio = _tricomi_u_raw(ws.alpha, ws.gamma, c)
+        ann, ann_x, ann_xx = ws.annuity(c / p)
+        log_u, ratio, ratio2 = _tricomi_u_raw(ws.alpha, ws.gamma, c)
         g = sol.amp * np.exp(log_u - sol.log_u_at_star
                              - ws.a * (c - sol.z_star))
-        v[part] = ann + g
-        dv[part] = ann_x + p * g * (ratio - ws.a)
-    out_v = np.empty_like(zs)
-    out_dv = np.empty_like(zs)
-    out_v[order] = v
-    out_dv[order] = dv
-    return out_v, out_dv
+        rows[0, part] = ann + g
+        rows[1, part] = ann_x + p * g * (ratio - ws.a)
+        rows[2, part] = ann_xx + p * p * g * (
+            ratio2 - 2.0 * ws.a * ratio + ws.a * ws.a)
+    return rows[:, np.argsort(order)]
 
 
 def _rates(x, name: str) -> tuple[np.ndarray, bool]:
@@ -228,40 +227,29 @@ def value_derivative(solution: SteadyStateSolution, x: Real) -> Real:
     return float(out[0]) if scalar else out
 
 
-def _pasting(solution: SteadyStateSolution) -> tuple[float, float]:
-    """(V - 1, dV/dx) at x* on the continuation branch."""
-    v, dv = _branch(solution, np.array([solution.x_star]))
+def pasting(solution: SteadyStateSolution) -> tuple[float, float]:
+    """(V(x*) - 1, V'(x*)) on the continuation branch, from one branch
+    evaluation.  value() reads the stopped branch at x*, which is 1 by
+    definition, so it cannot show a misplaced boundary."""
+    v, dv, _ = _branch(solution, np.array([solution.x_star]))
     return float(v[0]) - 1.0, float(dv[0])
-
-
-def pasting_value_error(solution: SteadyStateSolution) -> float:
-    """V(x*) - 1 on the continuation branch.  value() reads the stopped
-    branch at x*, which is 1 by definition, so it cannot show a misplaced
-    boundary."""
-    return _pasting(solution)[0]
 
 
 def ode_residual(solution: SteadyStateSolution, x: Real) -> Real:
     """Steady ODE residual (sigma^2/2) x V'' + k(theta - x) V' - x V + c, at
     one x or at each x of an array: c - x on the stopped branch x <= x*
-    (V = 1, V' = V'' = 0); on the continuation branch V'' is a finite
-    difference of dV/dx over x - h, x + h (over x, x + h where x - h is
-    stopped), with every stencil point in one branch evaluation."""
+    (V = 1, V' = V'' = 0); on the continuation branch V, V' and V'' come
+    from one branch evaluation of the points."""
     xs, scalar = _rates(x, "ode_residual")
     cir = solution.cir
     out = solution.contract.c - xs
     cont = xs > solution.x_star
     if cont.any():
         x = xs[cont]
-        h = _STEP_SCALE * x
-        central = x - h > solution.x_star
-        n = x.size
-        v, dv = _branch(solution, np.concatenate(
-            [np.where(central, x - h, x), x, x + h]))
-        v2 = (dv[2 * n:] - dv[:n]) / np.where(central, 2.0 * h, h)
-        out[cont] = (0.5 * cir.sigma ** 2 * x * v2
-                     + cir.k * (cir.theta - x) * dv[n:2 * n]
-                     - x * v[n:2 * n] + solution.contract.c)
+        v, dv, d2v = _branch(solution, x)
+        out[cont] = (0.5 * cir.sigma ** 2 * x * d2v
+                     + cir.k * (cir.theta - x) * dv
+                     - x * v + solution.contract.c)
     return float(out[0]) if scalar else out
 
 
@@ -338,9 +326,9 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
     x_star = z_star / consts.p
 
     zs = np.array([z_star])
-    ann, ann_x = (float(v[0]) for v in ws.annuity(zs / consts.p))
-    log_u, ratio = (float(v[0])
-                    for v in _tricomi_u_raw(ws.alpha, ws.gamma, zs))
+    ann, ann_x, _ = (float(v[0]) for v in ws.annuity(zs / consts.p))
+    log_u, ratio, _ = (float(v[0])
+                       for v in _tricomi_u_raw(ws.alpha, ws.gamma, zs))
     # the paper's c2 with z_ref = z*
     c2 = math.exp(consts.a_exp * z_star - log_u) * (
         1.0 - _msc_iu(ws, z_star, ann, ann_x, ratio))
@@ -351,7 +339,7 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
         diagnostics=Diagnostics(0.0, 0.0, 0.0),
         workspace=ws, log_u_at_star=log_u, amp=1.0 - ann)
 
-    v_err, slope = _pasting(sol)
+    v_err, slope = pasting(sol)
     probes = np.geomspace(1.02 * x_star, 5.0 * x_star, 7)
     res_max = float(np.max(np.abs(ode_residual(sol, probes))))
     missed = [f"{name} = {measured!r} (bound {bound!r})"

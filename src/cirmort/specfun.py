@@ -1,8 +1,8 @@
-"""Confluent hypergeometric functions in log space: ln U and U'/U (Tricomi),
-ln(e^{-z} M) (Kummer), and the log of their Wronskian.
+"""Confluent hypergeometric functions in log space: ln U, U'/U and U''/U
+(Tricomi), ln(e^{-z} M) (Kummer), and the log of their Wronskian.
 
-The solver uses U only through U'/U and differences of ln U, and M only
-through M'/M at one z, so these are the only forms kept; none of them
+The solver uses U only through U'/U, U''/U and differences of ln U, and M
+only through M'/M at one z, so these are the only forms kept; none of them
 overflows where U or M itself leaves float range (U(0.05, 133, 1e-3) is
 about 10^617).
 
@@ -17,14 +17,14 @@ are positive, so there is no cancellation and the point-to-point noise stays
 at rounding level, which downstream residual checks rely on.  The sum is
 taken in log space (log-sum-exp over the nodes).  Differentiating under the
 integral gives U' = -1/Gamma(alpha) int t e^{-z t} ..., so U'/U = -<t>, the
-mean of t under U's own Laplace weight: one pass of the rule gives both
-ln U and U'/U (_tricomi_u_raw).
+mean of t under U's own Laplace weight, and likewise U''/U = <t^2>: one pass
+of the rule gives ln U, U'/U and U''/U (_tricomi_u_raw).
 
 Measured relative accuracy of U against mpmath at 30 digits, for alpha in
 [0.03, 21], gamma in [0.5, 41] and z in [0.01, 500]: 4e-14 on one array
 spanning those z, 4e-13 at single points; ln U to 2.3e-13 absolute at
 gamma = 133 and 180.  U'/U on the same grid: 1.0e-14 on arrays, 4.1e-13
-at single points.
+at single points; U''/U: 8.2e-15 on arrays, 3.8e-13 at single points.
 
 Small alpha.  Below alpha = _ALPHA_STEP = 0.03 the last u-panels map to
 t = u^{1/alpha}, which GK15 cannot resolve (the rule alone is off by 1e-6 at
@@ -37,12 +37,12 @@ ch. 4).  Measured against mpmath on 12 z in [1e-3, 500] at alpha in
 gamma = 3.  Where z < gamma the two terms of the step cancel, by up to
 about gamma/alpha: the error grows to 1.4e-9 at gamma = 40 and 5e-8 at
 gamma = 180 (alpha = 8.3e-4).  The rule alone does better at those z, but
-it is off by up to 1e-6 at z > gamma.  U'/U there is
--alpha U(alpha+1, gamma+1)/U(alpha, gamma), and
-U(alpha+1, gamma+1)/U(alpha+1, gamma) = <1 + t> on the rule of U(alpha+1),
-which the step already evaluates: two passes of the rule in all, and no
-cancellation beyond that of the step itself (U'/U is within 1.0e-12 of
-mpmath on the grid above).
+it is off by up to 1e-6 at z > gamma.  U'/U and U''/U there are
+-alpha U(alpha+1, gamma+1)/U and alpha (alpha+1) U(alpha+2, gamma+2)/U, and
+U(alpha+j, gamma+j)/U(alpha+j, gamma) = <(1 + t)^j> on the rule of
+U(alpha+j), which the step already evaluates: two passes of the rule in
+all, and no cancellation beyond that of the step itself (both are within
+1.0e-12 of mpmath on the grid above).
 
 Supported box.  On 2000 log-uniform draws over k in [0.01, 5], theta in
 [0.003, 0.3], sigma in [0.005, 0.5] and c in [0.005, 0.2] (gamma from 6e-4
@@ -106,11 +106,12 @@ def _laplace_rule(alpha: float, g: float,
                             w_outer * t_outer ** (alpha - 1.0)]))
 
 
-def _u_panels(alpha: float, gamma: float,
-              zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ln U, <t>) at every z of zs by panel-wise GK15 over the Laplace
-    integral: ln U by log-sum-exp over the nodes, <t> the mean of t under
-    the same weights, so U'/U = -<t>.  The integrand decays like
+def _u_panels(alpha: float, gamma: float, zs: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ln U, <t>, <t^2>) at every z of zs by panel-wise GK15 over the
+    Laplace integral: ln U by log-sum-exp over the nodes, <t> and <t^2> the
+    moments of t under the same weights, so U'/U = -<t> and U''/U = <t^2>.
+    The integrand decays like
     (z t)^{gamma-2} e^{-z t} at large t and like (z t)^{alpha-1} e^{-z t}
     for t << 1, where large z puts the mass."""
     t, w = _laplace_rule(alpha, max(gamma - 2.0, alpha - 1.0), zs)
@@ -119,36 +120,43 @@ def _u_panels(alpha: float, gamma: float,
     e -= peak[:, None]
     np.exp(e, out=e)
     total = e.sum(axis=1)
-    return peak + np.log(total) - math.lgamma(alpha), (e @ t) / total
+    return (peak + np.log(total) - math.lgamma(alpha), (e @ t) / total,
+            (e @ (t * t)) / total)
 
 
-def _tricomi_u_raw(alpha: float, gamma: float,
-                   zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ln U(alpha, gamma, z), U'/U) at every z of zs: one rule pass, with
-    U'/U = -<t>.  For alpha < _ALPHA_STEP, one backward step of DLMF 13.3.7
-    in a, at the same gamma and z,
+def _tricomi_u_raw(alpha: float, gamma: float, zs: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ln U(alpha, gamma, z), U'/U, U''/U) at every z of zs: one rule pass,
+    with U'/U = -<t> and U''/U = <t^2>.  For alpha < _ALPHA_STEP, one
+    backward step of DLMF 13.3.7 in a, at the same gamma and z,
         U(alpha) = (z + 2 + 2 alpha - gamma) U(alpha + 1)
                    + (alpha + 1)(gamma - alpha - 2) U(alpha + 2),
     the stable direction for the minimal solution U, replaces the Laplace
     rule, which cannot resolve t^{alpha-1} there; then
-        U'/U = -alpha (1 + <t>_1) U(alpha + 1) / U(alpha),
-    with <t>_1 from the rule of U(alpha + 1, gamma)."""
+        U'/U  = -alpha (1 + <t>_1) U(alpha + 1) / U(alpha),
+        U''/U = alpha (alpha + 1) <(1 + t)^2>_2 U(alpha + 2) / U(alpha),
+    with <.>_1 and <.>_2 from the rules of U(alpha + 1, gamma) and
+    U(alpha + 2, gamma)."""
     if alpha <= 0.0:
         raise DomainError(f"U requires alpha > 0, got {alpha!r}")
     _check_z(zs, "U")
     if zs.size == 0:
-        return np.empty_like(zs), np.empty_like(zs)
+        return np.empty_like(zs), np.empty_like(zs), np.empty_like(zs)
     z = zs.ravel()
     if alpha >= _ALPHA_STEP:
-        log_u, mean_t = _u_panels(alpha, gamma, z)
-        return log_u.reshape(zs.shape), -mean_t.reshape(zs.shape)
-    log_u1, mean_t1 = _u_panels(alpha + 1.0, gamma, z)
-    ratio = np.exp(_u_panels(alpha + 2.0, gamma, z)[0] - log_u1)
+        log_u, mean_t, mean_tt = _u_panels(alpha, gamma, z)
+        return (log_u.reshape(zs.shape), -mean_t.reshape(zs.shape),
+                mean_tt.reshape(zs.shape))
+    log_u1, mean_t1, _ = _u_panels(alpha + 1.0, gamma, z)
+    log_u2, mean_t2, mean_tt2 = _u_panels(alpha + 2.0, gamma, z)
+    ratio = np.exp(log_u2 - log_u1)
     # U(alpha) / U(alpha + 1)
     step = (z + 2.0 + 2.0 * alpha - gamma
             + (alpha + 1.0) * (gamma - alpha - 2.0) * ratio)
     return ((log_u1 + np.log(step)).reshape(zs.shape),
-            (-alpha * (1.0 + mean_t1) / step).reshape(zs.shape))
+            (-alpha * (1.0 + mean_t1) / step).reshape(zs.shape),
+            (alpha * (alpha + 1.0) * (1.0 + 2.0 * mean_t2 + mean_tt2)
+             * ratio / step).reshape(zs.shape))
 
 
 def log_wronskian(alpha: float, gamma: float, zs: np.ndarray) -> np.ndarray:

@@ -106,8 +106,9 @@ def boundary_residual_ratio_form(consts, contract, z_candidate):
 
 
 def annuity_mp(cir, contract, x, dps=DPS):
-    """(A, A') = (c int_0^inf P(x, t) dt, -c int_0^inf B P dt) by mp.quad of
-    the Cox-Ingersoll-Ross bond price P = A_P(t) e^{-B(t) x}, as mpf."""
+    """(A, A', A'') = (c int_0^inf P(x, t) dt, -c int_0^inf B P dt,
+    c int_0^inf B^2 P dt) by mp.quad of the Cox-Ingersoll-Ross bond price
+    P = A_P(t) e^{-B(t) x}, as mpf."""
     with mp.workdps(dps):
         k, theta, sigma = map(mp.mpf, (cir.k, cir.theta, cir.sigma))
         c, x = mp.mpf(contract.c), mp.mpf(x)
@@ -121,6 +122,9 @@ def annuity_mp(cir, contract, x, dps=DPS):
             return b, mp.exp(g * mp.log(2 * h * mp.exp((k - h) * t / 2) / den)
                              - b * x)
 
+        def b_squared_p(b, price):
+            return b * b * price
+
         # the long rate r_inf sets the decay; split at powers of ten below
         r_inf = 2 * k * theta / (h + k)
         pts = ([0] + [mp.mpf(10) ** j for j in range(-8, 8)
@@ -128,7 +132,8 @@ def annuity_mp(cir, contract, x, dps=DPS):
                + [200 / r_inf, mp.inf])
         ann = c * mp.quad(lambda t: terms(t)[1], pts)
         ann_x = -c * mp.quad(lambda t: mp.fprod(terms(t)), pts)
-        return +ann, +ann_x
+        ann_xx = c * mp.quad(lambda t: b_squared_p(*terms(t)), pts)
+        return +ann, +ann_x, +ann_xx
 
 
 def annuity_residual_mp(cir, contract, x):
@@ -142,6 +147,6 @@ def annuity_residual_mp(cir, contract, x):
         g = 2 * k * mp.mpf(cir.theta) / sigma ** 2
         al = g / 2 * (1 - k / s)
         z = p * mp.mpf(x)
-        ann, ann_x = annuity_mp(cir, contract, x)
+        ann, ann_x, _ = annuity_mp(cir, contract, x)
         ratio = -al * mp.hyperu(al + 1, g + 1, z) / mp.hyperu(al, g, z)
         return float((1 - ann) * (lam + p * ratio) + ann_x)

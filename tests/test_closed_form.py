@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cirmort import closed_form
+from cirmort import closed_form, specfun
 from cirmort.closed_form import (DiagnosticsWarning, _Workspace, ode_residual,
                                  solve_boundary, value, value_curve,
                                  value_derivative)
@@ -150,11 +150,10 @@ def test_annuity_matches_bond_price_quadrature(cir, c):
     xs = np.array([1e-4 * cir.theta, 1.0 / d.p, cir.theta,
                    10.0 * max(cir.theta, c), 1400.0 / d.p,
                    max(50.0 * max(cir.theta, c), 100.0 * cir.k)])
-    got, got_x = ws.annuity(xs)
-    for x, v, v_x in zip(xs, got, got_x):
-        want, want_x = annuity_mp(cir, con, x, dps=25)
-        assert abs(v - want) <= 1e-13 * want, x
-        assert abs(v_x - want_x) <= 1e-13 * abs(want_x), x
+    for x, *got in zip(xs, *ws.annuity(xs)):
+        # A, A' and A'' do not cancel: each integrand keeps one sign
+        for v, want in zip(got, annuity_mp(cir, con, x, dps=25)):
+            assert abs(v - want) <= 1e-13 * abs(want), x
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +185,7 @@ def test_iu_matches_nested_definition(cir):
     # from the first scan point to the tail probe of cmd_verify
     zs = np.array([1e-4 * d.p * cir.theta, 1.0, d.p * cir.theta,
                    10.0 * d.p * max(cir.theta, CONTRACT.c), 1400.0])
-    ann, ann_x = ws.annuity(zs / d.p)
+    ann, ann_x, _ = ws.annuity(zs / d.p)
     ratio = _tricomi_u_raw(d.alpha, d.gamma, zs)[1]
     for z, v, v_x, r in zip(zs, ann, ann_x, ratio):
         got = closed_form._msc_iu(ws, float(z), float(v), float(v_x),
@@ -252,14 +251,33 @@ def test_solve_warns_only_when_a_diagnostic_misses(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DiagnosticsWarning)
         solve_boundary(PRIMARY_CIR, CONTRACT)
-    # a 1000x coarser V'' stencil leaves an ODE residual of about 1e-5
-    monkeypatch.setattr(closed_form, "_STEP_SCALE", 1e-2)
+    # no ODE residual meets a zero bound
+    monkeypatch.setattr(closed_form, "ODE_RESIDUAL_TOL_PER_C", 0.0)
     msg = missed()
     assert "ode_residual_max" in msg and "pasting" not in msg
     monkeypatch.undo()
     monkeypatch.setattr(closed_form, "PASTING_SLOPE_TOL", 0.0)
     msg = missed()
     assert "pasting_slope" in msg and "ode_residual_max" not in msg
+
+
+@pytest.mark.parametrize("module,name,perturb", [
+    # A scaled by 1 + 1e-6 no longer solves L A + c = 0
+    (closed_form, "bond_price_terms",
+     lambda f: lambda cir, t: (f(cir, t)[0] + 1e-6, f(cir, t)[1])),
+    # U from a weight with gamma(1 + 1e-6) no longer solves Kummer's
+    # equation at gamma; a U''/U taken from that equation would hide it
+    (specfun, "_u_panels",
+     lambda f: lambda alpha, gamma, zs: f(alpha, gamma * (1.0 + 1e-6), zs)),
+], ids=["log_a", "u_weight_gamma"])
+def test_ode_residual_sees_a_perturbed_solution(monkeypatch, module, name,
+                                                perturb):
+    # each moves the residual to about 1e-6 c, near its bound, from 1e-15 c
+    monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DiagnosticsWarning)
+        sol = solve_boundary(PRIMARY_CIR, CONTRACT)
+    assert sol.diagnostics.ode_residual_max > 5e-7 * CONTRACT.c
 
 
 def test_solve_second_fixture():
@@ -416,23 +434,29 @@ def test_value_path_matches_mpmath_definition(cir, c):
     xs = np.append(sol.x_star * np.array([1.001, 1.1, 2.0, 5.0, 20.0]),
                    x_tail)
     got_v, got_dv = value(sol, xs), value_derivative(sol, xs)
+    got_d2v = closed_form._branch(sol, xs)[2]
     with mp.workdps(30):
         al, g = mp.mpf(d.alpha), mp.mpf(d.gamma)
         p, lam = mp.mpf(d.p), mp.mpf(d.lam)
         x_star = mp.mpf(sol.x_star)
         amp = 1 - annuity_mp(cir, con, sol.x_star)[0]
         u_star = mp.hyperu(al, g, p * x_star)
-        for x, v, dv in zip(map(mp.mpf, xs), got_v, got_dv):
-            ann, ann_x = annuity_mp(cir, con, x)
-            w = amp * mp.exp(lam * (x - x_star)) * mp.hyperu(al, g, p * x) \
-                / u_star
+        for x, v, dv, d2v in zip(map(mp.mpf, xs), got_v, got_dv, got_d2v):
+            ann, ann_x, ann_xx = annuity_mp(cir, con, x)
+            u = mp.hyperu(al, g, p * x)
+            w = amp * mp.exp(lam * (x - x_star)) * u / u_star
             want = ann + w
             assert abs(v - want) <= 1e-12 * abs(want), x
-            # dV/dx cancels to 0 at x*: bound it against its terms
-            ratio = -al * mp.hyperu(al + 1, g + 1, p * x) / mp.hyperu(
-                al, g, p * x)
+            # dV/dx cancels to 0 at x*, and V'' may cancel too: bound both
+            # against their terms
+            ratio = -al * mp.hyperu(al + 1, g + 1, p * x) / u
+            ratio2 = al * (al + 1) * mp.hyperu(al + 2, g + 2, p * x) / u
             terms = [ann_x, w * (lam + p * ratio)]
             assert abs(dv - mp.fsum(terms)) \
+                <= 1e-12 * mp.fsum(map(abs, terms)), x
+            terms = [ann_xx, w * (lam * lam + 2 * lam * p * ratio
+                                  + p * p * ratio2)]
+            assert abs(d2v - mp.fsum(terms)) \
                 <= 1e-12 * mp.fsum(map(abs, terms)), x
 
 
@@ -481,17 +505,16 @@ def test_value_path_calls_the_annuity_kernel_once_per_chunk(monkeypatch):
     monkeypatch.setattr(_Workspace, "residual_scaled", counted_residual)
     sol = solve_boundary(PRIMARY_CIR, CONTRACT)
     # one call per residual (the scan, then Brent's), one for A at x*, and
-    # the diagnostics last: one call at x*, one for the 7 probes' 21 stencil
-    # points
+    # the diagnostics last: one call at x*, one for the 7 probes
     assert sizes[:len(residual_calls)] == residual_calls
     assert len(sizes) == len(residual_calls) + 3
-    assert sizes[-3:] == [1, 1, 21]
+    assert sizes[-3:] == [1, 1, 7]
     sizes.clear()
     value_curve(sol, sol.x_star, 5.0 * sol.x_star, 101)
-    # V at the 100 points past x* and the residual at their 300 stencil
-    # points, in chunks of at most 64
-    assert len(sizes) == math.ceil(100 / 64) + math.ceil(300 / 64)
-    assert max(sizes) <= 64 and sum(sizes) == 100 + 300
+    # V at the 100 points past x*, then the residual at the same points, in
+    # chunks of at most 64
+    assert len(sizes) == 2 * math.ceil(100 / 64)
+    assert max(sizes) <= 64 and sum(sizes) == 2 * 100
 
 
 def test_value_rejects_negative_rate(primary_solution):

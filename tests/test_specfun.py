@@ -1,10 +1,10 @@
-"""Unit tests for the confluent hypergeometric kernel: ln U and U'/U,
-ln(e^{-z} M) and M'/M, and the log of their Wronskian.
+"""Unit tests for the confluent hypergeometric kernel: ln U, U'/U and
+U''/U, ln(e^{-z} M) and M'/M, and the log of their Wronskian.
 
 M is checked against a local power-series oracle, U against direct
 quadrature of its Laplace integral representation, and both against the
-closed-form Wronskian.  mpmath supplies high-precision values of U, U'/U
-and M'/M.
+closed-form Wronskian.  mpmath supplies high-precision values of U, U'/U,
+U''/U and M'/M.
 """
 
 import math
@@ -53,10 +53,10 @@ def u_quad(alpha, gamma, z):
 
 def _u_parts(alpha, gamma, z):
     zs = np.atleast_1d(np.asarray(z, dtype=float))
-    log_u, ratio = _tricomi_u_raw(alpha, gamma, zs)
+    parts = _tricomi_u_raw(alpha, gamma, zs)
     if np.ndim(z) == 0:
-        return float(log_u[0]), float(ratio[0])
-    return log_u, ratio
+        return tuple(float(part[0]) for part in parts)
+    return parts
 
 
 def u(alpha, gamma, z):
@@ -69,11 +69,25 @@ def u_ratio(alpha, gamma, z):
     return _u_parts(alpha, gamma, z)[1]
 
 
+def u_ratio2(alpha, gamma, z):
+    """U''/U at one z or at each z of an array."""
+    return _u_parts(alpha, gamma, z)[2]
+
+
 def u_ratio_mp(alpha, gamma, z):
     """U'/U = -alpha U(alpha+1, gamma+1, z) / U(alpha, gamma, z), 30 digits."""
     with mpmath.workdps(30):
         a = mpmath.mpf(alpha)
         return float(-a * mpmath.hyperu(a + 1, gamma + 1, z)
+                     / mpmath.hyperu(a, gamma, z))
+
+
+def u_ratio2_mp(alpha, gamma, z):
+    """U''/U = alpha (alpha+1) U(alpha+2, gamma+2, z) / U(alpha, gamma, z),
+    30 digits."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(alpha)
+        return float(a * (a + 1) * mpmath.hyperu(a + 2, gamma + 2, z)
                      / mpmath.hyperu(a, gamma, z))
 
 
@@ -90,7 +104,7 @@ def m_ratio(alpha, gamma, z):
 def log_wronskian_num(alpha, gamma, zs):
     """ln |M U (U'/U - M'/M)| at each z of zs: the Wronskian M U' - M' U
     from the functions the solver calls."""
-    log_u, ratio = _tricomi_u_raw(alpha, gamma, zs)
+    log_u, ratio, _ = _tricomi_u_raw(alpha, gamma, zs)
     log_msc, m_ratio = _log_msc_and_ratio(alpha, gamma, zs)
     return log_msc + zs + log_u + np.log(m_ratio - ratio)
 
@@ -225,23 +239,29 @@ def test_u_matches_mpmath_on_array_and_points(alpha):
     # one rule for every z: arrays spanning both sides of z = 0.5 and
     # single points, out to z = 500 where the integrand decays like
     # t^{alpha-1} e^{-z t} and the rule must reach far enough in t; U'/U
-    # comes from the same pass
+    # and U''/U come from the same pass
     zs = np.array([0.01, 0.04, 0.15, 0.45, 0.6, 2.0, 8.0, 30.0, 120.0, 500.0])
     for gamma in (0.5, alpha + 1.0, 2.0 * alpha + 1.0, 24.0, 41.0):
         with mpmath.workdps(30):
             want = np.array([float(mpmath.hyperu(alpha, gamma, z))
                              for z in zs])
         want_ratio = np.array([u_ratio_mp(alpha, gamma, z) for z in zs])
+        want_ratio2 = np.array([u_ratio2_mp(alpha, gamma, z) for z in zs])
         got = u(alpha, gamma, zs)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), gamma
         got_ratio = u_ratio(alpha, gamma, zs)
         assert np.all(np.abs(got_ratio - want_ratio)
                       <= 1e-12 * np.abs(want_ratio)), gamma
-        for z, w, wr in zip(zs, want, want_ratio):
+        got_ratio2 = u_ratio2(alpha, gamma, zs)
+        assert np.all(np.abs(got_ratio2 - want_ratio2)
+                      <= 1e-12 * want_ratio2), gamma
+        for z, w, wr, wr2 in zip(zs, want, want_ratio, want_ratio2):
             got = u(alpha, gamma, float(z))
             assert abs(got - w) <= 1e-12 * abs(w), (gamma, z)
             got_ratio = u_ratio(alpha, gamma, float(z))
             assert abs(got_ratio - wr) <= 1e-12 * abs(wr), (gamma, z)
+            got_ratio2 = u_ratio2(alpha, gamma, float(z))
+            assert abs(got_ratio2 - wr2) <= 1e-12 * wr2, (gamma, z)
 
 
 @pytest.mark.parametrize("alpha", [8.3e-4, 2.1e-3, 8.9e-3])
@@ -255,16 +275,22 @@ def test_u_at_small_alpha_matches_mpmath(alpha):
             want = np.array([float(mpmath.hyperu(alpha, gamma, z))
                              for z in zs])
         want_ratio = np.array([u_ratio_mp(alpha, gamma, z) for z in zs])
+        want_ratio2 = np.array([u_ratio2_mp(alpha, gamma, z) for z in zs])
         got = u(alpha, gamma, zs)
         assert np.all(np.abs(got - want) <= 1e-11 * want), gamma
         got_ratio = u_ratio(alpha, gamma, zs)
         assert np.all(np.abs(got_ratio - want_ratio)
                       <= 1e-11 * np.abs(want_ratio)), gamma
-        for z, w, wr in zip(zs, want, want_ratio):
+        got_ratio2 = u_ratio2(alpha, gamma, zs)
+        assert np.all(np.abs(got_ratio2 - want_ratio2)
+                      <= 1e-11 * want_ratio2), gamma
+        for z, w, wr, wr2 in zip(zs, want, want_ratio, want_ratio2):
             assert abs(u(alpha, gamma, float(z)) - w) <= 1e-11 * w, \
                 (gamma, z)
             assert abs(u_ratio(alpha, gamma, float(z)) - wr) \
                 <= 1e-11 * abs(wr), (gamma, z)
+            assert abs(u_ratio2(alpha, gamma, float(z)) - wr2) \
+                <= 1e-11 * wr2, (gamma, z)
 
 
 @pytest.mark.parametrize("alpha,passes", [(0.5, 1), (_ALPHA_STEP, 1),
