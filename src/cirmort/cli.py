@@ -1,7 +1,7 @@
 """Command-line interface: solve, curve, verify, compare.
 
 Results go to stdout (JSON for reports, CSV for curves); structured errors go
-to stderr as JSON.  Exit codes: 0 success, 2 validation error, 3 no bracket,
+to stderr as JSON.  Exit codes: 0 success, 2 validation error, 3 no boundary,
 4 convergence or other numerical failure, 5 verification failure.
 
 Numbers are printed with 17 significant digits in JSON and 12 in CSV so
@@ -83,10 +83,9 @@ def _csv_num(x: float) -> str:
 
 
 def _error_json(exc: Exception) -> None:
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    if isinstance(exc, ValidationError):
-        payload["field"] = exc.field
-    _print_json(payload, stream=sys.stderr)
+    # plus the error's own fields, ValidationError.field and the like
+    _print_json({"error": type(exc).__name__, "message": str(exc),
+                 **vars(exc)}, stream=sys.stderr)
 
 
 # ---------------------------------------------------------------------------

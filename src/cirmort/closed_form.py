@@ -20,9 +20,10 @@ boundary residual
 
 where <t> is the mean of t under the weight e^{-z t} t^{alpha-1}
 (1 + t)^{gamma-alpha-1} of U's Laplace integral, so one pass of that rule
-gives ln U and U'/U (specfun._tricomi_u_raw).  R's root is x*; the solver
-scans and refines R/p in z (_Workspace.residual_scaled).  The value on the
-continuation branch x >= x* is
+gives ln U and U'/U (specfun._tricomi_u_raw).  R's root is x*.  A decreases
+(P = A_P e^{-B x}, B > 0) and U'/U < 0 tends to -inf as z -> 0, so R < 0 at
+every x > 0 if A(0) <= 1 and R > 0 near 0 if A(0) > 1: a boundary exists if
+and only if A(0) > 1, and then x* <= c.  The value on the branch x >= x* is
 
     V(x) = A(x) + (1 - A(x*)) e^{lam (x - x*)} U(z) / U(z*).
 
@@ -63,8 +64,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, NoBracketError, ValidationError
-from .model import (CirParams, ContractParams, DerivedConstants,
+from .errors import (BoundaryBelowFloorError, DomainError, NoBracketError,
+                     ValidationError)
+from .model import (RATE_FLOOR, CirParams, ContractParams, DerivedConstants,
                     bond_price_terms, derive_constants)
 from .numerics import find_root_bracketed, gk15_panels
 from .specfun import _kummer_m_scaled, _tricomi_u_raw
@@ -84,7 +86,7 @@ __all__ = [
 
 Real = Union[float, np.ndarray]
 
-_SCAN_POINTS = 64
+_CHUNK = 64
 # The annuity rule in t (years): GK15 on [0, _T_FIRST], then panels growing
 # by _T_RATIO until their width reaches _T_SPAN / r_inf, equal panels of that
 # width beyond, out to _T_REACH / r_inf, where P has decayed like
@@ -178,15 +180,15 @@ def _branch(sol: SteadyStateSolution, xs: np.ndarray) -> np.ndarray:
         d2V/dx2 = A''(x) + p^2 g (U''/U - 2 a U'/U + a^2),
 
     with one call of the annuity kernel and of U per chunk of at most
-    _SCAN_POINTS sorted abscissae."""
+    _CHUNK sorted abscissae."""
     ws = sol.workspace
     p = ws.consts.p
     z = np.maximum(p * xs, sol.z_star)
     order = np.argsort(z, kind="stable")
     zs = z[order]
     rows = np.empty((3, zs.size))
-    for lo in range(0, zs.size, _SCAN_POINTS):
-        part = slice(lo, lo + _SCAN_POINTS)
+    for lo in range(0, zs.size, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
         c = zs[part]
         ann, ann_x, ann_xx = ws.annuity(c / p)
         log_u, ratio, ratio2 = _tricomi_u_raw(ws.alpha, ws.gamma, c)
@@ -294,11 +296,12 @@ def _msc_iu(ws: _Workspace, z: float, ann: float, ann_x: float,
 
 def solve_boundary(cir: CirParams, contract: ContractParams,
                    tol: float = 1e-10) -> SteadyStateSolution:
-    """Locate the free boundary: geometric scan for a sign change of the
-    smooth-pasting residual, Brent refinement, then assemble the solution
-    with its pasting and ODE-residual diagnostics.  Warns with
-    DiagnosticsWarning, naming each diagnostic, when one misses its bound
-    (PASTING_VALUE_TOL, PASTING_SLOPE_TOL, ODE_RESIDUAL_TOL_PER_C times c)."""
+    """Locate the free boundary and assemble the solution with its pasting
+    and ODE-residual diagnostics: NoBracketError if A(0) <= 1, else Brent on
+    R/p (_Workspace.residual_scaled) in the first decade below z = p c whose
+    lower end has R/p > 0, BoundaryBelowFloorError if that is below
+    p RATE_FLOOR.  A DiagnosticsWarning names each diagnostic that misses its
+    bound (PASTING_VALUE_TOL, PASTING_SLOPE_TOL, ODE_RESIDUAL_TOL_PER_C c)."""
     if not tol >= 1e-12:
         raise ValidationError("tol", f"must be >= 1e-12, got {tol!r}")
     if abs(contract.m - contract.c) > 1e-15 * max(contract.m, contract.c):
@@ -308,21 +311,18 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
     ws = _Workspace(cir, contract)
     consts = ws.consts
 
-    z_lo = 1e-4 * consts.p * cir.theta
-    z_hi = 10.0 * consts.p * max(cir.theta, contract.c)
-    grid = np.geomspace(z_lo, z_hi, _SCAN_POINTS)
-    vals = ws.residual_scaled(grid)
-    finite = np.isfinite(vals)
-    change = np.nonzero(finite[:-1] & finite[1:]
-                        & (vals[:-1] * vals[1:] < 0))[0]
-    if change.size == 0:
-        raise NoBracketError(
-            "no sign change of the boundary residual on the scan grid",
-            scan_points=grid, scan_values=vals)
-
-    lo, hi = float(grid[change[0]]), float(grid[change[0] + 1])
-    z_star = find_root_bracketed(ws.residual_scaled, lo, hi,
-                                 tol=tol * lo / max(1.0, hi))
+    ann_zero = float(ws.annuity(np.zeros(1))[0][0])
+    if not ann_zero > 1.0:
+        raise NoBracketError(f"no interior boundary: A(0) = {ann_zero!r} <= 1",
+                             annuity_at_zero=ann_zero)
+    lo = 0.1 * consts.p * contract.c
+    while not ws.residual_scaled(lo) > 0.0:
+        lo *= 0.1
+        if lo < consts.p * RATE_FLOOR:
+            raise BoundaryBelowFloorError(
+                f"A(0) = {ann_zero!r} > 1, but x* < {RATE_FLOOR!r}")
+    z_star = find_root_bracketed(ws.residual_scaled, lo, 10.0 * lo,
+                                 tol=tol * lo / max(1.0, 10.0 * lo))
     x_star = z_star / consts.p
 
     zs = np.array([z_star])

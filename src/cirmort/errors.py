@@ -24,16 +24,16 @@ class DomainError(CirMortError):
 
 
 class NoBracketError(CirMortError):
-    """A sign-change scan found no bracket.
+    """No interior boundary: A(0) <= 1 (see closed_form).  annuity_at_zero is
+    A(0) from the solver, Y at the rate floor from the shooting sweep."""
 
-    ``scan_points`` / ``scan_values`` record the scanned abscissae and the
-    residual values so the caller can inspect the landscape.
-    """
-
-    def __init__(self, message: str, scan_points=None, scan_values=None):
+    def __init__(self, message: str, annuity_at_zero=None):
         super().__init__(message)
-        self.scan_points = scan_points
-        self.scan_values = scan_values
+        self.annuity_at_zero = annuity_at_zero
+
+
+class BoundaryBelowFloorError(CirMortError):
+    """A(0) > 1, so a boundary exists, but it lies below model.RATE_FLOOR."""
 
 
 class ConvergenceError(CirMortError):

@@ -25,6 +25,8 @@ __all__ = [
     "balance",
 ]
 
+RATE_FLOOR = 1e-300    # lowest x searched; the box's least x*/theta is 4.2e-33
+
 
 class FellerWarning(UserWarning):
     """2*k*theta < sigma^2: the rate process can touch zero.

@@ -7,22 +7,23 @@
   transition sampling.
 
 Riccati sweep.  With D = sigma^2 x / 2 and K = k (theta - x), the steady ODE
-D V'' + K V' - x V + c = 0 on x >= x* is written V' = q V + phi, where
-q = W'/W of the decaying homogeneous solution W and
+D V'' + K V' - x V + c = 0 on x >= x* is written V' = q V + phi, with
+q = W'/W < 0 of the decaying homogeneous solution W.  q and phi blow up as
+x -> 0; in u = ln x, L = ln(-x q) and Y = -phi / q do not, and obey
 
-    q'   = (x - K q) / D - q^2,
-    phi' = -c / D - (K / D + q) phi.
+    dL/du = 1 - 2 k (theta - x) / sigma^2 - 2 x^2 e^{-L} / sigma^2 + e^L,
+    dY/du = -2 x (c - x Y) e^{-L} / sigma^2,
 
-Smooth pasting (V = 1, V' = 0) is then the event q + phi = 0; q + phi equals
-the closed form's residual (1 - A) q + A' but needs no special function.
-Both equations are stable integrated towards x = 0 (Meyer & van der Hoek,
-Adv. Futures Options Res. 9, 1997; Ascher, Mattheij & Russell, SIAM 1995),
-so the sweep starts at a large X from the tails q = lam - alpha / X and
-phi = A' - q A with A = c/X + k c/X^2, A' = -c/X^2 - 2 k c/X^3, and the
-first event on the way down is x*.  Errors in those start values decay like
-exp(-(k + s)(X - x) / sigma^2), so X = max(50 max(theta, c),
-30 sigma^2 / (k + s)) leaves at most e^{-30} of them at the boundary even
-where sigma^2 is large against k + s.
+stable towards x = 0 (Meyer & van der Hoek, Adv. Futures Options Res. 9,
+1997; Ascher, Mattheij & Russell, SIAM 1995).  Y = A - A'/q is the value at
+x of the decaying solution with zero slope there, so smooth pasting is the
+event Y = 1, and Y -> A(0) as x -> 0 decides, with no special function,
+whether a boundary exists (A(0) > 1, see closed_form).  The sweep runs from
+X down to model.RATE_FLOOR, and its first event is x*.  It starts from the
+tails q = lam - alpha / X and A = c/X + k c/X^2, A' = -c/X^2 - 2 k c/X^3,
+whose errors decay like exp(-(k + s)(X - x) / sigma^2), so X = max(50
+max(theta, c), 30 sigma^2 / (k + s)) leaves at most e^{-30} of them at the
+boundary even where sigma^2 is large against k + s.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, NoBracketError, ValidationError
-from .model import CirParams, ContractParams, balance, derive_constants
+from .model import (RATE_FLOOR, CirParams, ContractParams, balance,
+                    derive_constants)
 
 __all__ = [
     "ShootingReport",
@@ -61,46 +63,42 @@ class ShootingReport:
 
 def shoot_solve(cir: CirParams, contract: ContractParams,
                 tol: float = 1e-8) -> ShootingReport:
-    """The boundary as the first zero of q + phi in one backward Riccati
-    sweep from X down to 1e-4 min(theta, c); NoBracketError if there is
-    none.  LSODA with the analytic Jacobian runs at rtol 1e-4 tol, and
-    tol >= 1e-9 keeps that above scipy's floor."""
+    """The boundary as the first x where Y = 1 in one backward LSODA sweep
+    of (L, Y) in u = ln x, from X down to RATE_FLOOR; NoBracketError,
+    carrying Y at the floor, if there is none.  The sweep runs at rtol
+    1e-4 tol, and tol >= 1e-9 keeps that above scipy's floor."""
     if not tol >= 1e-9:
         raise ValidationError("tol", f"must be >= 1e-9, got {tol!r}")
     k, theta, sigma2, c = cir.k, cir.theta, cir.sigma ** 2, contract.c
     consts = derive_constants(cir)
     x_hi = max(50.0 * max(theta, c), 30.0 * sigma2 / (k + consts.s))
-    x_lo = 1e-4 * min(theta, c)
 
-    def rhs(x, y):
-        q, phi = y
-        d = 0.5 * sigma2 * x
-        kd = k * (theta - x) / d
-        return (x / d - kd * q - q * q, -c / d - (kd + q) * phi)
+    def rhs(u, y):
+        ell, big_y = y
+        # 2 x e^{-L} / sigma^2 and x times it; e^{-L} alone overflows
+        w1 = 2.0 / sigma2 * math.exp(u - ell)
+        w2 = w1 * math.exp(u)
+        return (1.0 - 2.0 * k * (theta - math.exp(u)) / sigma2 - w2
+                + math.exp(ell), big_y * w2 - c * w1)
 
-    def jac(x, y):
-        q, phi = y
-        kd = k * (theta - x) / (0.5 * sigma2 * x)
-        return ((-kd - 2.0 * q, 0.0), (-phi, -(kd + q)))
-
-    def pasting(x, y):
-        return y[0] + y[1]
+    def pasting(u, y):
+        return y[1] - 1.0
 
     pasting.terminal = True
     q0 = consts.lam - consts.alpha / x_hi
     ann = c / x_hi + k * c / x_hi ** 2
     ann_x = -c / x_hi ** 2 - 2.0 * k * c / x_hi ** 3
-    sol = solve_ivp(rhs, (x_hi, x_lo), (q0, ann_x - q0 * ann),
-                    method="LSODA", jac=jac, events=pasting,
+    sol = solve_ivp(rhs, (math.log(x_hi), math.log(RATE_FLOOR)),
+                    (math.log(-x_hi * q0), ann - ann_x / q0),
+                    method="LSODA", events=pasting,
                     rtol=1e-4 * tol, atol=1e-14)
     if sol.status == -1:
         raise ConvergenceError(
-            f"Riccati sweep failed near x = {sol.t[-1]!r}: {sol.message}")
+            f"sweep failed near x = {math.exp(sol.t[-1])!r}: {sol.message}")
     if sol.t_events[0].size == 0:
-        raise NoBracketError(
-            f"q + phi keeps its sign from {x_hi!r} down to {x_lo!r}",
-            scan_points=sol.t, scan_values=sol.y.sum(axis=0))
-    return ShootingReport(r_star=float(sol.t_events[0][0]),
+        raise NoBracketError(f"Y < 1 down to x = {RATE_FLOOR!r}",
+                             annuity_at_zero=float(sol.y[1, -1]))
+    return ShootingReport(r_star=math.exp(float(sol.t_events[0][0])),
                           rhs_calls=int(sol.nfev))
 
 

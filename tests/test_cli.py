@@ -97,7 +97,9 @@ def test_no_bracket_exit_3(capsys):
                  "--c", "0.03"])
     assert code == 3
     assert out == ""
-    assert json.loads(err)["error"] == "NoBracketError"
+    payload = json.loads(err)
+    assert payload["error"] == "NoBracketError"
+    assert payload["annuity_at_zero"] <= 1.0
 
 
 def test_tol_root_consistency(capsys):

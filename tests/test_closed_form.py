@@ -2,7 +2,9 @@
 solution, annuity, boundary residual, and the solved value function."""
 
 import math
+import runpy
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -12,7 +14,8 @@ from cirmort import closed_form, specfun
 from cirmort.closed_form import (DiagnosticsWarning, _Workspace, ode_residual,
                                  solve_boundary, value, value_curve,
                                  value_derivative)
-from cirmort.errors import DomainError, NoBracketError, ValidationError
+from cirmort.errors import (BoundaryBelowFloorError, DomainError,
+                            NoBracketError, ValidationError)
 from cirmort.model import CirParams, ContractParams, derive_constants
 from cirmort.numerics import find_root_bracketed
 from cirmort.oracles import shoot_solve
@@ -25,6 +28,8 @@ from closed_form_reference import (annuity_mp, annuity_residual_mp,
                                    kernel_weight, particular_solution,
                                    source_term)
 
+GRID = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts"
+                           / "solve_grid.py"))["GRID"]
 UNIT_CIR = CirParams(k=1.0, theta=1.0, sigma=1.0)
 PRIMARY_CIR = CirParams(k=0.25, theta=0.06, sigma=0.1)
 CONTRACT = ContractParams(c=0.05, m=0.05)
@@ -146,7 +151,7 @@ def test_annuity_matches_bond_price_quadrature(cir, c):
     con = ContractParams(c=c, m=c)
     ws = _Workspace(cir, con)
     d = ws.consts
-    # from the first scan point to the tail probe of cmd_verify
+    # from 1e-4 theta to the tail probe of cmd_verify
     xs = np.array([1e-4 * cir.theta, 1.0 / d.p, cir.theta,
                    10.0 * max(cir.theta, c), 1400.0 / d.p,
                    max(50.0 * max(cir.theta, c), 100.0 * cir.k)])
@@ -182,7 +187,7 @@ def test_iu_matches_nested_definition(cir):
     ws = _Workspace(cir, CONTRACT)
     d = ws.consts
     # the 2x2 solve that gives c2 at z* holds at every z (with z_ref = z):
-    # from the first scan point to the tail probe of cmd_verify
+    # from z = 1e-4 p theta to the tail probe of cmd_verify
     zs = np.array([1e-4 * d.p * cir.theta, 1.0, d.p * cir.theta,
                    10.0 * d.p * max(cir.theta, CONTRACT.c), 1400.0])
     ann, ann_x, _ = ws.annuity(zs / d.p)
@@ -324,8 +329,7 @@ def test_solve_tolerance_monotonicity():
 ], ids=["gamma_133", "gamma_125", "gamma_618", "gamma_180", "gamma_0.036",
         "gamma_0.025", "gamma_1111", "gamma_929", "gamma_8801"])
 def test_extreme_gamma_boundary_matches_shooting(cir, c):
-    # at large gamma U leaves float range at the small-z end of the scan;
-    # ln U does not
+    # at large gamma U leaves float range at small z; ln U does not
     con = ContractParams(c=c, m=c)
     sol = solve_boundary(cir, con)
     rep = shoot_solve(cir, con, tol=1e-8)
@@ -386,7 +390,12 @@ def test_box_scan_solves_within_bounds_or_has_no_bracket():
     # the two small-gamma sets of the shooting test above
     (CirParams(k=0.024337, theta=0.021019, sigma=0.168964), 0.023025),
     (CirParams(k=0.21605, theta=0.014419, sigma=0.49818), 0.037467),
-], ids=["gamma_0.0043", "gamma_0.036", "gamma_0.025"])
+    # two draws of the README box with roots far below theta: x* = 1.9e-6
+    # and 2.1e-12
+    (CirParams(k=0.18524, theta=0.052663, sigma=0.38733), 0.031937),
+    (CirParams(k=0.082411, theta=0.0093743, sigma=0.28582), 0.0083310),
+], ids=["gamma_0.0043", "gamma_0.036", "gamma_0.025", "gamma_0.13",
+        "gamma_0.019"])
 def test_annuity_residual_changes_sign_across_the_small_alpha_root(cir, c):
     con = ContractParams(c=c, m=c)
     x_star = solve_boundary(cir, con).x_star
@@ -402,8 +411,60 @@ def test_no_interior_boundary_regime_raises_no_bracket():
     con = ContractParams(c=0.03, m=0.03)
     with pytest.raises(NoBracketError) as exc:
         solve_boundary(cir, con)
-    assert len(exc.value.scan_points) == len(exc.value.scan_values)
-    assert len(exc.value.scan_points) > 0
+    assert exc.value.annuity_at_zero <= 1.0
+
+
+def test_no_bracket_if_and_only_if_the_annuity_at_zero_is_at_most_one():
+    # the 81 grid sets and the first 400 seed-2024 draws of the README box;
+    # on the grid the Riccati sweep's Y at its floor, which tends to A(0)
+    # with no annuity rule, must match the solver's A(0)
+    rng = np.random.default_rng(2024)
+    lo = np.log([0.01, 0.003, 0.005, 0.005])
+    hi = np.log([5.0, 0.3, 0.5, 0.2])
+    draws = [np.exp(lo + (hi - lo) * rng.random(4)).tolist()
+             for _ in range(400)]
+    no_bracket = 0
+    for i, (k, theta, sigma, c) in enumerate(GRID + draws):
+        cir = CirParams(k=k, theta=theta, sigma=sigma)
+        con = ContractParams(c=c, m=c)
+        ann_zero = float(_Workspace(cir, con).annuity(np.zeros(1))[0][0])
+        try:
+            solve_boundary(cir, con)
+        except NoBracketError as exc:
+            assert ann_zero <= 1.0, (k, theta, sigma, c)
+            assert exc.annuity_at_zero == ann_zero
+            if i < len(GRID):
+                no_bracket += 1
+                with pytest.raises(NoBracketError) as swept:
+                    shoot_solve(cir, con, tol=1e-8)
+                assert abs(swept.value.annuity_at_zero - ann_zero) \
+                    <= 1e-8 * ann_zero, (k, theta, sigma, c)
+            continue
+        assert ann_zero > 1.0, (k, theta, sigma, c)
+    assert no_bracket == 31
+
+
+@pytest.mark.parametrize("cir,c", [
+    (PRIMARY_CIR, 0.05),
+    (CirParams(k=0.1, theta=0.1, sigma=0.05), 0.03),    # no boundary
+], ids=["primary", "no_boundary"])
+def test_annuity_at_zero_matches_bond_price_quadrature(cir, c):
+    con = ContractParams(c=c, m=c)
+    got = _Workspace(cir, con).annuity(np.zeros(1))[0][0]
+    want = annuity_mp(cir, con, 0.0)[0]
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_root_below_the_rate_floor_raises_boundary_below_floor(monkeypatch):
+    # A(0) > 1 here and x* = 2.1e-12: with the floor moved above the root,
+    # neither NoBracketError nor U's DomainError at z = 0 may come out
+    cir = CirParams(k=0.082411, theta=0.0093743, sigma=0.28582)
+    con = ContractParams(c=0.0083310, m=0.0083310)
+    assert solve_boundary(cir, con).x_star < 1e-11
+    monkeypatch.setattr(closed_form, "RATE_FLOOR", 1e-11)
+    with pytest.raises(BoundaryBelowFloorError) as exc:
+        solve_boundary(cir, con)
+    assert not isinstance(exc.value, (NoBracketError, DomainError))
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +565,12 @@ def test_value_path_calls_the_annuity_kernel_once_per_chunk(monkeypatch):
     monkeypatch.setattr(_Workspace, "annuity", counted)
     monkeypatch.setattr(_Workspace, "residual_scaled", counted_residual)
     sol = solve_boundary(PRIMARY_CIR, CONTRACT)
-    # one call per residual (the scan, then Brent's), one for A at x*, and
-    # the diagnostics last: one call at x*, one for the 7 probes
-    assert sizes[:len(residual_calls)] == residual_calls
-    assert len(sizes) == len(residual_calls) + 3
+    # one call for A(0), one per residual (the step-down, then Brent's), one
+    # for A at x*, and the diagnostics last: one call at x*, one for the 7
+    # probes
+    assert sizes[0] == 1
+    assert sizes[1:1 + len(residual_calls)] == residual_calls
+    assert len(sizes) == len(residual_calls) + 4
     assert sizes[-3:] == [1, 1, 7]
     sizes.clear()
     value_curve(sol, sol.x_star, 5.0 * sol.x_star, 101)
