@@ -20,10 +20,12 @@ boundary residual
 
 where <t> is the mean of t under the weight e^{-z t} t^{alpha-1}
 (1 + t)^{gamma-alpha-1} of U's Laplace integral, so one pass of that rule
-gives ln U and U'/U (specfun._tricomi_u_raw).  R's root is x*.  A decreases
-(P = A_P e^{-B x}, B > 0) and U'/U < 0 tends to -inf as z -> 0, so R < 0 at
-every x > 0 if A(0) <= 1 and R > 0 near 0 if A(0) > 1: a boundary exists if
-and only if A(0) > 1, and then x* <= c.  The value on the branch x >= x* is
+gives ln U and U'/U (specfun._tricomi_u_raw).  R's root is x*, refined by
+Newton in ln z with R's slope from the same pass's U''/U = <t^2> and A''.
+A decreases (P = A_P e^{-B x}, B > 0) and U'/U < 0 tends to -inf as z -> 0,
+so R < 0 at every x > 0 if A(0) <= 1 and R > 0 near 0 if A(0) > 1: a
+boundary exists if and only if A(0) > 1, and then x* <= c.  The value on the
+branch x >= x* is
 
     V(x) = A(x) + (1 - A(x*)) e^{lam (x - x*)} U(z) / U(z*).
 
@@ -140,14 +142,18 @@ class _Workspace:
         return tuple((np.exp(self.log_a - np.outer(xs, self.b))
                       @ self.weights).T)
 
-    def residual_scaled(self, z: Real) -> Real:
-        """R/p = dV/dz at x = z/p for the V that pastes there, at one z or at
-        each z of an array."""
+    def residual_scaled(self, z: Real) -> tuple[Real, Real]:
+        """(R/p, d(R/p)/d ln z), R/p = dV/dz at x = z/p for the V that pastes
+        there, at one z or at each z of an array; the slope is z times
+        -A_z (U'/U - a) + (1 - A)(U''/U - (U'/U)^2) + A_zz."""
         zs = np.atleast_1d(np.asarray(z, dtype=float))
-        ann, ann_x, _ = self.annuity(zs / self.consts.p)
-        ratio = _tricomi_u_raw(self.alpha, self.gamma, zs)[1]
-        res = (1.0 - ann) * (ratio - self.a) + ann_x / self.consts.p
-        return float(res[0]) if np.ndim(z) == 0 else res
+        p = self.consts.p
+        ann, ann_x, ann_xx = self.annuity(zs / p)
+        _, ratio, ratio2 = _tricomi_u_raw(self.alpha, self.gamma, zs)
+        res = (1.0 - ann) * (ratio - self.a) + ann_x / p
+        slope = zs * (ann_xx / (p * p) - ann_x / p * (ratio - self.a)
+                      + (1.0 - ann) * (ratio2 - ratio * ratio))
+        return (res, slope) if np.ndim(z) else (float(res[0]), float(slope[0]))
 
 
 @dataclass(frozen=True)
@@ -297,9 +303,10 @@ def _msc_iu(ws: _Workspace, z: float, ann: float, ann_x: float,
 def solve_boundary(cir: CirParams, contract: ContractParams,
                    tol: float = 1e-10) -> SteadyStateSolution:
     """Locate the free boundary and assemble the solution with its pasting
-    and ODE-residual diagnostics: NoBracketError if A(0) <= 1, else Brent on
-    R/p (_Workspace.residual_scaled) in the first decade below z = p c whose
-    lower end has R/p > 0, BoundaryBelowFloorError if that is below
+    and ODE-residual diagnostics: NoBracketError if A(0) <= 1, else Newton
+    in ln z on R/p and its slope (_Workspace.residual_scaled) in the first
+    decade below z = p c whose lower end has R/p > 0, reusing the step-down's
+    residuals at its ends; BoundaryBelowFloorError if that end is below
     p RATE_FLOOR.  A DiagnosticsWarning names each diagnostic that misses its
     bound (PASTING_VALUE_TOL, PASTING_SLOPE_TOL, ODE_RESIDUAL_TOL_PER_C c)."""
     if not tol >= 1e-12:
@@ -315,14 +322,17 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
     if not ann_zero > 1.0:
         raise NoBracketError(f"no interior boundary: A(0) = {ann_zero!r} <= 1",
                              annuity_at_zero=ann_zero)
-    lo = 0.1 * consts.p * contract.c
-    while not ws.residual_scaled(lo) > 0.0:
-        lo *= 0.1
+    hi = lo = consts.p * contract.c
+    f_hi = f_lo = ws.residual_scaled(lo)
+    while not f_lo[0] > 0.0:
+        hi, f_hi, lo = lo, f_lo, 0.1 * lo
         if lo < consts.p * RATE_FLOOR:
             raise BoundaryBelowFloorError(
                 f"A(0) = {ann_zero!r} > 1, but x* < {RATE_FLOOR!r}")
-    z_star = find_root_bracketed(ws.residual_scaled, lo, 10.0 * lo,
-                                 tol=tol * lo / max(1.0, 10.0 * lo))
+        f_lo = ws.residual_scaled(lo)
+    z_star = lo * math.exp(find_root_bracketed(
+        lambda u: ws.residual_scaled(lo * math.exp(u)), 0.0, math.log(hi / lo),
+        tol=tol, f_lo=f_lo, f_hi=f_hi))
     x_star = z_star / consts.p
 
     zs = np.array([z_star])

@@ -1,5 +1,5 @@
 """Shared numerical kernels: the Gauss-Kronrod 7/15 rule and bracketed root
-refinement by scipy's brentq.
+refinement by safeguarded Newton (Press et al., Numerical Recipes, 9.4).
 
 The GK15 nodes and weights serve the fixed panel rules of `specfun` (the
 Laplace integral of U) and of `closed_form` (the annuity integral in t).
@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ConvergenceError, NoBracketError
 
@@ -40,7 +39,7 @@ _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])      # Gauss nodes
 
-# brentq rejects a relative tolerance below this
+# the relative part of the root tolerance is held at or above this
 _RTOL_FLOOR = 4.0 * np.finfo(float).eps
 
 
@@ -52,29 +51,34 @@ def gk15_panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             (half[:, None] * _WGK[None, :]).ravel())
 
 
-def find_root_bracketed(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> float:
-    """Brent's method, as scipy's brentq: inverse quadratic / secant steps
-    with bisection fallback.  Requires f(lo) and f(hi) of opposite sign;
-    never evaluates outside [lo, hi].  Stops when the bracket width is about
-    tol * max(1, |root|); the relative part is held at brentq's floor of
-    4 eps when tol is below it.
-    """
-    try:
-        root, info = optimize.brentq(
-            f, lo, hi, xtol=tol, rtol=max(tol, _RTOL_FLOOR),
-            maxiter=max_iter, full_output=True, disp=False)
-    except ValueError as exc:
-        if "different signs" not in str(exc):
-            raise
-        raise NoBracketError(
-            f"f({lo!r}) and f({hi!r}) have the same sign") from None
-    if not info.converged:
-        raise ConvergenceError(
-            f"root refinement did not converge in {max_iter} iterations")
-    return root
+def find_root_bracketed(f: Callable[[float], tuple[float, float]], lo: float,
+                        hi: float, tol: float = 1e-10, max_iter: int = 200,
+                        f_lo: tuple | None = None, f_hi: tuple | None = None
+                        ) -> float:
+    """Safeguarded Newton on f, which returns (value, slope); f_lo and f_hi
+    are those pairs at lo and hi, if known.  Requires values of opposite
+    sign there; never evaluates outside [lo, hi].  Starts from the end with
+    the shorter Newton step, and bisects where a step would leave the bracket
+    or the slope is 0.  Stops once the step, which it then takes unevaluated,
+    or the bracket is within tol * max(1, |x|) or so (the relative part held
+    at 4 eps when tol is below it)."""
+    f_lo = f(lo) if f_lo is None else f_lo
+    f_hi = f(hi) if f_hi is None else f_hi
+    if np.sign(f_lo[0]) * np.sign(f_hi[0]) > 0.0:
+        raise NoBracketError(f"f({lo!r}) and f({hi!r}) have the same sign")
+    neg, pos = (lo, hi) if f_lo[0] < 0.0 else (hi, lo)
+    x, y = ((lo, f_lo) if abs(f_lo[0] * f_hi[1]) <= abs(f_hi[0] * f_lo[1])
+            else (hi, f_hi))
+    for _ in range(max_iter):
+        x_new = x - (y[0] / y[1] if y[1] else np.inf)
+        close = tol + max(tol, _RTOL_FLOOR) * abs(x)
+        if abs(x_new - x) <= close:
+            return min(max(x_new, lo), hi)
+        if not min(neg, pos) < x_new < max(neg, pos):
+            x_new = 0.5 * (neg + pos)
+        x, y = x_new, f(x_new)
+        neg, pos = (x, pos) if y[0] < 0.0 else (neg, x)
+        if abs(pos - neg) <= close:
+            return x
+    raise ConvergenceError(
+        f"root refinement did not converge in {max_iter} iterations")

@@ -9,6 +9,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import optimize
 
 from cirmort import closed_form, specfun
 from cirmort.closed_form import (DiagnosticsWarning, _Workspace, ode_residual,
@@ -17,7 +18,6 @@ from cirmort.closed_form import (DiagnosticsWarning, _Workspace, ode_residual,
 from cirmort.errors import (BoundaryBelowFloorError, DomainError,
                             NoBracketError, ValidationError)
 from cirmort.model import CirParams, ContractParams, derive_constants
-from cirmort.numerics import find_root_bracketed
 from cirmort.oracles import shoot_solve
 from cirmort.specfun import _kummer_m_scaled, _tricomi_u_raw  # noqa: the
 # log-space helpers are internal but are the only overflow-free route for the
@@ -203,9 +203,29 @@ def test_residual_on_an_array_matches_single_points(primary_consts):
     ws = _Workspace(PRIMARY_CIR, CONTRACT)
     grid = np.geomspace(1e-4 * primary_consts.p * PRIMARY_CIR.theta,
                         10.0 * primary_consts.p * PRIMARY_CIR.theta, 64)
-    single = [ws.residual_scaled(float(z)) for z in grid]
-    np.testing.assert_allclose(ws.residual_scaled(grid), single,
-                               rtol=1e-12, atol=1e-12)
+    single = np.array([ws.residual_scaled(float(z)) for z in grid]).T
+    got = ws.residual_scaled(grid)
+    # the value and its slope in ln z
+    for part in range(2):
+        np.testing.assert_allclose(got[part], single[part],
+                                   rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("cir,c", [
+    (PRIMARY_CIR, 0.05),
+    # alpha = 8.3e-4: U''/U from the recurrence step
+    (CirParams(k=4.4479, theta=0.0037, sigma=0.0135), 0.0056),
+], ids=["primary", "alpha_8.3e-4"])
+def test_residual_slope_matches_a_central_difference(cir, c):
+    con = ContractParams(c=c, m=c)
+    ws = _Workspace(cir, con)
+    z_star = solve_boundary(cir, con).z_star
+    h = 1e-4
+    for z in z_star * np.array([0.5, 0.8, 1.0, 1.25, 2.0]):
+        slope = ws.residual_scaled(z)[1]
+        diff = (ws.residual_scaled(z * math.exp(h))[0]
+                - ws.residual_scaled(z * math.exp(-h))[0]) / (2.0 * h)
+        assert abs(slope - diff) <= 1e-6 * abs(slope), z / z_star
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +254,8 @@ def test_ratio_form_shares_the_root(primary_solution, primary_consts):
     def f(z):
         return boundary_residual_ratio_form(primary_consts, CONTRACT, z)
 
-    r = find_root_bracketed(f, 0.5 * z_star, 2.0 * z_star, tol=1e-12)
+    r = optimize.brentq(f, 0.5 * z_star, 2.0 * z_star, xtol=1e-12,
+                        rtol=1e-12)
     assert abs(r - z_star) <= 1e-8 * z_star
 
 
@@ -404,6 +425,37 @@ def test_annuity_residual_changes_sign_across_the_small_alpha_root(cir, c):
     assert lo * hi < 0
 
 
+def test_grid_refines_the_root_in_few_residual_evaluations(monkeypatch):
+    # the 50 grid sets with a boundary: Newton on R/p and its slope needs
+    # fewer single-point residuals than brentq on R/p alone (11.74 a set)
+    # and finds brentq's root on the same residual
+    residual_scaled = _Workspace.residual_scaled
+    calls = []
+
+    def counted(ws, z):
+        if np.ndim(z) == 0:
+            calls[-1] += 1
+        return residual_scaled(ws, z)
+
+    monkeypatch.setattr(_Workspace, "residual_scaled", counted)
+    for k, theta, sigma, c in GRID:
+        cir = CirParams(k=k, theta=theta, sigma=sigma)
+        con = ContractParams(c=c, m=c)
+        calls.append(0)
+        try:
+            sol = solve_boundary(cir, con)
+        except NoBracketError:
+            calls.pop()
+            continue
+        ws = _Workspace(cir, con)
+        z_ref = optimize.brentq(lambda z: residual_scaled(ws, z)[0],
+                                0.5 * sol.z_star, 2.0 * sol.z_star,
+                                xtol=1e-300, rtol=1e-15)
+        assert abs(sol.z_star - z_ref) <= 1e-10 * z_ref, (k, theta, sigma, c)
+    assert len(calls) == 50
+    assert sum(calls) <= 9 * len(calls)
+
+
 def test_no_interior_boundary_regime_raises_no_bracket():
     # high theta relative to c: continuation value stays below one
     # everywhere, so the residual never changes sign
@@ -565,7 +617,7 @@ def test_value_path_calls_the_annuity_kernel_once_per_chunk(monkeypatch):
     monkeypatch.setattr(_Workspace, "annuity", counted)
     monkeypatch.setattr(_Workspace, "residual_scaled", counted_residual)
     sol = solve_boundary(PRIMARY_CIR, CONTRACT)
-    # one call for A(0), one per residual (the step-down, then Brent's), one
+    # one call for A(0), one per residual (the step-down, then Newton's), one
     # for A at x*, and the diagnostics last: one call at x*, one for the 7
     # probes
     assert sizes[0] == 1

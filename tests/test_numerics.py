@@ -62,24 +62,52 @@ def test_quad_error_estimates_conservative():
 # root finding
 
 def test_root_sqrt2():
-    r = find_root_bracketed(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-12)
+    r = find_root_bracketed(lambda x: (x * x - 2.0, 2.0 * x), 1.0, 2.0,
+                            tol=1e-12)
     assert r == pytest.approx(math.sqrt(2.0), rel=1e-10)
 
 
+def test_root_sqrt2_takes_few_evaluations():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x * x - 2.0, 2.0 * x
+
+    r = find_root_bracketed(f, 1.0, 2.0, tol=1e-12)
+    assert r == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    # both ends, then Newton steps
+    assert len(seen) <= 6
+
+
+def test_root_does_not_evaluate_given_ends_again():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.tan(x) - 0.5, 1.0 / math.cos(x) ** 2
+
+    r = find_root_bracketed(f, -1.0, 1.0, tol=1e-12,
+                            f_lo=f(-1.0), f_hi=f(1.0))
+    assert r == pytest.approx(math.atan(0.5), rel=1e-12)
+    assert seen[:2] == [-1.0, 1.0]
+    assert -1.0 not in seen[2:] and 1.0 not in seen[2:]
+
+
 def test_root_linear_through_zero():
-    r = find_root_bracketed(lambda x: x, -1.0, 1.0, tol=1e-12)
+    r = find_root_bracketed(lambda x: (x, 1.0), -1.0, 1.0, tol=1e-12)
     assert abs(r) <= 1e-10
 
 
 def test_root_step_function_bisection_fallback():
-    r = find_root_bracketed(lambda x: 1.0 if x >= 0.3 else -1.0,
+    r = find_root_bracketed(lambda x: (1.0 if x >= 0.3 else -1.0, 0.0),
                             0.0, 1.0, tol=1e-9)
     assert r == pytest.approx(0.3, abs=1e-8)
 
 
 def test_root_requires_bracket():
     with pytest.raises(NoBracketError):
-        find_root_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
+        find_root_bracketed(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0)
 
 
 def test_root_never_evaluates_outside_bracket():
@@ -87,7 +115,7 @@ def test_root_never_evaluates_outside_bracket():
 
     def f(x):
         seen.append(x)
-        return math.tan(x) - 0.5
+        return math.tan(x) - 0.5, 1.0 / math.cos(x) ** 2
 
     find_root_bracketed(f, -1.0, 1.0, tol=1e-12)
     assert all(-1.0 <= x <= 1.0 for x in seen)
@@ -99,22 +127,24 @@ def test_root_iteration_cap():
 
     def f(x):
         calls["n"] += 1
-        return 1.0 if calls["n"] % 2 else -1.0
+        return (1.0 if calls["n"] % 2 else -1.0), 0.0
 
     with pytest.raises((ConvergenceError, NoBracketError)):
         find_root_bracketed(f, 0.0, 1.0, tol=1e-15, max_iter=5)
 
 
 def test_root_accepts_a_tolerance_below_the_float_floor():
-    # the relative tolerance is held at brentq's floor of 4 eps
-    r = find_root_bracketed(lambda x: x - 1.5e-6, 1e-6, 2e-6, tol=1e-18)
+    # the relative tolerance is held at a floor of 4 eps
+    r = find_root_bracketed(lambda x: (x - 1.5e-6, 1.0), 1e-6, 2e-6,
+                            tol=1e-18)
     assert abs(r - 1.5e-6) <= 1e-15
 
 
 @given(st.floats(-5.0, 5.0), st.floats(0.1, 4.0))
 def test_root_property_cubic(shift, scale):
     def f(x):
-        return scale * (x - shift) ** 3 + (x - shift)
+        return (scale * (x - shift) ** 3 + (x - shift),
+                3.0 * scale * (x - shift) ** 2 + 1.0)
 
     r = find_root_bracketed(f, shift - 6.0, shift + 7.0, tol=1e-12)
     assert r == pytest.approx(shift, abs=1e-7 * max(1.0, abs(shift)))
