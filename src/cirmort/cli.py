@@ -306,6 +306,10 @@ def cmd_compare(config: RunConfig) -> int:
                      "value_at_theta": v_theta, "gap": first["measured"],
                      "tolerance": first["tolerance"],
                      "status": first["status"].upper()})
+    # scaled by m/c like curve's values; gap and tolerance stay verify's
+    for r in rows:
+        if r["value_at_theta"] is not None:
+            r["value_at_theta"] *= config.value_scale
 
     if config.output == "csv":
         sys.stdout.write("method,boundary,value_at_theta,gap,tolerance,"
@@ -325,6 +329,14 @@ def cmd_compare(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# The optional numeric flags.  The parser leaves every option not given off
+# its namespace, so RunConfig holds the defaults.
+_NUMERIC_OPTIONS = (
+    ("--tol-root", float), ("--x-min", float), ("--x-max", float),
+    ("--points", int), ("--fd-nodes", int), ("--mc-paths", int),
+    ("--mc-dt", float), ("--mc-horizon", float), ("--seed", int))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cirmort",
@@ -332,39 +344,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "under a CIR short rate")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("solve", "curve", "verify", "compare"):
-        p = sub.add_parser(name)
-        p.add_argument("--k", type=float, required=True)
-        p.add_argument("--theta", type=float, required=True)
-        p.add_argument("--sigma", type=float, required=True)
-        p.add_argument("--c", type=float, required=True)
-        p.add_argument("--m", type=float, default=None,
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flag in ("--k", "--theta", "--sigma", "--c"):
+            p.add_argument(flag, type=float, required=True)
+        p.add_argument("--m", type=float,
                        help="payment rate; defaults to c (values are "
                             "reported scaled by m/c)")
-        p.add_argument("--tol-root", type=float, default=1e-10)
-        p.add_argument("--x-min", type=float, default=None)
-        p.add_argument("--x-max", type=float, default=None)
-        p.add_argument("--points", type=int, default=101)
-        p.add_argument("--fd-nodes", type=int, default=2000)
-        p.add_argument("--mc-paths", type=int, default=20000)
-        p.add_argument("--mc-dt", type=float, default=1.0 / 252.0)
-        p.add_argument("--mc-horizon", type=float, default=400.0)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--output", choices=("json", "csv"), default="json")
-        p.add_argument("--skip", action="append", default=[],
+        for flag, kind in _NUMERIC_OPTIONS:
+            p.add_argument(flag, type=kind)
+        p.add_argument("--output", choices=("json", "csv"))
+        p.add_argument("--skip", action="append",
                        choices=("mc", "fd", "shooting"))
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    cir = CirParams(k=args.k, theta=args.theta, sigma=args.sigma)
-    m = args.m if args.m is not None else args.c
-    contract = ContractParams(c=args.c, m=m)
-    return RunConfig(
-        cir=cir, contract=contract, tol_root=args.tol_root,
-        x_min=args.x_min, x_max=args.x_max,
-        points=args.points, fd_nodes=args.fd_nodes, mc_paths=args.mc_paths,
-        mc_dt=args.mc_dt, mc_horizon=args.mc_horizon, seed=args.seed,
-        output=args.output, skip=frozenset(args.skip))
+    opts = {k: v for k, v in vars(args).items() if k != "command"}
+    cir = CirParams(*(opts.pop(name) for name in ("k", "theta", "sigma")))
+    c = opts.pop("c")
+    contract = ContractParams(c=c, m=opts.pop("m", c))
+    skip = frozenset(opts.pop("skip", ()))
+    return RunConfig(cir=cir, contract=contract, skip=skip, **opts)
 
 
 _COMMANDS = {"solve": cmd_solve, "curve": cmd_curve, "verify": cmd_verify,

@@ -34,11 +34,12 @@ in t (_annuity_rule) and one matrix product per array of x; A and A' agree
 with a 25-digit mpmath quadrature to 7e-15 relative for x up to 1e6 on the
 supported box (see specfun); the rule has about 400 nodes.  U enters only
 through U'/U, U''/U and as exp of a difference of logs, so nothing
-overflows.  One evaluation gives V, V' and V'' (_branch; V'' is within
-7.8e-14 of the sum of its terms' sizes against mpmath), and ode_residual
-applies the ODE to them.  Near x* with A >> 1 the
-factor 1 - A(x*) multiplies U's error, which is why U at small alpha takes
-the recurrence step of specfun.
+overflows.  _Workspace.terms alone pairs A, A', A'' at x = z/p with ln U,
+U'/U, U''/U at z; _rows alone splits V into its stopped rows (1, 0, 0) and
+_branch's V, V', V'' (V'' within 7.8e-14 of the sum of its terms' sizes
+against mpmath), to which ode_residual applies the ODE.  Near x* with
+A >> 1 the factor 1 - A(x*) multiplies U's error, which is why U at small
+alpha takes the recurrence step of specfun.
 
 The paper's variation-of-parameters form, V = e^{lam x} (c2 U + u_p) with
 u_p = M I_U + U I_M and z_ref = z*, is a 30-digit reference in the tests.
@@ -103,6 +104,10 @@ _T_REACH = 60.0
 PASTING_VALUE_TOL = 1e-8
 PASTING_SLOPE_TOL = 1e-6
 ODE_RESIDUAL_TOL_PER_C = 1e-6           # times the coupon c
+# Largest gamma = 2 k theta / sigma^2 that solve_boundary accepts.  U's rule
+# has about sqrt(gamma) panels: a solve and a 100-point ode_residual peak at
+# 125 MiB RSS at gamma = 1e5 and 300 MiB at 1e6.  The README box reaches 1.2e5.
+GAMMA_CAP = 1e6
 
 
 class DiagnosticsWarning(UserWarning):
@@ -127,9 +132,6 @@ class _Workspace:
 
     def __init__(self, cir: CirParams, contract: ContractParams):
         self.consts = consts = derive_constants(cir)
-        self.alpha = consts.alpha
-        self.gamma = consts.gamma
-        self.a = consts.a_exp
         t, w = _annuity_rule(2.0 * cir.k * cir.theta / (consts.s + cir.k))
         self.log_a, b = bond_price_terms(cir, t)
         # columns: c w for A, -c w B for A', c w B^2 for A''
@@ -142,16 +144,21 @@ class _Workspace:
         return tuple((np.exp(self.log_a - np.outer(xs, self.b))
                       @ self.weights).T)
 
+    def terms(self, zs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(A, A', A'', ln U, U'/U, U''/U) at every z of zs, A and its
+        x-derivatives at x = z/p: one annuity product and one U pass."""
+        return (*self.annuity(zs / self.consts.p),
+                *_tricomi_u_raw(self.consts.alpha, self.consts.gamma, zs))
+
     def residual_scaled(self, z: Real) -> tuple[Real, Real]:
         """(R/p, d(R/p)/d ln z), R/p = dV/dz at x = z/p for the V that pastes
         there, at one z or at each z of an array; the slope is z times
         -A_z (U'/U - a) + (1 - A)(U''/U - (U'/U)^2) + A_zz."""
         zs = np.atleast_1d(np.asarray(z, dtype=float))
-        p = self.consts.p
-        ann, ann_x, ann_xx = self.annuity(zs / p)
-        _, ratio, ratio2 = _tricomi_u_raw(self.alpha, self.gamma, zs)
-        res = (1.0 - ann) * (ratio - self.a) + ann_x / p
-        slope = zs * (ann_xx / (p * p) - ann_x / p * (ratio - self.a)
+        p, a = self.consts.p, self.consts.a_exp
+        ann, ann_x, ann_xx, _, ratio, ratio2 = self.terms(zs)
+        res = (1.0 - ann) * (ratio - a) + ann_x / p
+        slope = zs * (ann_xx / (p * p) - ann_x / p * (ratio - a)
                       + (1.0 - ann) * (ratio2 - ratio * ratio))
         return (res, slope) if np.ndim(z) else (float(res[0]), float(slope[0]))
 
@@ -172,9 +179,9 @@ class SteadyStateSolution:
     x_star: float
     c2: float
     diagnostics: Diagnostics
-    workspace: _Workspace = field(repr=False, compare=False, default=None)
-    log_u_at_star: float = field(repr=False, compare=False, default=0.0)
-    amp: float = field(repr=False, compare=False, default=0.0)  # 1 - A(x*)
+    workspace: _Workspace = field(repr=False, compare=False)
+    log_u_at_star: float = field(repr=False, compare=False)
+    amp: float = field(repr=False, compare=False)  # 1 - A(x*)
 
 
 def _branch(sol: SteadyStateSolution, xs: np.ndarray) -> np.ndarray:
@@ -188,7 +195,7 @@ def _branch(sol: SteadyStateSolution, xs: np.ndarray) -> np.ndarray:
     with one call of the annuity kernel and of U per chunk of at most
     _CHUNK sorted abscissae."""
     ws = sol.workspace
-    p = ws.consts.p
+    p, a = ws.consts.p, ws.consts.a_exp
     z = np.maximum(p * xs, sol.z_star)
     order = np.argsort(z, kind="stable")
     zs = z[order]
@@ -196,43 +203,40 @@ def _branch(sol: SteadyStateSolution, xs: np.ndarray) -> np.ndarray:
     for lo in range(0, zs.size, _CHUNK):
         part = slice(lo, lo + _CHUNK)
         c = zs[part]
-        ann, ann_x, ann_xx = ws.annuity(c / p)
-        log_u, ratio, ratio2 = _tricomi_u_raw(ws.alpha, ws.gamma, c)
-        g = sol.amp * np.exp(log_u - sol.log_u_at_star
-                             - ws.a * (c - sol.z_star))
+        ann, ann_x, ann_xx, log_u, ratio, ratio2 = ws.terms(c)
+        g = sol.amp * np.exp(log_u - sol.log_u_at_star - a * (c - sol.z_star))
         rows[0, part] = ann + g
-        rows[1, part] = ann_x + p * g * (ratio - ws.a)
-        rows[2, part] = ann_xx + p * p * g * (
-            ratio2 - 2.0 * ws.a * ratio + ws.a * ws.a)
+        rows[1, part] = ann_x + p * g * (ratio - a)
+        rows[2, part] = ann_xx + p * p * g * (ratio2 - 2.0 * a * ratio + a * a)
     return rows[:, np.argsort(order)]
 
 
-def _rates(x, name: str) -> tuple[np.ndarray, bool]:
+def _rows(solution: SteadyStateSolution, x: Real, name: str,
+          closed: bool = False) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(xs, rows, scalar): the rates x as an array, the rows (V, dV/dx,
+    d2V/dx2) at each, (1, 0, 0) on the stopped branch x <= x* (x < x* if
+    closed) and _branch's rows above it, and whether x was a scalar."""
     xs = np.asarray(x, dtype=float)
     if not np.all((xs >= 0) & np.isfinite(xs)):
         raise DomainError(f"{name} requires finite x >= 0")
-    return np.atleast_1d(xs), xs.ndim == 0
+    scalar, xs = xs.ndim == 0, np.atleast_1d(xs)
+    rows = np.array([np.ones_like(xs), np.zeros_like(xs), np.zeros_like(xs)])
+    cont = xs >= solution.x_star if closed else xs > solution.x_star
+    rows[:, cont] = _branch(solution, xs[cont])
+    return xs, rows, scalar
 
 
 def value(solution: SteadyStateSolution, x: Real) -> Real:
     """V(x): exactly 1 in the stopped region x <= x*, the closed form above
     it."""
-    xs, scalar = _rates(x, "value")
-    out = np.ones_like(xs)
-    cont = xs > solution.x_star
-    if cont.any():
-        out[cont] = _branch(solution, xs[cont])[0]
-    return float(out[0]) if scalar else out
+    _, (v, _, _), scalar = _rows(solution, x, "value")
+    return float(v[0]) if scalar else v
 
 
 def value_derivative(solution: SteadyStateSolution, x: Real) -> Real:
     """dV/dx: 0 in the stopped region, continuation branch for x >= x*."""
-    xs, scalar = _rates(x, "value_derivative")
-    out = np.zeros_like(xs)
-    cont = xs >= solution.x_star
-    if cont.any():
-        out[cont] = _branch(solution, xs[cont])[1]
-    return float(out[0]) if scalar else out
+    _, (_, dv, _), scalar = _rows(solution, x, "value_derivative", closed=True)
+    return float(dv[0]) if scalar else dv
 
 
 def pasting(solution: SteadyStateSolution) -> tuple[float, float]:
@@ -245,19 +249,12 @@ def pasting(solution: SteadyStateSolution) -> tuple[float, float]:
 
 def ode_residual(solution: SteadyStateSolution, x: Real) -> Real:
     """Steady ODE residual (sigma^2/2) x V'' + k(theta - x) V' - x V + c, at
-    one x or at each x of an array: c - x on the stopped branch x <= x*
-    (V = 1, V' = V'' = 0); on the continuation branch V, V' and V'' come
-    from one branch evaluation of the points."""
-    xs, scalar = _rates(x, "ode_residual")
+    one x or at each x of an array, applied to the rows of _rows: exactly
+    c - x on the stopped branch x <= x*, where they are (1, 0, 0)."""
+    xs, (v, dv, d2v), scalar = _rows(solution, x, "ode_residual")
     cir = solution.cir
-    out = solution.contract.c - xs
-    cont = xs > solution.x_star
-    if cont.any():
-        x = xs[cont]
-        v, dv, d2v = _branch(solution, x)
-        out[cont] = (0.5 * cir.sigma ** 2 * x * d2v
-                     + cir.k * (cir.theta - x) * dv
-                     - x * v + solution.contract.c)
+    out = (0.5 * cir.sigma ** 2 * xs * d2v + cir.k * (cir.theta - xs) * dv
+           - xs * v + solution.contract.c)
     return float(out[0]) if scalar else out
 
 
@@ -303,18 +300,24 @@ def _msc_iu(ws: _Workspace, z: float, ann: float, ann_x: float,
 def solve_boundary(cir: CirParams, contract: ContractParams,
                    tol: float = 1e-10) -> SteadyStateSolution:
     """Locate the free boundary and assemble the solution with its pasting
-    and ODE-residual diagnostics: NoBracketError if A(0) <= 1, else Newton
-    in ln z on R/p and its slope (_Workspace.residual_scaled) in the first
-    decade below z = p c whose lower end has R/p > 0, reusing the step-down's
-    residuals at its ends; BoundaryBelowFloorError if that end is below
-    p RATE_FLOOR.  A DiagnosticsWarning names each diagnostic that misses its
-    bound (PASTING_VALUE_TOL, PASTING_SLOPE_TOL, ODE_RESIDUAL_TOL_PER_C c)."""
+    and ODE-residual diagnostics: ValidationError("sigma") if gamma exceeds
+    GAMMA_CAP, NoBracketError if A(0) <= 1, else Newton in ln z on R/p and
+    its slope (_Workspace.residual_scaled) in the first decade below z = p c
+    whose lower end has R/p > 0, reusing the step-down's residuals at its
+    ends; BoundaryBelowFloorError if that end is below p RATE_FLOOR.  A
+    DiagnosticsWarning names each diagnostic that misses its bound
+    (PASTING_VALUE_TOL, PASTING_SLOPE_TOL, ODE_RESIDUAL_TOL_PER_C c)."""
     if not tol >= 1e-12:
         raise ValidationError("tol", f"must be >= 1e-12, got {tol!r}")
     if abs(contract.m - contract.c) > 1e-15 * max(contract.m, contract.c):
         raise ValidationError(
             "m", "the steady-state solver requires the m = c normalization; "
                  "rescale reported values by m/c instead")
+    two_k_theta, sigma2 = 2.0 * cir.k * cir.theta, cir.sigma ** 2
+    if two_k_theta > GAMMA_CAP * sigma2:        # catches sigma^2 = 0 too
+        gamma = two_k_theta / sigma2 if sigma2 else math.inf
+        raise ValidationError("sigma", f"gamma = 2 k theta / sigma^2 = "
+                                       f"{gamma!r} exceeds {GAMMA_CAP!r}")
     ws = _Workspace(cir, contract)
     consts = ws.consts
 
@@ -335,10 +338,8 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
         tol=tol, f_lo=f_lo, f_hi=f_hi))
     x_star = z_star / consts.p
 
-    zs = np.array([z_star])
-    ann, ann_x, _ = (float(v[0]) for v in ws.annuity(zs / consts.p))
-    log_u, ratio, _ = (float(v[0])
-                       for v in _tricomi_u_raw(ws.alpha, ws.gamma, zs))
+    ann, ann_x, _, log_u, ratio, _ = (
+        float(v[0]) for v in ws.terms(np.array([z_star])))
     # the paper's c2 with z_ref = z*
     c2 = math.exp(consts.a_exp * z_star - log_u) * (
         1.0 - _msc_iu(ws, z_star, ann, ann_x, ratio))

@@ -268,6 +268,8 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
         raise ValidationError("paths", "need at least one path")
     if not x0 > 0:
         raise ValidationError("x0", "must be positive")
+    if seed < 0:
+        raise ValidationError("seed", f"must be >= 0, got {seed!r}")
     rng = np.random.Generator(np.random.SFC64(seed))
     k, sigma2, c = cir.k, cir.sigma ** 2, contract.c
     edt = math.exp(-k * dt)

@@ -111,9 +111,8 @@ def _u_panels(alpha: float, gamma: float, zs: np.ndarray
     """(ln U, <t>, <t^2>) at every z of zs by panel-wise GK15 over the
     Laplace integral: ln U by log-sum-exp over the nodes, <t> and <t^2> the
     moments of t under the same weights, so U'/U = -<t> and U''/U = <t^2>.
-    The integrand decays like
-    (z t)^{gamma-2} e^{-z t} at large t and like (z t)^{alpha-1} e^{-z t}
-    for t << 1, where large z puts the mass."""
+    The integrand decays like (z t)^{gamma-2} e^{-z t} at large t and like
+    (z t)^{alpha-1} e^{-z t} for t << 1, where large z puts the mass."""
     t, w = _laplace_rule(alpha, max(gamma - 2.0, alpha - 1.0), zs)
     e = np.log(w) + (gamma - alpha - 1.0) * np.log1p(t) - np.outer(zs, t)
     peak = e.max(axis=1)
@@ -142,21 +141,18 @@ def _tricomi_u_raw(alpha: float, gamma: float, zs: np.ndarray
     _check_z(zs, "U")
     if zs.size == 0:
         return np.empty_like(zs), np.empty_like(zs), np.empty_like(zs)
-    z = zs.ravel()
     if alpha >= _ALPHA_STEP:
-        log_u, mean_t, mean_tt = _u_panels(alpha, gamma, z)
-        return (log_u.reshape(zs.shape), -mean_t.reshape(zs.shape),
-                mean_tt.reshape(zs.shape))
-    log_u1, mean_t1, _ = _u_panels(alpha + 1.0, gamma, z)
-    log_u2, mean_t2, mean_tt2 = _u_panels(alpha + 2.0, gamma, z)
+        log_u, mean_t, mean_tt = _u_panels(alpha, gamma, zs)
+        return log_u, -mean_t, mean_tt
+    log_u1, mean_t1, _ = _u_panels(alpha + 1.0, gamma, zs)
+    log_u2, mean_t2, mean_tt2 = _u_panels(alpha + 2.0, gamma, zs)
     ratio = np.exp(log_u2 - log_u1)
     # U(alpha) / U(alpha + 1)
-    step = (z + 2.0 + 2.0 * alpha - gamma
+    step = (zs + 2.0 + 2.0 * alpha - gamma
             + (alpha + 1.0) * (gamma - alpha - 2.0) * ratio)
-    return ((log_u1 + np.log(step)).reshape(zs.shape),
-            (-alpha * (1.0 + mean_t1) / step).reshape(zs.shape),
-            (alpha * (alpha + 1.0) * (1.0 + 2.0 * mean_t2 + mean_tt2)
-             * ratio / step).reshape(zs.shape))
+    return (log_u1 + np.log(step), -alpha * (1.0 + mean_t1) / step,
+            alpha * (alpha + 1.0) * (1.0 + 2.0 * mean_t2 + mean_tt2)
+            * ratio / step)
 
 
 def log_wronskian(alpha: float, gamma: float, zs: np.ndarray) -> np.ndarray:

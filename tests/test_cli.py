@@ -16,6 +16,7 @@ import pytest
 from cirmort import cli
 from cirmort.cli import main
 from cirmort.closed_form import DiagnosticsWarning
+from cirmort.model import CirParams, ContractParams
 
 PRIMARY = ["--k", "0.25", "--theta", "0.06", "--sigma", "0.1", "--c", "0.05"]
 FAST_VERIFY = ["--fd-nodes", "400", "--mc-paths", "2000",
@@ -89,6 +90,36 @@ def test_validation_error_exit_2_names_field(capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["field"] == "horizon"
+    # a negative seed, and a sigma whose gamma = 2 k theta / sigma^2 is
+    # above the solver's cap
+    for argv, field in (
+            (["verify", *PRIMARY, "--seed", "-1", "--mc-paths", "100",
+              "--skip", "fd", "--skip", "shooting"], "seed"),
+            (["solve", "--k", "0.25", "--theta", "0.06", "--sigma", "1e-160",
+              "--c", "0.05"], "sigma")):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["field"] == field
+
+
+def test_options_not_given_take_the_run_config_defaults():
+    parser = cli.build_parser()
+    config = cli._config_from_args(parser.parse_args(["verify", *PRIMARY]))
+    assert config == cli.RunConfig(
+        cir=CirParams(k=0.25, theta=0.06, sigma=0.1),
+        contract=ContractParams(c=0.05, m=0.05))
+    given = cli._config_from_args(parser.parse_args(
+        ["compare", *PRIMARY, "--m", "0.1", "--tol-root", "1e-9",
+         "--x-min", "0.01", "--x-max", "0.2", "--points", "7",
+         "--fd-nodes", "300", "--mc-paths", "50", "--mc-dt", "0.1",
+         "--mc-horizon", "9", "--seed", "4", "--output", "csv",
+         "--skip", "mc", "--skip", "fd"]))
+    assert given == dataclasses.replace(
+        config, contract=ContractParams(c=0.05, m=0.1), tol_root=1e-9,
+        x_min=0.01, x_max=0.2, points=7, fd_nodes=300, mc_paths=50,
+        mc_dt=0.1, mc_horizon=9.0, seed=4, output="csv",
+        skip=frozenset({"mc", "fd"}))
 
 
 def test_no_bracket_exit_3(capsys):
@@ -308,6 +339,25 @@ def test_compare_csv_format(capsys):
     assert lines[1].startswith("closed_form,")
     assert lines[2].startswith("shooting,")
     assert lines[2].endswith(",PASS")
+
+
+def test_compare_scales_values_by_m_over_c(capsys):
+    # gap, tolerance and status stay verify's checks of the m = c solution
+    argv = [*PRIMARY, *FAST_VERIFY, "--skip", "mc"]
+    runs = []
+    for m in ([], ["--m", "0.10"]):
+        code, out, _ = run_cli(capsys, ["compare", *argv, *m])
+        assert code == 0
+        runs.append({r["method"]: r for r in json.loads(out)["rows"]})
+    at_c, at_m = runs
+    assert list(at_m) == ["closed_form", "shooting", "finite_difference"]
+    for method in ("closed_form", "finite_difference"):
+        assert at_m[method]["value_at_theta"] \
+            == 2.0 * at_c[method]["value_at_theta"]
+    assert at_m["shooting"]["value_at_theta"] is None
+    for method, row in at_m.items():
+        for key in ("boundary", "gap", "tolerance", "status"):
+            assert row[key] == at_c[method][key], (method, key)
 
 
 def test_compare_script_wraps_the_subcommand(capsys):

@@ -325,6 +325,45 @@ def test_solve_rejects_too_small_tolerance():
         solve_boundary(PRIMARY_CIR, CONTRACT, tol=1e-15)
 
 
+def test_solve_rejects_gamma_above_the_cap_before_building_anything(
+        monkeypatch):
+    # sigma^2 underflows to 0, to a subnormal, and leaves gamma = 3e298
+    def no_workspace(*args):
+        raise AssertionError("a workspace was built")
+    monkeypatch.setattr(closed_form, "_Workspace", no_workspace)
+    for sigma in (1e-170, 1e-160, 1e-150):
+        with pytest.raises(ValidationError, match="gamma") as exc:
+            solve_boundary(CirParams(k=0.25, theta=0.06, sigma=sigma),
+                           CONTRACT)
+        assert exc.value.field == "sigma"
+
+
+def test_gamma_cap_separates_sets_just_above_and_below_it():
+    # sigma at which 2 k theta / sigma^2 equals the cap
+    sigma_cap = math.sqrt(2.0 * 0.25 * 0.06 / closed_form.GAMMA_CAP)
+    with pytest.raises(ValidationError) as exc:
+        solve_boundary(CirParams(k=0.25, theta=0.06,
+                                 sigma=sigma_cap * (1.0 - 1e-3)), CONTRACT)
+    assert exc.value.field == "sigma"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DiagnosticsWarning)
+        sol = solve_boundary(CirParams(k=0.25, theta=0.06,
+                                       sigma=sigma_cap * (1.0 + 1e-3)),
+                             CONTRACT)
+    assert 0.99 * closed_form.GAMMA_CAP < sol.consts.gamma \
+        < closed_form.GAMMA_CAP
+    assert 0.0 < sol.x_star < CONTRACT.c
+
+
+def test_solution_needs_its_workspace_and_branch_constants(primary_solution):
+    # without them V would silently be the annuity A
+    public = {f: getattr(primary_solution, f)
+              for f in ("cir", "contract", "consts", "z_star", "x_star", "c2",
+                        "diagnostics")}
+    with pytest.raises(TypeError):
+        closed_form.SteadyStateSolution(**public)
+
+
 def test_solve_tolerance_monotonicity():
     tol = 1e-6
     a = solve_boundary(PRIMARY_CIR, CONTRACT, tol=tol)

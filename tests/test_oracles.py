@@ -166,6 +166,11 @@ def test_mc_validation_errors():
     with pytest.raises(ValidationError):
         mc_value(PRIMARY_CIR, CONTRACT, x0=0.005, boundary=0.009, paths=0,
                  dt=-1.0, horizon=-5.0)
+    # the generator takes no negative seed
+    with pytest.raises(ValidationError) as exc:
+        mc_value(PRIMARY_CIR, CONTRACT, 0.06, 0.009, paths=10, dt=0.01,
+                 horizon=1.0, seed=-1)
+    assert exc.value.field == "seed"
 
 
 def test_mc_matches_closed_form_loosely(primary_solution):
