@@ -39,7 +39,7 @@ U'/U, U''/U at z; _rows alone splits V into its stopped rows (1, 0, 0) and
 _branch's V, V', V'' (V'' within 7.8e-14 of the sum of its terms' sizes
 against mpmath), to which ode_residual applies the ODE.  Near x* with
 A >> 1 the factor 1 - A(x*) multiplies U's error, which is why U at small
-alpha takes the recurrence step of specfun.
+alpha takes specfun's contiguous step from one rule pass at alpha + 1.
 
 The paper's variation-of-parameters form, V = e^{lam x} (c2 U + u_p) with
 u_p = M I_U + U I_M and z_ref = z*, is a 30-digit reference in the tests.
@@ -263,15 +263,15 @@ class ValueCurve:
     points: tuple  # of (x, v, ode_residual)
 
 
-def value_curve(solution: SteadyStateSolution, x_lo: float, x_hi: float,
-                n: int) -> ValueCurve:
-    if not math.isfinite(x_hi):
-        raise ValidationError("x_hi", f"must be finite, got {x_hi!r}")
-    if not (0 <= x_lo < x_hi):
-        raise ValidationError("x_lo", "need 0 <= x_lo < x_hi")
-    if n < 2:
-        raise ValidationError("n", "need at least 2 points")
-    xs = np.linspace(x_lo, x_hi, n)
+def value_curve(solution: SteadyStateSolution, x_min: float, x_max: float,
+                points: int) -> ValueCurve:
+    if not math.isfinite(x_max):
+        raise ValidationError("x_max", f"must be finite, got {x_max!r}")
+    if not (0 <= x_min < x_max):
+        raise ValidationError("x_min", "need 0 <= x_min < x_max")
+    if points < 2:
+        raise ValidationError("points", "need at least 2 curve points")
+    xs = np.linspace(x_min, x_max, points)
     return ValueCurve(points=tuple(zip(
         xs.tolist(), value(solution, xs).tolist(),
         ode_residual(solution, xs).tolist())))
@@ -340,9 +340,13 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
 
     ann, ann_x, _, log_u, ratio, _ = (
         float(v[0]) for v in ws.terms(np.array([z_star])))
-    # the paper's c2 with z_ref = z*
-    c2 = math.exp(consts.a_exp * z_star - log_u) * (
-        1.0 - _msc_iu(ws, z_star, ann, ann_x, ratio))
+    # the paper's c2 with z_ref = z*; +-inf where e^{a z*}/U(z*) overflows,
+    # as it is 0 where that underflows
+    try:
+        scale = math.exp(consts.a_exp * z_star - log_u)
+    except OverflowError:
+        scale = math.inf
+    c2 = scale * (1.0 - _msc_iu(ws, z_star, ann, ann_x, ratio))
 
     sol = SteadyStateSolution(
         cir=cir, contract=contract, consts=consts,

@@ -28,21 +28,20 @@ at single points; U''/U: 8.2e-15 on arrays, 3.8e-13 at single points.
 
 Small alpha.  Below alpha = _ALPHA_STEP = 0.03 the last u-panels map to
 t = u^{1/alpha}, which GK15 cannot resolve (the rule alone is off by 1e-6 at
-alpha = 8.3e-4).  There U comes from one backward step of the recurrence in
-a (DLMF 13.3.7) from U(alpha+1) and U(alpha+2), which the rule resolves; U
-is the minimal solution as a grows, so the backward direction is stable
-(Gil, Segura & Temme, Numerical Methods for Special Functions, SIAM 2007,
-ch. 4).  Measured against mpmath on 12 z in [1e-3, 500] at alpha in
-{8.3e-4, 2.1e-3, 8.9e-3}: 4.5e-15 relative for gamma <= 0.5 and 1.0e-12 at
-gamma = 3.  Where z < gamma the two terms of the step cancel, by up to
-about gamma/alpha: the error grows to 1.4e-9 at gamma = 40 and 5e-8 at
-gamma = 180 (alpha = 8.3e-4).  The rule alone does better at those z, but
-it is off by up to 1e-6 at z > gamma.  U'/U and U''/U there are
--alpha U(alpha+1, gamma+1)/U and alpha (alpha+1) U(alpha+2, gamma+2)/U, and
-U(alpha+j, gamma+j)/U(alpha+j, gamma) = <(1 + t)^j> on the rule of
-U(alpha+j), which the step already evaluates: two passes of the rule in
-all, and no cancellation beyond that of the step itself (both are within
-1.0e-12 of mpmath on the grid above).
+alpha = 8.3e-4).  There one pass of the rule at alpha + 1, which it
+resolves, gives U through the contiguous relation (DLMF 13.3(i))
+    U(alpha, gamma, z) = z U(alpha+1, gamma+1, z)
+                         + (alpha + 1 - gamma) U(alpha+1, gamma, z),
+where U(alpha+1, gamma+1)/U(alpha+1, gamma) = 1 + <t>_1 on that rule, and
+U'/U and U''/U from the same moments <t>_1, <t^2>_1 (_tricomi_u_raw).
+Measured against mpmath on 12 z in [1e-3, 500] at alpha in
+{8.3e-4, 2.1e-3, 8.9e-3}: ln U within 4.5e-15 for gamma <= 0.5 and 6.2e-13
+at gamma = 3; where z < gamma the two terms still cancel, and the error
+grows to 3.4e-11 at gamma = 40 and 5.2e-10 at gamma = 180 (alpha = 8.3e-4).
+U'/U and U''/U are within the same relative errors.  At the seam the two
+branches agree to 5.8e-13.  Taking this step above 0.03 too would lose
+accuracy at large gamma (7.1e-12 against 2.3e-13 in ln U at alpha = 0.05,
+gamma = 133, same z), so the rule alone serves there.
 
 Supported box.  On 2000 log-uniform draws over k in [0.01, 5], theta in
 [0.003, 0.3], sigma in [0.005, 0.5] and c in [0.005, 0.2] (gamma from 6e-4
@@ -82,7 +81,7 @@ def _check_z(zs: np.ndarray, name: str) -> None:
 # then linear; each call scales them to u in (0, t_split^alpha].
 _U_NODES, _U_WEIGHTS = gk15_panels(np.concatenate(
     [np.geomspace(1e-18, 0.5, 24), np.linspace(0.5, 1.0, 6)[1:]]))
-# Below this alpha, U comes from one backward step of the recurrence in a
+# Below this alpha, U comes from the rule at alpha + 1 and one contiguous step
 _ALPHA_STEP = 0.03
 
 
@@ -126,16 +125,14 @@ def _u_panels(alpha: float, gamma: float, zs: np.ndarray
 def _tricomi_u_raw(alpha: float, gamma: float, zs: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ln U(alpha, gamma, z), U'/U, U''/U) at every z of zs: one rule pass,
-    with U'/U = -<t> and U''/U = <t^2>.  For alpha < _ALPHA_STEP, one
-    backward step of DLMF 13.3.7 in a, at the same gamma and z,
-        U(alpha) = (z + 2 + 2 alpha - gamma) U(alpha + 1)
-                   + (alpha + 1)(gamma - alpha - 2) U(alpha + 2),
-    the stable direction for the minimal solution U, replaces the Laplace
-    rule, which cannot resolve t^{alpha-1} there; then
-        U'/U  = -alpha (1 + <t>_1) U(alpha + 1) / U(alpha),
-        U''/U = alpha (alpha + 1) <(1 + t)^2>_2 U(alpha + 2) / U(alpha),
-    with <.>_1 and <.>_2 from the rules of U(alpha + 1, gamma) and
-    U(alpha + 2, gamma)."""
+    with U'/U = -<t> and U''/U = <t^2>.  For alpha < _ALPHA_STEP, where the
+    rule cannot resolve t^{alpha-1}, the one pass is at alpha + 1 and
+        step = U(alpha)/U(alpha + 1) = z (1 + <t>_1) + alpha + 1 - gamma,
+        U'/U  = -alpha (1 + <t>_1) / step,
+        U''/U = alpha (<t>_1 + <t^2>_1) / step,
+    from U' = -alpha U(alpha + 1, gamma + 1) and
+    U'' = alpha(alpha + 1) U(alpha + 2, gamma + 2), with <.>_1 the moments
+    on the rule of U(alpha + 1, gamma)."""
     if alpha <= 0.0:
         raise DomainError(f"U requires alpha > 0, got {alpha!r}")
     _check_z(zs, "U")
@@ -144,15 +141,10 @@ def _tricomi_u_raw(alpha: float, gamma: float, zs: np.ndarray
     if alpha >= _ALPHA_STEP:
         log_u, mean_t, mean_tt = _u_panels(alpha, gamma, zs)
         return log_u, -mean_t, mean_tt
-    log_u1, mean_t1, _ = _u_panels(alpha + 1.0, gamma, zs)
-    log_u2, mean_t2, mean_tt2 = _u_panels(alpha + 2.0, gamma, zs)
-    ratio = np.exp(log_u2 - log_u1)
-    # U(alpha) / U(alpha + 1)
-    step = (zs + 2.0 + 2.0 * alpha - gamma
-            + (alpha + 1.0) * (gamma - alpha - 2.0) * ratio)
+    log_u1, mean_t1, mean_tt1 = _u_panels(alpha + 1.0, gamma, zs)
+    step = zs * (1.0 + mean_t1) + alpha + 1.0 - gamma  # U(alpha)/U(alpha+1)
     return (log_u1 + np.log(step), -alpha * (1.0 + mean_t1) / step,
-            alpha * (alpha + 1.0) * (1.0 + 2.0 * mean_t2 + mean_tt2)
-            * ratio / step)
+            alpha * (mean_t1 + mean_tt1) / step)
 
 
 def log_wronskian(alpha: float, gamma: float, zs: np.ndarray) -> np.ndarray:

@@ -56,6 +56,17 @@ def test_solve_scales_reporting_by_m_over_c(capsys):
     assert rep["value_scale_m_over_c"] == 2.0
 
 
+def test_solve_prints_an_overflowing_c2_as_null(capsys):
+    # e^{a z*}/U(z*) leaves float range between c = 150 and c = 200; c2 is
+    # then infinite and JSON has no infinity
+    code, out, err = run_cli(capsys, ["solve", *PRIMARY[:-1], "200"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["c2"] is None
+    code, out, _ = run_cli(capsys, ["solve", *PRIMARY[:-1], "150"])
+    assert code == 0
+    assert '"c2": 1.6805040919336744e+243,' in out
+
+
 def test_solve_determinism_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, ["solve", *PRIMARY])
     _, out2, _ = run_cli(capsys, ["solve", *PRIMARY])
@@ -176,6 +187,19 @@ def test_curve_rejects_bad_window(capsys):
         assert json.loads(err)["field"] == field
 
 
+def test_curve_rejects_one_point_after_the_solve(capsys):
+    # value_curve checks the window and the point count after the solve, so
+    # a set without a boundary exits 3 first
+    code, out, err = run_cli(capsys, ["curve", *PRIMARY, "--points", "1"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["field"] == "points"
+    code, _, err = run_cli(capsys, ["curve", "--k", "0.1", "--theta", "0.1",
+                                    "--sigma", "0.05", "--c", "0.03",
+                                    "--points", "1"])
+    assert code == 3
+    assert json.loads(err)["error"] == "NoBracketError"
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -223,9 +247,9 @@ def test_verify_detects_corrupted_boundary(capsys, monkeypatch):
     assert "smooth_pasting_slope" in rep["failed"]
 
 
-def test_wronskian_grid_fails_on_nan(monkeypatch):
+def test_wronskian_grid_fails_on_nan(capsys, monkeypatch):
     # a NaN on one (alpha, gamma) pair must fail the check, not be folded
-    # away by the maximum over pairs
+    # away by the maximum over pairs; verify prints it as JSON null
     exact = cli.specfun.log_wronskian
 
     def log_wronskian(alpha, gamma, zs):
@@ -234,6 +258,13 @@ def test_wronskian_grid_fails_on_nan(monkeypatch):
     checks = {ch["name"]: ch for ch in cli._specfun_checks()}
     assert checks["wronskian_grid"]["status"] == "fail"
     assert checks["specfun_identities"]["status"] == "pass"
+    code, out, _ = run_cli(capsys, ["verify", *PRIMARY, "--skip", "mc",
+                                    "--skip", "fd", "--skip", "shooting"])
+    assert code == 5
+    rep = json.loads(out)
+    check = {ch["name"]: ch for ch in rep["checks"]}["wronskian_grid"]
+    assert check["measured"] is None and check["margin"] is None
+    assert rep["failed"] == ["wronskian_grid"]
 
 
 def test_verify_determinism_byte_identical(capsys):

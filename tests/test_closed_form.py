@@ -246,6 +246,7 @@ def test_residual_brackets_the_root(primary_solution, primary_consts):
     assert lo * hi < 0
 
 
+@pytest.mark.slow
 def test_ratio_form_shares_the_root(primary_solution, primary_consts):
     # the eliminated residual and the ratio-of-U form (single Gamma factor)
     # must locate the same z*
@@ -691,14 +692,14 @@ def test_value_curve_invariants(primary_solution):
 def test_value_curve_names_the_bad_argument(primary_solution):
     with pytest.raises(ValidationError) as exc:
         value_curve(primary_solution, 0.5, 0.1, 11)
-    assert exc.value.field == "x_lo"
+    assert exc.value.field == "x_min"
     with pytest.raises(ValidationError) as exc:
         value_curve(primary_solution, 0.1, 0.5, 1)
-    assert exc.value.field == "n"
-    for x_hi in (math.inf, math.nan):
+    assert exc.value.field == "points"
+    for x_max in (math.inf, math.nan):
         with pytest.raises(ValidationError) as exc:
-            value_curve(primary_solution, 0.1, x_hi, 11)
-        assert exc.value.field == "x_hi"
+            value_curve(primary_solution, 0.1, x_max, 11)
+        assert exc.value.field == "x_max"
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf,

@@ -267,7 +267,8 @@ def test_u_matches_mpmath_on_array_and_points(alpha):
 @pytest.mark.parametrize("alpha", [8.3e-4, 2.1e-3, 8.9e-3])
 def test_u_at_small_alpha_matches_mpmath(alpha):
     # below _ALPHA_STEP the Laplace rule cannot resolve t^{alpha-1}, and the
-    # backward recurrence step in a takes over; on arrays and single points
+    # contiguous step from the rule at alpha + 1 takes over; on arrays and
+    # single points
     assert alpha < _ALPHA_STEP
     zs = np.geomspace(1e-3, 500.0, 12)
     for gamma in (0.0043, 0.5, 3.0):
@@ -293,12 +294,46 @@ def test_u_at_small_alpha_matches_mpmath(alpha):
                 <= 1e-11 * wr2, (gamma, z)
 
 
+@pytest.mark.parametrize("alpha", [8.3e-4, 2.1e-3, 8.9e-3])
+def test_u_at_small_alpha_and_large_gamma_matches_mpmath(alpha):
+    # where z < gamma the two terms of the contiguous step cancel, by more
+    # as gamma grows; ln U absolute, U'/U and U''/U relative, on arrays and
+    # single points
+    zs = np.geomspace(1e-3, 500.0, 12)
+    for gamma in (40.0, 180.0):
+        tol = 1e-11 * gamma
+        with mpmath.workdps(30):
+            want = np.array([float(mpmath.log(mpmath.hyperu(alpha, gamma, z)))
+                             for z in zs])
+        want_ratios = np.array([[u_ratio_mp(alpha, gamma, z) for z in zs],
+                                [u_ratio2_mp(alpha, gamma, z) for z in zs]])
+        points = np.array([_u_parts(alpha, gamma, float(z)) for z in zs]).T
+        for got in (_u_parts(alpha, gamma, zs), points):
+            assert np.all(np.abs(got[0] - want) <= tol), gamma
+            assert np.all(np.abs(got[1:] - want_ratios)
+                          <= tol * np.abs(want_ratios)), gamma
+
+
+def test_u_is_continuous_across_the_step():
+    # the rule at _ALPHA_STEP and the contiguous step just below it agree,
+    # on arrays and at single points
+    zs = np.geomspace(0.01, 500.0, 10)
+    below = np.nextafter(_ALPHA_STEP, 0.0)
+    for gamma in (0.0043, 0.5, 3.0, 24.0, 41.0):
+        for z in (zs, *zs):
+            at, under = (np.array(_u_parts(alpha, gamma, z))
+                         for alpha in (_ALPHA_STEP, below))
+            assert np.all(np.abs(at[0] - under[0]) <= 2e-12), (gamma, z)
+            assert np.all(np.abs(at[1:] - under[1:])
+                          <= 2e-12 * np.abs(at[1:])), (gamma, z)
+
+
 @pytest.mark.parametrize("alpha,passes", [(0.5, 1), (_ALPHA_STEP, 1),
-                                          (0.029, 2), (8.3e-4, 2)])
+                                          (0.029, 1), (8.3e-4, 1)])
 def test_one_evaluation_makes_one_rule_pass_or_two_below_the_step(
         monkeypatch, alpha, passes):
-    # ln U and U'/U share each pass of the Laplace rule: one at alpha >=
-    # _ALPHA_STEP, two (U(alpha+1) and U(alpha+2)) for the recurrence step
+    # ln U, U'/U and U''/U share one pass of the Laplace rule at every
+    # alpha: at alpha itself from _ALPHA_STEP up, at alpha + 1 below it
     calls = []
     rule = specfun._u_panels
 
@@ -308,6 +343,7 @@ def test_one_evaluation_makes_one_rule_pass_or_two_below_the_step(
     monkeypatch.setattr(specfun, "_u_panels", counted)
     _tricomi_u_raw(alpha, 2.0, np.geomspace(0.01, 100.0, 16))
     assert len(calls) == passes, calls
+    assert calls[0] == (alpha if alpha >= _ALPHA_STEP else alpha + 1.0)
 
 
 def test_log_u_stays_finite_where_u_overflows():
