@@ -38,8 +38,9 @@ overflows.  _Workspace.terms alone pairs A, A', A'' at x = z/p with ln U,
 U'/U, U''/U at z; _rows alone splits V into its stopped rows (1, 0, 0) and
 _branch's V, V', V'' (V'' within 7.8e-14 of the sum of its terms' sizes
 against mpmath), to which ode_residual applies the ODE.  Near x* with
-A >> 1 the factor 1 - A(x*) multiplies U's error, which is why U at small
-alpha takes specfun's contiguous step from one rule pass at alpha + 1.
+A >> 1 the factor 1 - A(x*) multiplies U's error, which is why specfun's
+rule grades its u-panels with alpha, so that U at small alpha is as accurate
+as elsewhere.
 
 The paper's variation-of-parameters form, V = e^{lam x} (c2 U + u_p) with
 u_p = M I_U + U I_M and z_ref = z*, is a 30-digit reference in the tests.
@@ -307,8 +308,9 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
     ends; BoundaryBelowFloorError if that end is below p RATE_FLOOR.  A
     DiagnosticsWarning names each diagnostic that misses its bound
     (PASTING_VALUE_TOL, PASTING_SLOPE_TOL, ODE_RESIDUAL_TOL_PER_C c)."""
-    if not tol >= 1e-12:
-        raise ValidationError("tol", f"must be >= 1e-12, got {tol!r}")
+    if not (tol >= 1e-12 and math.isfinite(tol)):
+        raise ValidationError("tol",
+                              f"must be finite and >= 1e-12, got {tol!r}")
     if abs(contract.m - contract.c) > 1e-15 * max(contract.m, contract.c):
         raise ValidationError(
             "m", "the steady-state solver requires the m = c normalization; "

@@ -20,28 +20,21 @@ integral gives U' = -1/Gamma(alpha) int t e^{-z t} ..., so U'/U = -<t>, the
 mean of t under U's own Laplace weight, and likewise U''/U = <t^2>: one pass
 of the rule gives ln U, U'/U and U''/U (_tricomi_u_raw).
 
-Measured relative accuracy of U against mpmath at 30 digits, for alpha in
-[0.03, 21], gamma in [0.5, 41] and z in [0.01, 500]: 4e-14 on one array
-spanning those z, 4e-13 at single points; ln U to 2.3e-13 absolute at
-gamma = 133 and 180.  U'/U on the same grid: 1.0e-14 on arrays, 4.1e-13
-at single points; U''/U: 8.2e-15 on arrays, 3.8e-13 at single points.
+Small alpha.  With t = u^{1/alpha} the integrand varies on a scale of alpha
+in 1 - u, so the u-panels past u = 1/2 are graded geometrically toward
+u = 1, down to 1 - u ~ alpha/20 (Davis & Rabinowitz, Methods of Numerical
+Integration, 2nd ed. 1984, 2.12 and 4.8): one rule, one pass at every
+alpha, from 26 panels in u at alpha >= 2 to 33 at alpha = 8.3e-4.
 
-Small alpha.  Below alpha = _ALPHA_STEP = 0.03 the last u-panels map to
-t = u^{1/alpha}, which GK15 cannot resolve (the rule alone is off by 1e-6 at
-alpha = 8.3e-4).  There one pass of the rule at alpha + 1, which it
-resolves, gives U through the contiguous relation (DLMF 13.3(i))
-    U(alpha, gamma, z) = z U(alpha+1, gamma+1, z)
-                         + (alpha + 1 - gamma) U(alpha+1, gamma, z),
-where U(alpha+1, gamma+1)/U(alpha+1, gamma) = 1 + <t>_1 on that rule, and
-U'/U and U''/U from the same moments <t>_1, <t^2>_1 (_tricomi_u_raw).
-Measured against mpmath on 12 z in [1e-3, 500] at alpha in
-{8.3e-4, 2.1e-3, 8.9e-3}: ln U within 4.5e-15 for gamma <= 0.5 and 6.2e-13
-at gamma = 3; where z < gamma the two terms still cancel, and the error
-grows to 3.4e-11 at gamma = 40 and 5.2e-10 at gamma = 180 (alpha = 8.3e-4).
-U'/U and U''/U are within the same relative errors.  At the seam the two
-branches agree to 5.8e-13.  Taking this step above 0.03 too would lose
-accuracy at large gamma (7.1e-12 against 2.3e-13 in ln U at alpha = 0.05,
-gamma = 133, same z), so the rule alone serves there.
+Measured against mpmath at 40 digits on 12 alpha in [8.3e-4, 21], gamma in
+{0.0043, 0.05, 0.5, 3, 24, 41, 180} and 12 z in [1e-3, 500], on one array
+and at single points: ln U within 7.1e-13 absolute, U'/U and U''/U within
+7.1e-13 relative; at alpha = 8.3e-4 within 1.1e-13 up to gamma = 180.
+Between the adjacent floats of alpha where the rule gains a panel, all
+three jump by at most 5.5e-14 for alpha >= 6e-6.  Below that, nodes u
+within a few float steps of 1 limit the rule, and the error grows to
+4.3e-12 at alpha = 1e-6 and 1.2e-3 at 1e-14; the supported box has
+alpha >= 1.2e-4.
 
 Supported box.  On 2000 log-uniform draws over k in [0.01, 5], theta in
 [0.003, 0.3], sigma in [0.005, 0.5] and c in [0.005, 0.2] (gamma from 6e-4
@@ -77,31 +70,37 @@ def _check_z(zs: np.ndarray, name: str) -> None:
         raise DomainError(f"{name} requires z > 0")
 
 
-# The inner u-panels of _laplace_rule on (0, 1]: geometric from 1e-18 to 1/2,
-# then linear; each call scales them to u in (0, t_split^alpha].
-_U_NODES, _U_WEIGHTS = gk15_panels(np.concatenate(
-    [np.geomspace(1e-18, 0.5, 24), np.linspace(0.5, 1.0, 6)[1:]]))
-# Below this alpha, U comes from the rule at alpha + 1 and one contiguous step
-_ALPHA_STEP = 0.03
+# The inner u-panels of _laplace_rule on (0, 1], indexed by m: 23 geometric
+# from 1e-18 to 1/2, m geometric in 1 - u by factors of 3, one up to u = 1;
+# each call scales them to u in (0, t_split^alpha].  Past m = 32 the last
+# edge 1 - 0.5/3^m is within one float step of 1.
+_U_RULES = tuple(gk15_panels(np.concatenate(
+    [np.geomspace(1e-18, 0.5, 24), 1.0 - 0.5 / 3.0 ** np.arange(1, m + 1),
+     [1.0]])) for m in range(33))
 
 
 def _laplace_rule(alpha: float, g: float,
                   zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodes t, weights w with sum(w f(t)) ~ int_0^inf t^{alpha-1} f(t) dt at
     every z of zs, for f smooth on (0, 1] and decaying like (z t)^g e^{-z t}.
-    GK15 panels: the fixed panels _U_NODES in u = t^alpha scaled to
+    GK15 panels: the fixed panels _U_RULES[m] in u = t^alpha scaled to
     (0, t_split^alpha], t_split = min(1, 1/z_max), which turns t^{alpha-1} dt
     into du / alpha; then geometric in t, each a fraction of the width
     1/sqrt(g) of the peak of y^g e^{-y} in ln y, up to y = 60 + 3g at z_min,
-    where y - g ln y >= 50 + g - g ln g puts it e^{-50} below."""
+    where y - g ln y >= 50 + g - g ln g puts it e^{-50} below.  The
+    m = ceil(log_3(10 / min(alpha, 2))) u-panels graded toward u = 1 reach
+    down to 1 - u ~ alpha/20 (module docstring, Small alpha)."""
+    m = math.ceil((math.log(10.0) - math.log(min(alpha, 2.0)))
+                  / math.log(3.0))
+    u_nodes, u_weights = _U_RULES[min(m, len(_U_RULES) - 1)]
     t_split = min(1.0, 1.0 / float(zs.max()))
     t_max = (60.0 + 3.0 * max(g, 0.0)) / float(zs.min())
     step = min(math.log(2.0), 1.3 / math.sqrt(max(g, 1.0)))
     ln_span = math.log(t_max / t_split)
     t_outer, w_outer = gk15_panels(t_split * np.exp(
         np.linspace(0.0, ln_span, math.ceil(ln_span / step) + 1)))
-    return (np.concatenate([t_split * _U_NODES ** (1.0 / alpha), t_outer]),
-            np.concatenate([(t_split ** alpha / alpha) * _U_WEIGHTS,
+    return (np.concatenate([t_split * u_nodes ** (1.0 / alpha), t_outer]),
+            np.concatenate([(t_split ** alpha / alpha) * u_weights,
                             w_outer * t_outer ** (alpha - 1.0)]))
 
 
@@ -124,27 +123,15 @@ def _u_panels(alpha: float, gamma: float, zs: np.ndarray
 
 def _tricomi_u_raw(alpha: float, gamma: float, zs: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ln U(alpha, gamma, z), U'/U, U''/U) at every z of zs: one rule pass,
-    with U'/U = -<t> and U''/U = <t^2>.  For alpha < _ALPHA_STEP, where the
-    rule cannot resolve t^{alpha-1}, the one pass is at alpha + 1 and
-        step = U(alpha)/U(alpha + 1) = z (1 + <t>_1) + alpha + 1 - gamma,
-        U'/U  = -alpha (1 + <t>_1) / step,
-        U''/U = alpha (<t>_1 + <t^2>_1) / step,
-    from U' = -alpha U(alpha + 1, gamma + 1) and
-    U'' = alpha(alpha + 1) U(alpha + 2, gamma + 2), with <.>_1 the moments
-    on the rule of U(alpha + 1, gamma)."""
+    """(ln U(alpha, gamma, z), U'/U, U''/U) at every z of zs from one rule
+    pass at alpha, with U'/U = -<t> and U''/U = <t^2>."""
     if alpha <= 0.0:
         raise DomainError(f"U requires alpha > 0, got {alpha!r}")
     _check_z(zs, "U")
     if zs.size == 0:
         return np.empty_like(zs), np.empty_like(zs), np.empty_like(zs)
-    if alpha >= _ALPHA_STEP:
-        log_u, mean_t, mean_tt = _u_panels(alpha, gamma, zs)
-        return log_u, -mean_t, mean_tt
-    log_u1, mean_t1, mean_tt1 = _u_panels(alpha + 1.0, gamma, zs)
-    step = zs * (1.0 + mean_t1) + alpha + 1.0 - gamma  # U(alpha)/U(alpha+1)
-    return (log_u1 + np.log(step), -alpha * (1.0 + mean_t1) / step,
-            alpha * (mean_t1 + mean_tt1) / step)
+    log_u, mean_t, mean_tt = _u_panels(alpha, gamma, zs)
+    return log_u, -mean_t, mean_tt
 
 
 def log_wronskian(alpha: float, gamma: float, zs: np.ndarray) -> np.ndarray:

@@ -101,11 +101,13 @@ def test_validation_error_exit_2_names_field(capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["field"] == "horizon"
-    # a negative seed, and a sigma whose gamma = 2 k theta / sigma^2 is
-    # above the solver's cap
+    # a negative seed, a non-finite root tolerance, and a sigma whose
+    # gamma = 2 k theta / sigma^2 is above the solver's cap
     for argv, field in (
             (["verify", *PRIMARY, "--seed", "-1", "--mc-paths", "100",
               "--skip", "fd", "--skip", "shooting"], "seed"),
+            (["solve", *PRIMARY, "--tol-root", "inf"], "tol"),
+            (["solve", *PRIMARY, "--tol-root", "nan"], "tol"),
             (["solve", "--k", "0.25", "--theta", "0.06", "--sigma", "1e-160",
               "--c", "0.05"], "sigma")):
         code, out, err = run_cli(capsys, argv)

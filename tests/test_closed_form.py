@@ -445,8 +445,9 @@ def test_box_scan_solves_within_bounds_or_has_no_bracket():
 
 
 @pytest.mark.parametrize("cir,c", [
-    # gamma = 0.0043, alpha = 0.0021 and A(x*) of about 59: without the
-    # small-alpha step of U the boundary sits 3.3e-6 below this root
+    # gamma = 0.0043, alpha = 0.0021 and A(x*) of about 59: with five equal
+    # u-panels on [1/2, 1] in U's rule, not graded toward u = 1, the
+    # boundary sits 2.4e-4 above this root
     (CirParams(k=0.013318, theta=0.011423, sigma=0.265309), 0.045874),
     # the two small-gamma sets of the shooting test above
     (CirParams(k=0.024337, theta=0.021019, sigma=0.168964), 0.023025),

@@ -20,8 +20,7 @@ from scipy.integrate import quad
 from cirmort import specfun
 from cirmort.closed_form import _log_msc_and_ratio
 from cirmort.errors import DomainError
-from cirmort.specfun import (_ALPHA_STEP, _kummer_m_scaled, _tricomi_u_raw,
-                             log_wronskian)
+from cirmort.specfun import _kummer_m_scaled, _tricomi_u_raw, log_wronskian
 
 PAIRS = [(0.2, 0.5), (0.2, 3.0), (0.5, 1.5), (1.0, 1.0), (1.0, 4.0),
          (2.5, 2.0), (3.0, 8.0), (5.0, 5.5), (8.0, 24.0)]
@@ -234,7 +233,8 @@ def test_u_mpmath_spot_values():
         assert abs(got - want) <= 1e-8 * abs(want)
 
 
-@pytest.mark.parametrize("alpha", [0.03, 0.2, 1.0, 3.0, 8.0, 20.0, 21.0])
+@pytest.mark.parametrize("alpha", [8.3e-4, 2.1e-3, 8.9e-3, 0.03, 0.2, 1.0,
+                                   3.0, 8.0, 20.0, 21.0])
 def test_u_matches_mpmath_on_array_and_points(alpha):
     # one rule for every z: arrays spanning both sides of z = 0.5 and
     # single points, out to z = 500 where the integrand decays like
@@ -266,10 +266,8 @@ def test_u_matches_mpmath_on_array_and_points(alpha):
 
 @pytest.mark.parametrize("alpha", [8.3e-4, 2.1e-3, 8.9e-3])
 def test_u_at_small_alpha_matches_mpmath(alpha):
-    # below _ALPHA_STEP the Laplace rule cannot resolve t^{alpha-1}, and the
-    # contiguous step from the rule at alpha + 1 takes over; on arrays and
-    # single points
-    assert alpha < _ALPHA_STEP
+    # the u-panels graded toward u = 1 resolve t = u^{1/alpha}; on arrays
+    # and single points
     zs = np.geomspace(1e-3, 500.0, 12)
     for gamma in (0.0043, 0.5, 3.0):
         with mpmath.workdps(30):
@@ -296,9 +294,8 @@ def test_u_at_small_alpha_matches_mpmath(alpha):
 
 @pytest.mark.parametrize("alpha", [8.3e-4, 2.1e-3, 8.9e-3])
 def test_u_at_small_alpha_and_large_gamma_matches_mpmath(alpha):
-    # where z < gamma the two terms of the contiguous step cancel, by more
-    # as gamma grows; ln U absolute, U'/U and U''/U relative, on arrays and
-    # single points
+    # large gamma, where z < gamma puts the mass at large t; ln U absolute,
+    # U'/U and U''/U relative, on arrays and single points
     zs = np.geomspace(1e-3, 500.0, 12)
     for gamma in (40.0, 180.0):
         tol = 1e-11 * gamma
@@ -314,26 +311,36 @@ def test_u_at_small_alpha_and_large_gamma_matches_mpmath(alpha):
                           <= tol * np.abs(want_ratios)), gamma
 
 
-def test_u_is_continuous_across_the_step():
-    # the rule at _ALPHA_STEP and the contiguous step just below it agree,
-    # on arrays and at single points
+def test_u_is_continuous_across_the_panel_seams():
+    # bisect to the two adjacent floats of alpha between which the rule
+    # gains a u-panel; there U, U'/U and U''/U agree, on arrays and at
+    # single points
     zs = np.geomspace(0.01, 500.0, 10)
-    below = np.nextafter(_ALPHA_STEP, 0.0)
-    for gamma in (0.0043, 0.5, 3.0, 24.0, 41.0):
-        for z in (zs, *zs):
-            at, under = (np.array(_u_parts(alpha, gamma, z))
-                         for alpha in (_ALPHA_STEP, below))
-            assert np.all(np.abs(at[0] - under[0]) <= 2e-12), (gamma, z)
-            assert np.all(np.abs(at[1:] - under[1:])
-                          <= 2e-12 * np.abs(at[1:])), (gamma, z)
+
+    def nodes(alpha):
+        return specfun._laplace_rule(alpha, 1.0, zs)[0].size
+    for seam in (10.0 / 3.0 ** 5, 10.0 / 3.0 ** 8):
+        below, above = seam * (1.0 - 1e-12), seam * (1.0 + 1e-12)
+        assert nodes(below) != nodes(above), seam
+        while np.nextafter(below, above) != above:
+            mid = 0.5 * (below + above)
+            if nodes(mid) == nodes(below):
+                below = mid
+            else:
+                above = mid
+        for gamma in (0.0043, 0.5, 3.0, 24.0, 41.0):
+            for z in (zs, *zs):
+                at, under = (np.array(_u_parts(alpha, gamma, z))
+                             for alpha in (above, below))
+                assert np.all(np.abs(at[0] - under[0]) <= 2e-12), (gamma, z)
+                assert np.all(np.abs(at[1:] - under[1:])
+                              <= 2e-12 * np.abs(at[1:])), (gamma, z)
 
 
-@pytest.mark.parametrize("alpha,passes", [(0.5, 1), (_ALPHA_STEP, 1),
-                                          (0.029, 1), (8.3e-4, 1)])
-def test_one_evaluation_makes_one_rule_pass_or_two_below_the_step(
-        monkeypatch, alpha, passes):
-    # ln U, U'/U and U''/U share one pass of the Laplace rule at every
-    # alpha: at alpha itself from _ALPHA_STEP up, at alpha + 1 below it
+@pytest.mark.parametrize("alpha", [0.5, 0.03, 0.029, 8.3e-4])
+def test_one_evaluation_makes_one_rule_pass_at_alpha(monkeypatch, alpha):
+    # ln U, U'/U and U''/U share one pass of the Laplace rule, at alpha
+    # itself at every alpha
     calls = []
     rule = specfun._u_panels
 
@@ -342,8 +349,7 @@ def test_one_evaluation_makes_one_rule_pass_or_two_below_the_step(
         return rule(*args)
     monkeypatch.setattr(specfun, "_u_panels", counted)
     _tricomi_u_raw(alpha, 2.0, np.geomspace(0.01, 100.0, 16))
-    assert len(calls) == passes, calls
-    assert calls[0] == (alpha if alpha >= _ALPHA_STEP else alpha + 1.0)
+    assert calls == [alpha]
 
 
 def test_log_u_stays_finite_where_u_overflows():
