@@ -20,8 +20,13 @@ boundary residual
 
 where <t> is the mean of t under the weight e^{-z t} t^{alpha-1}
 (1 + t)^{gamma-alpha-1} of U's Laplace integral, so one pass of that rule
-gives ln U and U'/U (specfun._tricomi_u_raw).  R's root is x*, refined by
-Newton in ln z with R's slope from the same pass's U''/U = <t^2> and A''.
+gives ln U and U'/U (specfun._tricomi_u_raw).  The rule depends on (alpha,
+gamma) only: _Workspace builds it (specfun._LaplaceRule) at its first U
+pass and keeps it, so the residuals, c2 and the diagnostics of a solve, and
+every later evaluation of its solution, reuse one set of nodes on a fixed
+lattice in t that grows only by the panels a pass lacks.  R's root is x*,
+refined by Newton in ln z with R's slope from the same pass's
+U''/U = <t^2> and A''.
 A decreases (P = A_P e^{-B x}, B > 0) and U'/U < 0 tends to -inf as z -> 0,
 so R < 0 at every x > 0 if A(0) <= 1 and R > 0 near 0 if A(0) > 1: a
 boundary exists if and only if A(0) > 1, and then x* <= c.  The value on the
@@ -43,7 +48,7 @@ rule grades its u-panels with alpha, so that U at small alpha is as accurate
 as elsewhere.
 
 The paper's variation-of-parameters form, V = e^{lam x} (c2 U + u_p) with
-u_p = M I_U + U I_M and z_ref = z*, is a 30-digit reference in the tests.
+u_p = M I_U + U I_M and z_ref = z*, is a 20-digit reference in the tests.
 Its constant c2, which `cirmort solve` prints, needs M only at z*: there
 I_M = 0, so e^{-a z} u_p = Msc IU~ (Msc = e^{-z} M, IU~ = e^{(1-a) z} I_U,
 a = 1/2 - k/(2s) = -lam/p) and the same with M' for the derivative, while
@@ -73,7 +78,7 @@ from .errors import (BoundaryBelowFloorError, DomainError, NoBracketError,
 from .model import (RATE_FLOOR, CirParams, ContractParams, DerivedConstants,
                     bond_price_terms, derive_constants)
 from .numerics import find_root_bracketed, gk15_panels
-from .specfun import _kummer_m_scaled, _tricomi_u_raw
+from .specfun import _kummer_m_scaled, _LaplaceRule, _tricomi_u_raw
 
 __all__ = [
     "SteadyStateSolution",
@@ -107,7 +112,7 @@ PASTING_SLOPE_TOL = 1e-6
 ODE_RESIDUAL_TOL_PER_C = 1e-6           # times the coupon c
 # Largest gamma = 2 k theta / sigma^2 that solve_boundary accepts.  U's rule
 # has about sqrt(gamma) panels: a solve and a 100-point ode_residual peak at
-# 125 MiB RSS at gamma = 1e5 and 300 MiB at 1e6.  The README box reaches 1.2e5.
+# 89 MiB RSS at gamma = 1e5 and 182 MiB at 1e6.  The README box reaches 1.2e5.
 GAMMA_CAP = 1e6
 
 
@@ -128,7 +133,8 @@ def _annuity_rule(r_inf: float) -> tuple[np.ndarray, np.ndarray]:
 
 class _Workspace:
     """Per-(cir, contract) evaluation context: the annuity rule with its
-    bond-price terms, and the basis U; all public entry points funnel
+    bond-price terms, and U's Laplace rule, built at the first U pass, so a
+    set without a boundary never builds it; all public entry points funnel
     through here."""
 
     def __init__(self, cir: CirParams, contract: ContractParams):
@@ -138,6 +144,7 @@ class _Workspace:
         # columns: c w for A, -c w B for A', c w B^2 for A''
         self.weights = contract.c * np.stack([w, -w * b, w * b * b], axis=1)
         self.b = b
+        self.u_rule = None
 
     def annuity(self, xs: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -147,9 +154,13 @@ class _Workspace:
 
     def terms(self, zs: np.ndarray) -> tuple[np.ndarray, ...]:
         """(A, A', A'', ln U, U'/U, U''/U) at every z of zs, A and its
-        x-derivatives at x = z/p: one annuity product and one U pass."""
+        x-derivatives at x = z/p: one annuity product and one pass of the
+        workspace's U rule."""
+        alpha, gamma = self.consts.alpha, self.consts.gamma
+        if self.u_rule is None:
+            self.u_rule = _LaplaceRule(alpha, gamma)
         return (*self.annuity(zs / self.consts.p),
-                *_tricomi_u_raw(self.consts.alpha, self.consts.gamma, zs))
+                *_tricomi_u_raw(alpha, gamma, zs, rule=self.u_rule))
 
     def residual_scaled(self, z: Real) -> tuple[Real, Real]:
         """(R/p, d(R/p)/d ln z), R/p = dV/dz at x = z/p for the V that pastes
@@ -248,14 +259,22 @@ def pasting(solution: SteadyStateSolution) -> tuple[float, float]:
     return float(v[0]) - 1.0, float(dv[0])
 
 
+def _ode(solution: SteadyStateSolution, xs: np.ndarray,
+         rows: np.ndarray) -> np.ndarray:
+    """(sigma^2/2) x V'' + k(theta - x) V' - x V + c at each x of xs, given
+    the rows (V, dV/dx, d2V/dx2) there."""
+    cir = solution.cir
+    v, dv, d2v = rows
+    return (0.5 * cir.sigma ** 2 * xs * d2v + cir.k * (cir.theta - xs) * dv
+            - xs * v + solution.contract.c)
+
+
 def ode_residual(solution: SteadyStateSolution, x: Real) -> Real:
     """Steady ODE residual (sigma^2/2) x V'' + k(theta - x) V' - x V + c, at
     one x or at each x of an array, applied to the rows of _rows: exactly
     c - x on the stopped branch x <= x*, where they are (1, 0, 0)."""
-    xs, (v, dv, d2v), scalar = _rows(solution, x, "ode_residual")
-    cir = solution.cir
-    out = (0.5 * cir.sigma ** 2 * xs * d2v + cir.k * (cir.theta - xs) * dv
-           - xs * v + solution.contract.c)
+    xs, rows, scalar = _rows(solution, x, "ode_residual")
+    out = _ode(solution, xs, rows)
     return float(out[0]) if scalar else out
 
 
@@ -356,9 +375,11 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
         diagnostics=Diagnostics(0.0, 0.0, 0.0),
         workspace=ws, log_u_at_star=log_u, amp=1.0 - ann)
 
-    v_err, slope = pasting(sol)
-    probes = np.geomspace(1.02 * x_star, 5.0 * x_star, 7)
-    res_max = float(np.max(np.abs(ode_residual(sol, probes))))
+    # pasting at x* and the ODE at 7 probes above it, from one branch call
+    xs = np.append(x_star, np.geomspace(1.02 * x_star, 5.0 * x_star, 7))
+    rows = _branch(sol, xs)
+    v_err, slope = float(rows[0, 0]) - 1.0, float(rows[1, 0])
+    res_max = float(np.max(np.abs(_ode(sol, xs[1:], rows[:, 1:]))))
     missed = [f"{name} = {measured!r} (bound {bound!r})"
               for name, measured, bound in (
                   ("pasting_value_error", v_err, PASTING_VALUE_TOL),

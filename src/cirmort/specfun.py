@@ -10,31 +10,39 @@ U comes from one rule at every z > 0: panel-wise Gauss-Kronrod (GK15)
 quadrature of the Laplace integral (DLMF 13.4.4)
     U = 1/Gamma(alpha) * int_0^inf e^{-z t} t^{alpha-1}
         (1 + t)^{gamma-alpha-1} dt,
-on the nodes of _laplace_rule: geometric panels in u = t^alpha up to
-t = min(1, 1/z_max), which absorb the t^{alpha-1} endpoint singularity, then
-geometric panels in t out to e^{-50} below the integrand's peak.  All terms
-are positive, so there is no cancellation and the point-to-point noise stays
-at rounding level, which downstream residual checks rely on.  The sum is
-taken in log space (log-sum-exp over the nodes).  Differentiating under the
-integral gives U' = -1/Gamma(alpha) int t e^{-z t} ..., so U'/U = -<t>, the
-mean of t under U's own Laplace weight, and likewise U''/U = <t^2>: one pass
-of the rule gives ln U, U'/U and U''/U (_tricomi_u_raw).
+on the nodes of a _LaplaceRule: panels in u = (t/t_split)^alpha up to a
+point t_split <= min(1, 1/z_max) of the lattice e^{j step}, which absorb
+the t^{alpha-1} endpoint singularity, then the lattice's geometric panels
+in t out to e^{-50} below the integrand's peak.  All terms are positive, so
+there is no cancellation and the point-to-point noise stays at rounding
+level, which downstream residual checks rely on.  The sum is taken in log
+space (log-sum-exp over the nodes).  Differentiating under the integral
+gives U' = -1/Gamma(alpha) int t e^{-z t} ..., so U'/U = -<t>, the mean of
+t under U's own Laplace weight, and likewise U''/U = <t^2>: one pass of the
+rule gives ln U, U'/U and U''/U (_tricomi_u_raw).  A rule depends on
+(alpha, gamma) only, so a caller that keeps one (closed_form's workspace)
+builds its nodes and their z-free log-weights once: a pass slices the
+lattice panels it needs, scales the u-nodes to its t_split and forms
+e^{-z t}.
 
-Small alpha.  With t = u^{1/alpha} the integrand varies on a scale of alpha
-in 1 - u, so the u-panels past u = 1/2 are graded geometrically toward
-u = 1, down to 1 - u ~ alpha/20 (Davis & Rabinowitz, Methods of Numerical
-Integration, 2nd ed. 1984, 2.12 and 4.8): one rule, one pass at every
-alpha, from 26 panels in u at alpha >= 2 to 33 at alpha = 8.3e-4.
+Small alpha.  With t = t_split u^{1/alpha} the integrand varies on a scale
+of alpha in v = 1 - u, so the u-panels past u = 1/2 are graded
+geometrically in v toward u = 1, down to v ~ alpha/20 (Davis & Rabinowitz,
+Methods of Numerical Integration, 2nd ed. 1984, 2.12 and 4.8): one rule,
+one pass at every alpha, from 26 panels in u at alpha >= 2 to 33 at
+alpha = 8.3e-4 and 56 at 1e-14.  Those nodes are kept as v, and
+t/t_split = exp(log1p(-v)/alpha) is formed from v once per rule, so no
+node loses digits next to u = 1, however small alpha is.
 
 Measured against mpmath at 40 digits on 12 alpha in [8.3e-4, 21], gamma in
 {0.0043, 0.05, 0.5, 3, 24, 41, 180} and 12 z in [1e-3, 500], on one array
-and at single points: ln U within 7.1e-13 absolute, U'/U and U''/U within
-7.1e-13 relative; at alpha = 8.3e-4 within 1.1e-13 up to gamma = 180.
-Between the adjacent floats of alpha where the rule gains a panel, all
-three jump by at most 5.5e-14 for alpha >= 6e-6.  Below that, nodes u
-within a few float steps of 1 limit the rule, and the error grows to
-4.3e-12 at alpha = 1e-6 and 1.2e-3 at 1e-14; the supported box has
-alpha >= 1.2e-4.
+and at single points: ln U within 4.6e-13 absolute, U'/U and U''/U within
+4.6e-13 relative; at alpha = 8.3e-4 within 1.1e-13 up to gamma = 180.  At
+alpha = 1e-6, 1e-10 and 1e-14 (gamma in {0.0043, 0.5, 3, 41}, 8 z in
+[1e-3, 500]) ln U is within 5.7e-14 and U'/U and U''/U within 4.7e-15
+relative.  Between the adjacent floats of alpha where the rule gains a
+panel, all three jump by at most 2.8e-14, at every seam from alpha = 1.1
+down to 1.6e-14.
 
 Supported box.  On 2000 log-uniform draws over k in [0.01, 5], theta in
 [0.003, 0.3], sigma in [0.005, 0.5] and c in [0.005, 0.2] (gamma from 6e-4
@@ -63,75 +71,135 @@ from .numerics import gk15_panels
 __all__ = ["log_wronskian"]
 
 
-def _check_z(zs: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(zs)):
+def _check_z(z_min: float, z_max: float, name: str) -> None:
+    """Raises DomainError unless the least and largest z, z_min and z_max,
+    are finite and z_min > 0; a NaN anywhere makes both NaN."""
+    if not (math.isfinite(z_min) and math.isfinite(z_max)):
         raise DomainError("z must be finite")
-    if np.any(zs <= 0.0):
+    if z_min <= 0.0:
         raise DomainError(f"{name} requires z > 0")
 
 
-# The inner u-panels of _laplace_rule on (0, 1], indexed by m: 23 geometric
-# from 1e-18 to 1/2, m geometric in 1 - u by factors of 3, one up to u = 1;
-# each call scales them to u in (0, t_split^alpha].  Past m = 32 the last
-# edge 1 - 0.5/3^m is within one float step of 1.
-_U_RULES = tuple(gk15_panels(np.concatenate(
-    [np.geomspace(1e-18, 0.5, 24), 1.0 - 0.5 / 3.0 ** np.arange(1, m + 1),
-     [1.0]])) for m in range(33))
+# The inner u-panels of _LaplaceRule, in u = (t / t_split)^alpha on (0, 1]:
+# 23 geometric in u from 1e-18 to 1/2; each rule adds its panels graded in
+# v = 1 - u.
+_U_NODES, _U_WEIGHTS = gk15_panels(np.geomspace(1e-18, 0.5, 24))
 
 
-def _laplace_rule(alpha: float, g: float,
-                  zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t, weights w with sum(w f(t)) ~ int_0^inf t^{alpha-1} f(t) dt at
-    every z of zs, for f smooth on (0, 1] and decaying like (z t)^g e^{-z t}.
-    GK15 panels: the fixed panels _U_RULES[m] in u = t^alpha scaled to
-    (0, t_split^alpha], t_split = min(1, 1/z_max), which turns t^{alpha-1} dt
-    into du / alpha; then geometric in t, each a fraction of the width
-    1/sqrt(g) of the peak of y^g e^{-y} in ln y, up to y = 60 + 3g at z_min,
-    where y - g ln y >= 50 + g - g ln g puts it e^{-50} below.  The
-    m = ceil(log_3(10 / min(alpha, 2))) u-panels graded toward u = 1 reach
-    down to 1 - u ~ alpha/20 (module docstring, Small alpha)."""
-    m = math.ceil((math.log(10.0) - math.log(min(alpha, 2.0)))
-                  / math.log(3.0))
-    u_nodes, u_weights = _U_RULES[min(m, len(_U_RULES) - 1)]
-    t_split = min(1.0, 1.0 / float(zs.max()))
-    t_max = (60.0 + 3.0 * max(g, 0.0)) / float(zs.min())
-    step = min(math.log(2.0), 1.3 / math.sqrt(max(g, 1.0)))
-    ln_span = math.log(t_max / t_split)
-    t_outer, w_outer = gk15_panels(t_split * np.exp(
-        np.linspace(0.0, ln_span, math.ceil(ln_span / step) + 1)))
-    return (np.concatenate([t_split * u_nodes ** (1.0 / alpha), t_outer]),
-            np.concatenate([(t_split ** alpha / alpha) * u_weights,
-                            w_outer * t_outer ** (alpha - 1.0)]))
+class _LaplaceRule:
+    """GK15 nodes for int_0^inf t^{alpha-1} f(t) dt, f = e^{-z t}
+    (1 + t)^{gamma-alpha-1}, at one (alpha, gamma) and any z > 0; f decays
+    like (z t)^g e^{-z t}, g = max(gamma - 2, alpha - 1).  Each node keeps
+    the z-free part e of its exponent, so a pass (moments) adds -z t.
+
+    Outer panels: GK15 in t on the lattice [e^{j step}, e^{(j+1) step}],
+    step = min(ln 2, 1.3/sqrt(max(g, 1))) a fraction of the width
+    1/sqrt(g) of the peak of y^g e^{-y} in ln y, with
+    e = ln w + (alpha-1) ln t + (gamma-alpha-1) ln(1 + t).  A pass over z
+    in [z_min, z_max] takes panels j0 = floor(ln min(1, 1/z_max) / step)
+    to j1 = ceil(ln t_max / step), t_max = (60 + 3g)/z_min, where
+    y - g ln y >= 50 + g - g ln g puts the integrand e^{-50} below its
+    peak.  The lattice is built by the panels a pass lacks, at either end,
+    so it spans the least range holding every pass's [j0, j1).
+
+    Inner panels on (0, t_split], t_split = e^{j0 step} <= 1/z_max: GK15 in
+    u = (t/t_split)^alpha, which turns t^{alpha-1} dt into
+    t_split^alpha du/alpha; 23 panels geometric in u up to u = 1/2, then
+    m = ceil(log_3(10 / min(alpha, 2))) geometric in v = 1 - u by factors
+    of 3 down to v ~ alpha/20, and one to v = 0 (module docstring, Small
+    alpha).  t/t_split is u^{1/alpha} on the first, exp(log1p(-v)/alpha)
+    on the others, formed once; a pass scales it to its t_split.  The
+    nodes of the last pass's [j0, j1) are kept for the next."""
+
+    def __init__(self, alpha: float, gamma: float):
+        self.alpha, self.gamma = alpha, gamma
+        g = max(gamma - 2.0, alpha - 1.0)
+        self.reach = 60.0 + 3.0 * max(g, 0.0)
+        self.step = min(math.log(2.0), 1.3 / math.sqrt(max(g, 1.0)))
+        m = math.ceil((math.log(10.0) - math.log(min(alpha, 2.0)))
+                      / math.log(3.0))
+        v, v_weights = gk15_panels(
+            np.append(0.0, 0.5 / 3.0 ** np.arange(m, -1, -1)))
+        self.t_unit = np.concatenate([_U_NODES ** (1.0 / alpha),
+                                      np.exp(np.log1p(-v) / alpha)])
+        self.e_unit = (np.log(np.concatenate([_U_WEIGHTS, v_weights]))
+                       - math.log(alpha))
+        # the _rows of lattice panels j_lo .. j_hi - 1
+        self.j_lo = self.j_hi = 0
+        self.lattice = np.empty((4, 0))
+        # the last pass's (j0, j1) and the _rows of its nodes: Newton's
+        # iterates near a root ask for the same span again
+        self.span, self.nodes = None, None
+
+    def _rows(self, t: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """Rows (e, 1, t, t^2) of nodes t, e the z-free part of each one's
+        exponent: summed with e^{e - z t}, the last three give U and its
+        first two moments."""
+        rows = np.empty((4, t.size))
+        rows[0] = e + (self.gamma - self.alpha - 1.0) * np.log1p(t)
+        rows[1] = 1.0
+        rows[2] = t
+        np.multiply(t, t, out=rows[3])
+        return rows
+
+    def _panels(self, lo: int, hi: int) -> np.ndarray:
+        t, w = gk15_panels(np.exp(self.step * np.arange(lo, hi + 1)))
+        return self._rows(t, np.log(w) + (self.alpha - 1.0) * np.log(t))
+
+    def _cover(self, j0: int, j1: int) -> None:
+        if not self.lattice.size:
+            self.j_lo = self.j_hi = j0
+        if j0 < self.j_lo:
+            self.lattice = np.concatenate(
+                [self._panels(j0, self.j_lo), self.lattice], axis=1)
+            self.j_lo = j0
+        if j1 > self.j_hi:
+            self.lattice = np.concatenate(
+                [self.lattice, self._panels(self.j_hi, j1)], axis=1)
+            self.j_hi = j1
+
+    def moments(self, zs: np.ndarray, z_min: float, z_max: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ln U, U'/U, U''/U) at every z of zs, whose least and largest are
+        z_min and z_max: ln U by log-sum-exp over the nodes, U'/U = -<t>
+        and U''/U = <t^2>, the moments of t under the same weights."""
+        step = self.step
+        span = (math.floor(-max(math.log(z_max), 0.0) / step),
+                math.ceil((math.log(self.reach) - math.log(z_min)) / step))
+        if span != self.span:
+            j0, j1 = span
+            self._cover(j0, j1)
+            self.span, self.nodes = span, np.concatenate([
+                self._rows(math.exp(j0 * step) * self.t_unit,
+                           self.e_unit + self.alpha * j0 * step),
+                self.lattice[:, 15 * (j0 - self.j_lo):15 * (j1 - self.j_lo)]],
+                axis=1)
+        nodes = self.nodes
+        e = zs[:, None] * nodes[2]
+        np.subtract(nodes[0], e, out=e)
+        peak = e.max(axis=1, keepdims=True)
+        e -= peak
+        np.exp(e, out=e)
+        total, mean_t, mean_tt = (e @ nodes[1:].T).T
+        return (peak[:, 0] + np.log(total) - math.lgamma(self.alpha),
+                -mean_t / total, mean_tt / total)
 
 
-def _u_panels(alpha: float, gamma: float, zs: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ln U, <t>, <t^2>) at every z of zs by panel-wise GK15 over the
-    Laplace integral: ln U by log-sum-exp over the nodes, <t> and <t^2> the
-    moments of t under the same weights, so U'/U = -<t> and U''/U = <t^2>.
-    The integrand decays like (z t)^{gamma-2} e^{-z t} at large t and like
-    (z t)^{alpha-1} e^{-z t} for t << 1, where large z puts the mass."""
-    t, w = _laplace_rule(alpha, max(gamma - 2.0, alpha - 1.0), zs)
-    e = np.log(w) + (gamma - alpha - 1.0) * np.log1p(t) - np.outer(zs, t)
-    peak = e.max(axis=1)
-    e -= peak[:, None]
-    np.exp(e, out=e)
-    total = e.sum(axis=1)
-    return (peak + np.log(total) - math.lgamma(alpha), (e @ t) / total,
-            (e @ (t * t)) / total)
-
-
-def _tricomi_u_raw(alpha: float, gamma: float, zs: np.ndarray
+def _tricomi_u_raw(alpha: float, gamma: float, zs: np.ndarray,
+                   rule: _LaplaceRule | None = None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ln U(alpha, gamma, z), U'/U, U''/U) at every z of zs from one rule
-    pass at alpha, with U'/U = -<t> and U''/U = <t^2>."""
+    """(ln U(alpha, gamma, z), U'/U, U''/U) at every z of zs from one pass of
+    rule, the _LaplaceRule(alpha, gamma) that a caller keeps to pass again,
+    or a single-use one if rule is None."""
     if alpha <= 0.0:
         raise DomainError(f"U requires alpha > 0, got {alpha!r}")
-    _check_z(zs, "U")
     if zs.size == 0:
         return np.empty_like(zs), np.empty_like(zs), np.empty_like(zs)
-    log_u, mean_t, mean_tt = _u_panels(alpha, gamma, zs)
-    return log_u, -mean_t, mean_tt
+    z_min, z_max = float(zs.min()), float(zs.max())
+    _check_z(z_min, z_max, "U")
+    if rule is None:
+        rule = _LaplaceRule(alpha, gamma)
+    return rule.moments(zs, z_min, z_max)
 
 
 def log_wronskian(alpha: float, gamma: float, zs: np.ndarray) -> np.ndarray:
@@ -139,7 +207,8 @@ def log_wronskian(alpha: float, gamma: float, zs: np.ndarray) -> np.ndarray:
     W = M U' - M' U = -(Gamma(gamma)/Gamma(alpha)) z^{-gamma} e^{z}."""
     if alpha <= 0.0 or gamma <= 0.0:
         raise DomainError("log_wronskian requires alpha > 0 and gamma > 0")
-    _check_z(zs, "log_wronskian")
+    if zs.size:
+        _check_z(float(zs.min()), float(zs.max()), "log_wronskian")
     return math.lgamma(gamma) - math.lgamma(alpha) - gamma * np.log(zs) + zs
 
 

@@ -1,5 +1,5 @@
 """Reference forms of the closed-form solution that the solver itself does
-not use, in mpmath at 30 digits: the source term, the variation-of-parameters
+not use, in mpmath at 20 digits: the source term, the variation-of-parameters
 kernel, the paper's particular solution u_p = M I_U + U I_M at any z_ref, two
 forms of its smooth-pasting residual, and the annuity-form residual R(x).
 The tests check them against each other and against the solver's root."""
@@ -11,7 +11,7 @@ import numpy as np
 
 from cirmort.errors import DomainError
 
-DPS = 30
+DPS = 20
 
 
 def source_term(consts, contract, z):
@@ -138,7 +138,7 @@ def annuity_mp(cir, contract, x, dps=DPS):
 
 def annuity_residual_mp(cir, contract, x):
     """The annuity-form boundary residual
-    R(x) = (1 - A)(lam + p U'/U) + A' at 30 digits, with mp.hyperu for U;
+    R(x) = (1 - A)(lam + p U'/U) + A' at 20 digits, with mp.hyperu for U;
     R(x*) = 0."""
     with mp.workdps(DPS):
         k, sigma = mp.mpf(cir.k), mp.mpf(cir.sigma)

@@ -294,8 +294,8 @@ def test_solve_warns_only_when_a_diagnostic_misses(monkeypatch):
      lambda f: lambda cir, t: (f(cir, t)[0] + 1e-6, f(cir, t)[1])),
     # U from a weight with gamma(1 + 1e-6) no longer solves Kummer's
     # equation at gamma; a U''/U taken from that equation would hide it
-    (specfun, "_u_panels",
-     lambda f: lambda alpha, gamma, zs: f(alpha, gamma * (1.0 + 1e-6), zs)),
+    (closed_form, "_LaplaceRule",
+     lambda f: lambda alpha, gamma: f(alpha, gamma * (1.0 + 1e-6))),
 ], ids=["log_a", "u_weight_gamma"])
 def test_ode_residual_sees_a_perturbed_solution(monkeypatch, module, name,
                                                 perturb):
@@ -507,6 +507,16 @@ def test_no_interior_boundary_regime_raises_no_bracket():
     assert exc.value.annuity_at_zero <= 1.0
 
 
+def test_no_bracket_builds_no_u_rule(monkeypatch):
+    # A(0) <= 1 is decided from the annuity alone
+    def no_rule(*args):
+        raise AssertionError("a U rule was built")
+    monkeypatch.setattr(closed_form, "_LaplaceRule", no_rule)
+    with pytest.raises(NoBracketError):
+        solve_boundary(CirParams(k=0.1, theta=0.1, sigma=0.05),
+                       ContractParams(c=0.03, m=0.03))
+
+
 def test_no_bracket_if_and_only_if_the_annuity_at_zero_is_at_most_one():
     # the 81 grid sets and the first 400 seed-2024 draws of the README box;
     # on the grid the Riccati sweep's Y at its floor, which tends to A(0)
@@ -589,7 +599,7 @@ def test_value_path_matches_mpmath_definition(cir, c):
                    x_tail)
     got_v, got_dv = value(sol, xs), value_derivative(sol, xs)
     got_d2v = closed_form._branch(sol, xs)[2]
-    with mp.workdps(30):
+    with mp.workdps(20):
         al, g = mp.mpf(d.alpha), mp.mpf(d.gamma)
         p, lam = mp.mpf(d.p), mp.mpf(d.lam)
         x_star = mp.mpf(sol.x_star)
@@ -659,12 +669,11 @@ def test_value_path_calls_the_annuity_kernel_once_per_chunk(monkeypatch):
     monkeypatch.setattr(_Workspace, "residual_scaled", counted_residual)
     sol = solve_boundary(PRIMARY_CIR, CONTRACT)
     # one call for A(0), one per residual (the step-down, then Newton's), one
-    # for A at x*, and the diagnostics last: one call at x*, one for the 7
-    # probes
+    # for A at x*, and the diagnostics last: one call at x* and the 7 probes
     assert sizes[0] == 1
     assert sizes[1:1 + len(residual_calls)] == residual_calls
-    assert len(sizes) == len(residual_calls) + 4
-    assert sizes[-3:] == [1, 1, 7]
+    assert len(sizes) == len(residual_calls) + 3
+    assert sizes[-2:] == [1, 8]
     sizes.clear()
     value_curve(sol, sol.x_star, 5.0 * sol.x_star, 101)
     # V at the 100 points past x*, then the residual at the same points, in

@@ -318,7 +318,7 @@ def test_u_is_continuous_across_the_panel_seams():
     zs = np.geomspace(0.01, 500.0, 10)
 
     def nodes(alpha):
-        return specfun._laplace_rule(alpha, 1.0, zs)[0].size
+        return specfun._LaplaceRule(alpha, 1.0).t_unit.size
     for seam in (10.0 / 3.0 ** 5, 10.0 / 3.0 ** 8):
         below, above = seam * (1.0 - 1e-12), seam * (1.0 + 1e-12)
         assert nodes(below) != nodes(above), seam
@@ -337,17 +337,58 @@ def test_u_is_continuous_across_the_panel_seams():
                               <= 2e-12 * np.abs(at[1:])), (gamma, z)
 
 
+def test_u_at_tiny_alpha_matches_mpmath():
+    # far below the supported box (alpha >= 1.2e-4) the graded panels end
+    # within 1e-11 of u = 1; kept in v = 1 - u they still resolve
+    # t = u^{1/alpha}, on arrays and single points
+    alpha = 1e-10
+    zs = np.geomspace(1e-3, 500.0, 6)
+    for gamma in (0.0043, 0.5, 3.0, 41.0):
+        with mpmath.workdps(20):
+            want = np.array([[float(mpmath.log(mpmath.hyperu(alpha, gamma, z)))
+                              for z in zs],
+                             [u_ratio_mp(alpha, gamma, z) for z in zs],
+                             [u_ratio2_mp(alpha, gamma, z) for z in zs]])
+        points = np.array([_u_parts(alpha, gamma, float(z)) for z in zs]).T
+        for got in (np.array(_u_parts(alpha, gamma, zs)), points):
+            assert np.all(np.abs(got[0] - want[0]) <= 1e-12), gamma
+            assert np.all(np.abs(got[1:] - want[1:])
+                          <= 1e-12 * np.abs(want[1:])), gamma
+
+
+@pytest.mark.parametrize("alpha,gamma", [(0.19, 3.0), (8.3e-4, 180.0),
+                                         (2.5, 0.5)])
+def test_grown_lattice_matches_a_single_use_rule(alpha, gamma):
+    # one rule, passed z stepping down by decades and then a 64-z chunk at
+    # large z, grows its lattice at both ends; each pass matches a fresh
+    # rule's, and the lattice holds exactly the panels the passes asked for
+    rule = specfun._LaplaceRule(alpha, gamma)
+    passes = ([np.array([z]) for z in 10.0 ** np.arange(2.0, -7.0, -1.0)]
+              + [np.geomspace(50.0, 5000.0, 64)])
+    spans = []
+    for zs in passes:
+        got = np.array(_tricomi_u_raw(alpha, gamma, zs, rule=rule))
+        fresh = specfun._LaplaceRule(alpha, gamma)
+        want = np.array(_tricomi_u_raw(alpha, gamma, zs, rule=fresh))
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), zs
+        spans.append((fresh.j_lo, fresh.j_hi))
+        assert (rule.j_lo, rule.j_hi) == (min(lo for lo, _ in spans),
+                                          max(hi for _, hi in spans))
+        assert rule.lattice.shape == (4, 15 * (rule.j_hi - rule.j_lo))
+    assert rule.j_lo < spans[0][0] and rule.j_hi > spans[0][1]
+
+
 @pytest.mark.parametrize("alpha", [0.5, 0.03, 0.029, 8.3e-4])
 def test_one_evaluation_makes_one_rule_pass_at_alpha(monkeypatch, alpha):
     # ln U, U'/U and U''/U share one pass of the Laplace rule, at alpha
     # itself at every alpha
     calls = []
-    rule = specfun._u_panels
+    rule = specfun._LaplaceRule.moments
 
     def counted(*args):
-        calls.append(args[0])
+        calls.append(args[0].alpha)
         return rule(*args)
-    monkeypatch.setattr(specfun, "_u_panels", counted)
+    monkeypatch.setattr(specfun._LaplaceRule, "moments", counted)
     _tricomi_u_raw(alpha, 2.0, np.geomspace(0.01, 100.0, 16))
     assert calls == [alpha]
 
