@@ -23,9 +23,9 @@ where <t> is the mean of t under the weight e^{-z t} t^{alpha-1}
 gives ln U and U'/U (specfun._tricomi_u_raw).  The rule depends on (alpha,
 gamma) only: _Workspace builds it (specfun._LaplaceRule) at its first U
 pass and keeps it, so the residuals, c2 and the diagnostics of a solve, and
-every later evaluation of its solution, reuse one set of nodes on a fixed
-lattice in t that grows only by the panels a pass lacks.  R's root is x*,
-refined by Newton in ln z with R's slope from the same pass's
+every later evaluation of its solution, scale the same two unit node sets;
+a pass over the same span of t as the last one reuses its nodes.  R's root
+is x*, refined by Newton in ln z with R's slope from the same pass's
 U''/U = <t^2> and A''.
 A decreases (P = A_P e^{-B x}, B > 0) and U'/U < 0 tends to -inf as z -> 0,
 so R < 0 at every x > 0 if A(0) <= 1 and R > 0 near 0 if A(0) > 1: a
@@ -111,8 +111,9 @@ PASTING_VALUE_TOL = 1e-8
 PASTING_SLOPE_TOL = 1e-6
 ODE_RESIDUAL_TOL_PER_C = 1e-6           # times the coupon c
 # Largest gamma = 2 k theta / sigma^2 that solve_boundary accepts.  U's rule
-# has about sqrt(gamma) panels: a solve and a 100-point ode_residual peak at
-# 89 MiB RSS at gamma = 1e5 and 182 MiB at 1e6.  The README box reaches 1.2e5.
+# has about sqrt(gamma) panels: a solve and a 100-point ode_residual on
+# [x*, 50 theta] peak at 91 MiB RSS at gamma = 1e5 and 181 MiB at 9.9e5.  The
+# README box reaches 1.2e5.
 GAMMA_CAP = 1e6
 
 
@@ -162,17 +163,17 @@ class _Workspace:
         return (*self.annuity(zs / self.consts.p),
                 *_tricomi_u_raw(alpha, gamma, zs, rule=self.u_rule))
 
-    def residual_scaled(self, z: Real) -> tuple[Real, Real]:
+    def residual_scaled(self, z: float) -> tuple[float, float]:
         """(R/p, d(R/p)/d ln z), R/p = dV/dz at x = z/p for the V that pastes
-        there, at one z or at each z of an array; the slope is z times
+        there, at one z; the slope is z times
         -A_z (U'/U - a) + (1 - A)(U''/U - (U'/U)^2) + A_zz."""
-        zs = np.atleast_1d(np.asarray(z, dtype=float))
         p, a = self.consts.p, self.consts.a_exp
-        ann, ann_x, ann_xx, _, ratio, ratio2 = self.terms(zs)
+        ann, ann_x, ann_xx, _, ratio, ratio2 = (
+            float(v[0]) for v in self.terms(np.array([z])))
         res = (1.0 - ann) * (ratio - a) + ann_x / p
-        slope = zs * (ann_xx / (p * p) - ann_x / p * (ratio - a)
-                      + (1.0 - ann) * (ratio2 - ratio * ratio))
-        return (res, slope) if np.ndim(z) else (float(res[0]), float(slope[0]))
+        slope = z * (ann_xx / (p * p) - ann_x / p * (ratio - a)
+                     + (1.0 - ann) * (ratio2 - ratio * ratio))
+        return res, slope
 
 
 @dataclass(frozen=True)

@@ -11,19 +11,20 @@ quadrature of the Laplace integral (DLMF 13.4.4)
     U = 1/Gamma(alpha) * int_0^inf e^{-z t} t^{alpha-1}
         (1 + t)^{gamma-alpha-1} dt,
 on the nodes of a _LaplaceRule: panels in u = (t/t_split)^alpha up to a
-point t_split <= min(1, 1/z_max) of the lattice e^{j step}, which absorb
-the t^{alpha-1} endpoint singularity, then the lattice's geometric panels
-in t out to e^{-50} below the integrand's peak.  All terms are positive, so
-there is no cancellation and the point-to-point noise stays at rounding
-level, which downstream residual checks rely on.  The sum is taken in log
-space (log-sum-exp over the nodes).  Differentiating under the integral
-gives U' = -1/Gamma(alpha) int t e^{-z t} ..., so U'/U = -<t>, the mean of
-t under U's own Laplace weight, and likewise U''/U = <t^2>: one pass of the
+point t_split = e^{j0 step} <= min(1, 1/z_max), which absorb the
+t^{alpha-1} endpoint singularity, then geometric panels
+[e^{j step}, e^{(j+1) step}] in t out to e^{-50} below the integrand's
+peak.  All terms are positive, so there is no cancellation and the
+point-to-point noise stays at rounding level, which downstream residual
+checks rely on.  The sum is taken in log space (log-sum-exp over the
+nodes).  Differentiating under the integral gives
+U' = -1/Gamma(alpha) int t e^{-z t} ..., so U'/U = -<t>, the mean of t
+under U's own Laplace weight, and likewise U''/U = <t^2>: one pass of the
 rule gives ln U, U'/U and U''/U (_tricomi_u_raw).  A rule depends on
-(alpha, gamma) only, so a caller that keeps one (closed_form's workspace)
-builds its nodes and their z-free log-weights once: a pass slices the
-lattice panels it needs, scales the u-nodes to its t_split and forms
-e^{-z t}.
+(alpha, gamma) only: it builds the u-panels on (0, 1] and one t-panel on
+[1, e^step] once, and a pass scales both to its span of j and forms
+e^{-z t}.  A caller that keeps the rule (closed_form's workspace) reuses
+the last span's nodes, as Newton's iterates near a root do.
 
 Small alpha.  With t = t_split u^{1/alpha} the integrand varies on a scale
 of alpha in v = 1 - u, so the u-panels past u = 1/2 are graded
@@ -92,15 +93,14 @@ class _LaplaceRule:
     like (z t)^g e^{-z t}, g = max(gamma - 2, alpha - 1).  Each node keeps
     the z-free part e of its exponent, so a pass (moments) adds -z t.
 
-    Outer panels: GK15 in t on the lattice [e^{j step}, e^{(j+1) step}],
+    Outer panels: GK15 in t on [e^{j step}, e^{(j+1) step}],
     step = min(ln 2, 1.3/sqrt(max(g, 1))) a fraction of the width
-    1/sqrt(g) of the peak of y^g e^{-y} in ln y, with
-    e = ln w + (alpha-1) ln t + (gamma-alpha-1) ln(1 + t).  A pass over z
-    in [z_min, z_max] takes panels j0 = floor(ln min(1, 1/z_max) / step)
-    to j1 = ceil(ln t_max / step), t_max = (60 + 3g)/z_min, where
+    1/sqrt(g) of the peak of y^g e^{-y} in ln y, for j0 <= j < j1 with
+    j0 = floor(ln min(1, 1/z_max) / step) and j1 = ceil(ln t_max / step),
+    t_max = (60 + 3g)/z_min over the z of a pass, where
     y - g ln y >= 50 + g - g ln g puts the integrand e^{-50} below its
-    peak.  The lattice is built by the panels a pass lacks, at either end,
-    so it spans the least range holding every pass's [j0, j1).
+    peak.  Each is the unit panel on [1, e^step] scaled by e^{j step}, with
+    e = ln w + (alpha-1) ln t, which scaling raises by alpha j step.
 
     Inner panels on (0, t_split], t_split = e^{j0 step} <= 1/z_max: GK15 in
     u = (t/t_split)^alpha, which turns t^{alpha-1} dt into
@@ -108,8 +108,9 @@ class _LaplaceRule:
     m = ceil(log_3(10 / min(alpha, 2))) geometric in v = 1 - u by factors
     of 3 down to v ~ alpha/20, and one to v = 0 (module docstring, Small
     alpha).  t/t_split is u^{1/alpha} on the first, exp(log1p(-v)/alpha)
-    on the others, formed once; a pass scales it to its t_split.  The
-    nodes of the last pass's [j0, j1) are kept for the next."""
+    on the others.  Both unit sets are formed once; a pass whose span
+    (j0, j1) differs from the last one's scales them to it, and every node
+    adds (gamma-alpha-1) ln(1 + t) to its e."""
 
     def __init__(self, alpha: float, gamma: float):
         self.alpha, self.gamma = alpha, gamma
@@ -124,39 +125,27 @@ class _LaplaceRule:
                                       np.exp(np.log1p(-v) / alpha)])
         self.e_unit = (np.log(np.concatenate([_U_WEIGHTS, v_weights]))
                        - math.log(alpha))
-        # the _rows of lattice panels j_lo .. j_hi - 1
-        self.j_lo = self.j_hi = 0
-        self.lattice = np.empty((4, 0))
-        # the last pass's (j0, j1) and the _rows of its nodes: Newton's
-        # iterates near a root ask for the same span again
+        self.t_panel, w = gk15_panels(np.array([1.0, math.exp(self.step)]))
+        self.e_panel = np.log(w) + (alpha - 1.0) * np.log(self.t_panel)
+        # the last pass's (j0, j1) and the rows (e, 1, t, t^2) of its nodes:
+        # Newton's iterates near a root ask for the same span again
         self.span, self.nodes = None, None
 
-    def _rows(self, t: np.ndarray, e: np.ndarray) -> np.ndarray:
-        """Rows (e, 1, t, t^2) of nodes t, e the z-free part of each one's
-        exponent: summed with e^{e - z t}, the last three give U and its
-        first two moments."""
+    def _nodes(self, j0: int, j1: int) -> np.ndarray:
+        """Rows (e, 1, t, t^2) of the nodes of span (j0, j1): summed with
+        e^{e - z t}, the last three give U and its first two moments."""
+        step, alpha = self.step, self.alpha
+        shift = step * np.arange(j0, j1)[:, None]
+        t = np.concatenate([math.exp(j0 * step) * self.t_unit,
+                            (np.exp(shift) * self.t_panel).ravel()])
         rows = np.empty((4, t.size))
-        rows[0] = e + (self.gamma - self.alpha - 1.0) * np.log1p(t)
+        rows[0] = np.concatenate([self.e_unit + alpha * j0 * step,
+                                  (self.e_panel + alpha * shift).ravel()])
+        rows[0] += (self.gamma - alpha - 1.0) * np.log1p(t)
         rows[1] = 1.0
         rows[2] = t
         np.multiply(t, t, out=rows[3])
         return rows
-
-    def _panels(self, lo: int, hi: int) -> np.ndarray:
-        t, w = gk15_panels(np.exp(self.step * np.arange(lo, hi + 1)))
-        return self._rows(t, np.log(w) + (self.alpha - 1.0) * np.log(t))
-
-    def _cover(self, j0: int, j1: int) -> None:
-        if not self.lattice.size:
-            self.j_lo = self.j_hi = j0
-        if j0 < self.j_lo:
-            self.lattice = np.concatenate(
-                [self._panels(j0, self.j_lo), self.lattice], axis=1)
-            self.j_lo = j0
-        if j1 > self.j_hi:
-            self.lattice = np.concatenate(
-                [self.lattice, self._panels(self.j_hi, j1)], axis=1)
-            self.j_hi = j1
 
     def moments(self, zs: np.ndarray, z_min: float, z_max: float
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -167,13 +156,7 @@ class _LaplaceRule:
         span = (math.floor(-max(math.log(z_max), 0.0) / step),
                 math.ceil((math.log(self.reach) - math.log(z_min)) / step))
         if span != self.span:
-            j0, j1 = span
-            self._cover(j0, j1)
-            self.span, self.nodes = span, np.concatenate([
-                self._rows(math.exp(j0 * step) * self.t_unit,
-                           self.e_unit + self.alpha * j0 * step),
-                self.lattice[:, 15 * (j0 - self.j_lo):15 * (j1 - self.j_lo)]],
-                axis=1)
+            self.span, self.nodes = span, self._nodes(*span)
         nodes = self.nodes
         e = zs[:, None] * nodes[2]
         np.subtract(nodes[0], e, out=e)

@@ -199,21 +199,26 @@ def test_iu_matches_nested_definition(cir):
         assert abs(got - want) <= 1e-12 * want, z
 
 
-def test_residual_on_an_array_matches_single_points(primary_consts):
+def test_residual_matches_one_terms_pass(primary_consts):
+    # each single-z residual and its slope in ln z equal R/p and its slope
+    # formed from one terms pass over the whole grid
     ws = _Workspace(PRIMARY_CIR, CONTRACT)
-    grid = np.geomspace(1e-4 * primary_consts.p * PRIMARY_CIR.theta,
-                        10.0 * primary_consts.p * PRIMARY_CIR.theta, 64)
+    p, a = primary_consts.p, primary_consts.a_exp
+    grid = np.geomspace(1e-4 * p * PRIMARY_CIR.theta,
+                        10.0 * p * PRIMARY_CIR.theta, 64)
     single = np.array([ws.residual_scaled(float(z)) for z in grid]).T
-    got = ws.residual_scaled(grid)
-    # the value and its slope in ln z
+    ann, ann_x, ann_xx, _, ratio, ratio2 = ws.terms(grid)
+    want = ((1.0 - ann) * (ratio - a) + ann_x / p,
+            grid * (ann_xx / (p * p) - ann_x / p * (ratio - a)
+                    + (1.0 - ann) * (ratio2 - ratio * ratio)))
     for part in range(2):
-        np.testing.assert_allclose(got[part], single[part],
+        np.testing.assert_allclose(single[part], want[part],
                                    rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("cir,c", [
     (PRIMARY_CIR, 0.05),
-    # alpha = 8.3e-4: U''/U from the recurrence step
+    # alpha = 8.3e-4: U''/U from the rule's graded u-panels
     (CirParams(k=4.4479, theta=0.0037, sigma=0.0135), 0.0056),
 ], ids=["primary", "alpha_8.3e-4"])
 def test_residual_slope_matches_a_central_difference(cir, c):
@@ -246,7 +251,6 @@ def test_residual_brackets_the_root(primary_solution, primary_consts):
     assert lo * hi < 0
 
 
-@pytest.mark.slow
 def test_ratio_form_shares_the_root(primary_solution, primary_consts):
     # the eliminated residual and the ratio-of-U form (single Gamma factor)
     # must locate the same z*
@@ -697,6 +701,30 @@ def test_value_curve_invariants(primary_solution):
     assert vs[0] == pytest.approx(1.0, abs=1e-8)
     assert all(0.0 < v <= 1.0 + 1e-12 for v in vs)
     assert all(b < a for a, b in zip(vs, vs[1:]))
+
+
+@pytest.mark.parametrize("cir,c", [
+    (PRIMARY_CIR, 0.05),
+    (CirParams(k=4.4479, theta=0.0037, sigma=0.0135), 0.0056),  # 8.3e-4
+], ids=["primary", "alpha_8.3e-4"])
+def test_value_does_not_depend_on_call_order(cir, c):
+    # the solution's U rule rebuilds its nodes whenever a pass spans other
+    # z; V and the ODE residual at theta, 2 x* and 50 theta, on one array
+    # and at single points, are bit-identical before and after a curve and
+    # a sweep out to x = 1e3, and equal to a fresh solve's
+    con = ContractParams(c=c, m=c)
+    sol = solve_boundary(cir, con)
+    xs = np.array([cir.theta, 2.0 * sol.x_star, 50.0 * cir.theta])
+
+    def probe(s):
+        return [fn(s, x) for fn in (value, ode_residual)
+                for x in (xs, *xs.tolist())]
+    before = probe(sol)
+    value_curve(sol, sol.x_star, 5.0 * sol.x_star, 101)
+    value(sol, np.geomspace(sol.x_star, 1e3, 300))
+    for got in (probe(sol), probe(solve_boundary(cir, con))):
+        for g, b in zip(got, before):
+            assert np.array_equal(g, b)
 
 
 def test_value_curve_names_the_bad_argument(primary_solution):

@@ -358,24 +358,20 @@ def test_u_at_tiny_alpha_matches_mpmath():
 
 @pytest.mark.parametrize("alpha,gamma", [(0.19, 3.0), (8.3e-4, 180.0),
                                          (2.5, 0.5)])
-def test_grown_lattice_matches_a_single_use_rule(alpha, gamma):
+def test_reused_rule_matches_a_fresh_rule(alpha, gamma):
     # one rule, passed z stepping down by decades and then a 64-z chunk at
-    # large z, grows its lattice at both ends; each pass matches a fresh
-    # rule's, and the lattice holds exactly the panels the passes asked for
+    # large z, changes its span at every pass; each pass equals a fresh
+    # rule's exactly, and the rule holds the nodes of one span only
     rule = specfun._LaplaceRule(alpha, gamma)
     passes = ([np.array([z]) for z in 10.0 ** np.arange(2.0, -7.0, -1.0)]
               + [np.geomspace(50.0, 5000.0, 64)])
-    spans = []
     for zs in passes:
         got = np.array(_tricomi_u_raw(alpha, gamma, zs, rule=rule))
         fresh = specfun._LaplaceRule(alpha, gamma)
         want = np.array(_tricomi_u_raw(alpha, gamma, zs, rule=fresh))
-        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), zs
-        spans.append((fresh.j_lo, fresh.j_hi))
-        assert (rule.j_lo, rule.j_hi) == (min(lo for lo, _ in spans),
-                                          max(hi for _, hi in spans))
-        assert rule.lattice.shape == (4, 15 * (rule.j_hi - rule.j_lo))
-    assert rule.j_lo < spans[0][0] and rule.j_hi > spans[0][1]
+        assert np.array_equal(got, want), zs
+        assert rule.span == fresh.span, zs
+        assert rule.nodes.shape == fresh.nodes.shape, zs
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.03, 0.029, 8.3e-4])
