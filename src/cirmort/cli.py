@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -115,11 +115,7 @@ def cmd_solve(config: RunConfig) -> int:
         },
         "feller_satisfied": config.cir.feller_satisfied,
         "value_scale_m_over_c": config.value_scale,
-        "diagnostics": {
-            "pasting_value_error": solution.diagnostics.pasting_value_error,
-            "pasting_slope": solution.diagnostics.pasting_slope,
-            "ode_residual_max": solution.diagnostics.ode_residual_max,
-        },
+        "diagnostics": asdict(solution.diagnostics),
     }
     _print_json(report)
     return 0
@@ -194,26 +190,22 @@ def _closed_form_checks(config: RunConfig, solution) -> list:
     cir, c, x_star = config.cir, config.contract.c, solution.x_star
     xs = np.geomspace(1.001 * x_star,
                       10.0 * max(cir.theta, c, x_star), 100)
-    res_max = float(np.max(np.abs(closed_form.ode_residual(solution, xs))))
-    vs = closed_form.value(solution, xs)
-    violations = float(np.sum(~((vs > 0) & (vs <= 1.0 + 1e-12))))
-    violations += float(np.sum(np.diff(vs) >= 0))
+    # not solution.diagnostics: a boundary altered after the solve must fail
+    names = ("smooth_pasting_value", "smooth_pasting_slope", "ode_residual")
+    bounds = closed_form.diagnose(solution, xs).bounds(c)
+    checks = [_check(n, m, b) for n, (_, m, b) in zip(names, bounds)]
     # Tail: x V(x) -> c with first-order correction k c / x.  The probe sits
     # at x >= 100 k so the higher-order terms (relative size ~2k/x per
     # order) are negligible and 1.5x the first-order term is a sound bound.
     x_tail = max(50.0 * max(cir.theta, c, x_star), 100.0 * cir.k)
-    tail_err = abs(x_tail * closed_form.value(solution, x_tail) - c) / c
-    # not solution.diagnostics: a boundary altered after the solve must fail
-    v_err, slope = closed_form.pasting(solution)
-    return [
-        _check("smooth_pasting_value", abs(v_err),
-               closed_form.PASTING_VALUE_TOL),
-        _check("smooth_pasting_slope", abs(slope),
-               closed_form.PASTING_SLOPE_TOL),
-        _check("ode_residual", res_max,
-               closed_form.ODE_RESIDUAL_TOL_PER_C * c),
+    vs = closed_form.value(solution, np.append(xs, x_tail))
+    vs, v_tail = vs[:-1], vs[-1]
+    violations = float(np.sum(~((vs > 0) & (vs <= 1.0 + 1e-12))))
+    violations += float(np.sum(np.diff(vs) >= 0))
+    return checks + [
         _check("monotonic_bounds", violations, 0.5),
-        _check("tail_decay", tail_err, 1.5 * cir.k / x_tail),
+        _check("tail_decay", abs(x_tail * v_tail - c) / c,
+               1.5 * cir.k / x_tail),
     ]
 
 

@@ -37,15 +37,16 @@ branch x >= x* is
 A, A' = -c int B P dt and A'' = c int B^2 P dt come from one fixed GK15 rule
 in t (_annuity_rule) and one matrix product per array of x; A and A' agree
 with a 25-digit mpmath quadrature to 7e-15 relative for x up to 1e6 on the
-supported box (see specfun); the rule has about 400 nodes.  U enters only
-through U'/U, U''/U and as exp of a difference of logs, so nothing
-overflows.  _Workspace.terms alone pairs A, A', A'' at x = z/p with ln U,
-U'/U, U''/U at z; _rows alone splits V into its stopped rows (1, 0, 0) and
-_branch's V, V', V'' (V'' within 7.8e-14 of the sum of its terms' sizes
-against mpmath), to which ode_residual applies the ODE.  Near x* with
-A >> 1 the factor 1 - A(x*) multiplies U's error, which is why specfun's
-rule grades its u-panels with alpha, so that U at small alpha is as accurate
-as elsewhere.
+supported box (see specfun); the rule has about 400 nodes.  Its first panel
+resolves P up to x = _X_MAX = 1e7 only, so V and the ODE residual raise
+DomainError above it.  U enters only through U'/U, U''/U and as exp of a
+difference of logs, so nothing overflows.  _Workspace.terms alone pairs A,
+A', A'' at x = z/p with ln U, U'/U, U''/U at z; _rows alone splits V into
+its stopped rows (1, 0, 0) and _branch's V, V', V'' (V'' within 7.8e-14 of
+the sum of its terms' sizes against mpmath), to which ode_residual and
+diagnose apply the ODE.  Near x* with A >> 1 the factor 1 - A(x*)
+multiplies U's error, which is why specfun's rule grades its u-panels with
+alpha, so that U at small alpha is as accurate as elsewhere.
 
 The paper's variation-of-parameters form, V = e^{lam x} (c2 U + u_p) with
 u_p = M I_U + U I_M and z_ref = z*, is a 20-digit reference in the tests.
@@ -88,7 +89,7 @@ __all__ = [
     "solve_boundary",
     "value",
     "value_derivative",
-    "pasting",
+    "diagnose",
     "ode_residual",
     "value_curve",
 ]
@@ -100,13 +101,14 @@ _CHUNK = 64
 # by _T_RATIO until their width reaches _T_SPAN / r_inf, equal panels of that
 # width beyond, out to _T_REACH / r_inf, where P has decayed like
 # e^{-r_inf t}; r_inf = 2 k theta / (s + k) is the long rate.  The first
-# panel resolves the e^{-B x} ~ e^{-x t} start of P while x _T_FIRST <= 10.
+# panel resolves the e^{-B x} ~ e^{-x t} start of P while x <= _X_MAX.
 _T_FIRST = 1e-6
+_X_MAX = 10.0 / _T_FIRST
 _T_RATIO = 3.0
 _T_SPAN = 8.0
 _T_REACH = 60.0
-# Bounds on a solution's diagnostics, which cirmort verify's pasting and
-# ODE-residual checks also apply
+# Bounds on a solution's diagnostics, applied by Diagnostics.bounds alone for
+# solve_boundary's warning and cirmort verify's pasting and ODE checks
 PASTING_VALUE_TOL = 1e-8
 PASTING_SLOPE_TOL = 1e-6
 ODE_RESIDUAL_TOL_PER_C = 1e-6           # times the coupon c
@@ -182,6 +184,13 @@ class Diagnostics:
     pasting_slope: float           # V'(x* from the continuation side)
     ode_residual_max: float        # max |L V - c| over probe points
 
+    def bounds(self, c: float) -> list[tuple[str, float, float]]:
+        """(field, |value|, bound) for each field, at the coupon c."""
+        return [(name, abs(getattr(self, name)), bound) for name, bound in (
+            ("pasting_value_error", PASTING_VALUE_TOL),
+            ("pasting_slope", PASTING_SLOPE_TOL),
+            ("ode_residual_max", ODE_RESIDUAL_TOL_PER_C * c))]
+
 
 @dataclass(frozen=True)
 class SteadyStateSolution:
@@ -230,8 +239,8 @@ def _rows(solution: SteadyStateSolution, x: Real, name: str,
     d2V/dx2) at each, (1, 0, 0) on the stopped branch x <= x* (x < x* if
     closed) and _branch's rows above it, and whether x was a scalar."""
     xs = np.asarray(x, dtype=float)
-    if not np.all((xs >= 0) & np.isfinite(xs)):
-        raise DomainError(f"{name} requires finite x >= 0")
+    if not np.all((xs >= 0) & (xs <= _X_MAX)):     # False at NaN too
+        raise DomainError(f"{name} requires 0 <= x <= {_X_MAX:g}")
     scalar, xs = xs.ndim == 0, np.atleast_1d(xs)
     rows = np.array([np.ones_like(xs), np.zeros_like(xs), np.zeros_like(xs)])
     cont = xs >= solution.x_star if closed else xs > solution.x_star
@@ -250,14 +259,6 @@ def value_derivative(solution: SteadyStateSolution, x: Real) -> Real:
     """dV/dx: 0 in the stopped region, continuation branch for x >= x*."""
     _, (_, dv, _), scalar = _rows(solution, x, "value_derivative", closed=True)
     return float(dv[0]) if scalar else dv
-
-
-def pasting(solution: SteadyStateSolution) -> tuple[float, float]:
-    """(V(x*) - 1, V'(x*)) on the continuation branch, from one branch
-    evaluation.  value() reads the stopped branch at x*, which is 1 by
-    definition, so it cannot show a misplaced boundary."""
-    v, dv, _ = _branch(solution, np.array([solution.x_star]))
-    return float(v[0]) - 1.0, float(dv[0])
 
 
 def _ode(solution: SteadyStateSolution, xs: np.ndarray,
@@ -279,6 +280,20 @@ def ode_residual(solution: SteadyStateSolution, x: Real) -> Real:
     return float(out[0]) if scalar else out
 
 
+def diagnose(solution: SteadyStateSolution, probes: Real) -> Diagnostics:
+    """V(x*) - 1 and V'(x*) on the continuation branch, and the largest
+    |ODE residual| at the probes x* < x <= _X_MAX, from one branch
+    evaluation.  value() reads the stopped branch at x*, which is 1 by
+    definition, so it cannot show a misplaced boundary."""
+    xs = np.append(solution.x_star, probes)
+    if not (xs[1:].min() > xs[0] and xs.max() <= _X_MAX):   # NaN fails
+        raise DomainError(f"diagnose requires x* < x <= {_X_MAX:g}")
+    rows = _branch(solution, xs)
+    return Diagnostics(
+        float(rows[0, 0]) - 1.0, float(rows[1, 0]),
+        float(np.max(np.abs(_ode(solution, xs[1:], rows[:, 1:])))))
+
+
 @dataclass(frozen=True)
 class ValueCurve:
     points: tuple  # of (x, v, ode_residual)
@@ -286,12 +301,12 @@ class ValueCurve:
 
 def value_curve(solution: SteadyStateSolution, x_min: float, x_max: float,
                 points: int) -> ValueCurve:
-    if not math.isfinite(x_max):
-        raise ValidationError("x_max", f"must be finite, got {x_max!r}")
+    if not (math.isfinite(x_max) and x_max <= _X_MAX):
+        raise ValidationError("x_max", f"need finite x_max <= {_X_MAX:g}")
     if not (0 <= x_min < x_max):
         raise ValidationError("x_min", "need 0 <= x_min < x_max")
-    if points < 2:
-        raise ValidationError("points", "need at least 2 curve points")
+    if not (isinstance(points, (int, np.integer)) and points >= 2):
+        raise ValidationError("points", "need an integer of at least 2 points")
     xs = np.linspace(x_min, x_max, points)
     return ValueCurve(points=tuple(zip(
         xs.tolist(), value(solution, xs).tolist(),
@@ -326,8 +341,8 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
     its slope (_Workspace.residual_scaled) in the first decade below z = p c
     whose lower end has R/p > 0, reusing the step-down's residuals at its
     ends; BoundaryBelowFloorError if that end is below p RATE_FLOOR.  A
-    DiagnosticsWarning names each diagnostic that misses its bound
-    (PASTING_VALUE_TOL, PASTING_SLOPE_TOL, ODE_RESIDUAL_TOL_PER_C c)."""
+    DiagnosticsWarning names each diagnostic (diagnose, 7 probes on
+    [1.02 x*, 5 x*]) that misses its bound (Diagnostics.bounds)."""
     if not (tol >= 1e-12 and math.isfinite(tol)):
         raise ValidationError("tol",
                               f"must be finite and >= 1e-12, got {tol!r}")
@@ -372,24 +387,13 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
 
     sol = SteadyStateSolution(
         cir=cir, contract=contract, consts=consts,
-        z_star=z_star, x_star=x_star, c2=c2,
-        diagnostics=Diagnostics(0.0, 0.0, 0.0),
+        z_star=z_star, x_star=x_star, c2=c2, diagnostics=None,
         workspace=ws, log_u_at_star=log_u, amp=1.0 - ann)
-
-    # pasting at x* and the ODE at 7 probes above it, from one branch call
-    xs = np.append(x_star, np.geomspace(1.02 * x_star, 5.0 * x_star, 7))
-    rows = _branch(sol, xs)
-    v_err, slope = float(rows[0, 0]) - 1.0, float(rows[1, 0])
-    res_max = float(np.max(np.abs(_ode(sol, xs[1:], rows[:, 1:]))))
-    missed = [f"{name} = {measured!r} (bound {bound!r})"
-              for name, measured, bound in (
-                  ("pasting_value_error", v_err, PASTING_VALUE_TOL),
-                  ("pasting_slope", slope, PASTING_SLOPE_TOL),
-                  ("ode_residual_max", res_max,
-                   ODE_RESIDUAL_TOL_PER_C * contract.c))
-              if not abs(measured) <= bound]
+    diag = diagnose(sol, np.geomspace(1.02 * x_star, 5.0 * x_star, 7))
+    missed = [f"{name} = {getattr(diag, name)!r} (bound {bound!r})"
+              for name, measured, bound in diag.bounds(contract.c)
+              if not measured <= bound]
     if missed:
         warnings.warn("diagnostics miss their bounds: " + "; ".join(missed),
                       DiagnosticsWarning, stacklevel=2)
-    return dataclasses.replace(
-        sol, diagnostics=Diagnostics(v_err, slope, res_max))
+    return dataclasses.replace(sol, diagnostics=diag)

@@ -182,7 +182,8 @@ def test_curve_csv_invariants(capsys):
 def test_curve_rejects_bad_window(capsys):
     for window, field in ((["--x-min", "0.5", "--x-max", "0.1"], "x_min"),
                           (["--x-max", "inf"], "x_max"),
-                          (["--x-min", "0.01", "--x-max", "nan"], "x_max")):
+                          (["--x-min", "0.01", "--x-max", "nan"], "x_max"),
+                          (["--x-max", "1e8"], "x_max")):
         code, out, err = run_cli(capsys, ["curve", *PRIMARY, *window])
         assert code == 2
         assert out == ""

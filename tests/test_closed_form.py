@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from cirmort import closed_form, specfun
+from cirmort import cli, closed_form, specfun
 from cirmort.closed_form import (DiagnosticsWarning, _Workspace, ode_residual,
                                  solve_boundary, value, value_curve,
                                  value_derivative)
@@ -281,7 +281,7 @@ def test_solve_warns_only_when_a_diagnostic_misses(monkeypatch):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", DiagnosticsWarning)
-        solve_boundary(PRIMARY_CIR, CONTRACT)
+        sol = solve_boundary(PRIMARY_CIR, CONTRACT)
     # no ODE residual meets a zero bound
     monkeypatch.setattr(closed_form, "ODE_RESIDUAL_TOL_PER_C", 0.0)
     msg = missed()
@@ -290,6 +290,12 @@ def test_solve_warns_only_when_a_diagnostic_misses(monkeypatch):
     monkeypatch.setattr(closed_form, "PASTING_SLOPE_TOL", 0.0)
     msg = missed()
     assert "pasting_slope" in msg and "ode_residual_max" not in msg
+    # cirmort verify reads the same bound
+    checks = {ch["name"]: ch for ch in cli._closed_form_checks(
+        cli.RunConfig(cir=PRIMARY_CIR, contract=CONTRACT), sol)}
+    assert checks["smooth_pasting_slope"]["status"] == "fail"
+    assert checks["smooth_pasting_slope"]["tolerance"] == 0.0
+    assert checks["smooth_pasting_value"]["status"] == "pass"
 
 
 @pytest.mark.parametrize("module,name,perturb", [
@@ -686,6 +692,36 @@ def test_value_path_calls_the_annuity_kernel_once_per_chunk(monkeypatch):
     assert max(sizes) <= 64 and sum(sizes) == 2 * 100
 
 
+def test_verify_evaluates_the_branch_twice(monkeypatch, primary_solution):
+    # diagnose at x* and the 100 probes, then V at the probes and the tail
+    # point
+    sizes = []
+    branch = closed_form._branch
+
+    def counted(sol, xs):
+        sizes.append(xs.size)
+        return branch(sol, xs)
+
+    monkeypatch.setattr(closed_form, "_branch", counted)
+    config = cli.RunConfig(cir=PRIMARY_CIR, contract=CONTRACT)
+    checks = cli._closed_form_checks(config, primary_solution)
+    assert sizes == [101, 101]
+    assert [ch["status"] for ch in checks] == ["pass"] * 5
+
+
+@pytest.mark.parametrize("cir,c", [
+    (PRIMARY_CIR, 0.05),
+    (CirParams(k=4.4479, theta=0.0037, sigma=0.0135), 0.0056),  # 8.3e-4
+], ids=["primary", "alpha_8.3e-4"])
+def test_diagnose_reproduces_the_solve_diagnostics(cir, c):
+    sol = solve_boundary(cir, ContractParams(c=c, m=c))
+    probes = np.geomspace(1.02 * sol.x_star, 5.0 * sol.x_star, 7)
+    assert closed_form.diagnose(sol, probes) == sol.diagnostics
+    # a probe in the stopped region has no continuation branch to test
+    with pytest.raises(DomainError):
+        closed_form.diagnose(sol, 0.5 * sol.x_star)
+
+
 def test_value_rejects_negative_rate(primary_solution):
     with pytest.raises(DomainError):
         value(primary_solution, -0.01)
@@ -734,16 +770,22 @@ def test_value_curve_names_the_bad_argument(primary_solution):
     with pytest.raises(ValidationError) as exc:
         value_curve(primary_solution, 0.1, 0.5, 1)
     assert exc.value.field == "points"
-    for x_max in (math.inf, math.nan):
+    # the annuity rule resolves no rate above 1e7
+    for x_max in (math.inf, math.nan, 2e7):
         with pytest.raises(ValidationError) as exc:
             value_curve(primary_solution, 0.1, x_max, 11)
         assert exc.value.field == "x_max"
+    with pytest.raises(ValidationError) as exc:
+        value_curve(primary_solution, 0.0, 0.1, 2.5)
+    assert exc.value.field == "points"
 
 
+# the annuity rule resolves no rate above 1e7
 @pytest.mark.parametrize("x", [math.nan, math.inf,
-                               np.array([0.02, math.nan])])
+                               np.array([0.02, math.nan]), 2e7,
+                               np.array([0.02, 2e7])])
 def test_value_rejects_non_finite_rate(primary_solution, x):
-    for fn in (value, value_derivative, ode_residual):
+    for fn in (value, value_derivative, ode_residual, closed_form.diagnose):
         with pytest.raises(DomainError):
             fn(primary_solution, x)
 
