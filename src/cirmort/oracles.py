@@ -29,6 +29,7 @@ boundary even where sigma^2 is large against k + s.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -234,6 +235,23 @@ class McReport:
 _ROULETTE_START = 30.0
 _ROULETTE_PERIOD = 15.0
 
+# Path-steps in one block of the simulation loop (a block has at least one
+# step): each of its four buffers stays at 256 KiB.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _running_sums(a: np.ndarray) -> None:
+    """Replace each row of `a` by the sum of the rows up to it, in place,
+    adding one row at a time as a per-step update would.  np.add.accumulate
+    runs down each column with a strided inner loop, several times slower
+    per element than a contiguous add; a loop over rows pays one call per
+    row instead, which is cheaper once rows hold a few hundred elements."""
+    if a.shape[1] >= 256:
+        for m in range(1, a.shape[0]):
+            np.add(a[m - 1], a[m], out=a[m])
+    else:
+        np.add.accumulate(a, axis=0, out=a)
+
 
 def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
                         boundaries: Sequence[float], paths: int, dt: float,
@@ -256,26 +274,42 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
     boundary (by value, not position), and it carries the highest boundary
     it is still live for.  The working set drops its dead paths at each
     roulette and whenever at most half of it is live, which keeps the
-    copying amortised O(paths); the loop ends when no path is live.  Dead
-    paths left in the set still draw random numbers, so the stream, and
-    with it each estimate, depends on when paths retire.
+    copying amortised O(paths); the loop ends when no path is live.
+
+    The loop runs in blocks of steps.  A step only draws, writes the
+    transition into its row of the block and counts the live paths newly
+    at or below the lowest boundary, since that count decides the next
+    compaction.  A block ends at a compaction, a roulette, the horizon or
+    after _BLOCK_ELEMENTS path-steps.  Then the log-discount, discount and
+    accrual of every row are formed as running sums, in the order of a
+    per-step update, and each boundary's first passage in the block banks
+    the payments.  Every step draws for the whole working set, dead paths
+    included, so the stream, and with it every estimate, is fixed by the
+    per-step draw sizes alone: the block length changes no report.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValidationError("dt", "must be positive and finite")
     if not (horizon >= dt and math.isfinite(horizon)):
         raise ValidationError("horizon", "must be finite and at least dt")
+    try:
+        paths = operator.index(paths)
+    except TypeError:
+        raise ValidationError(
+            "paths", f"must be an integer, got {paths!r}") from None
     if paths < 1:
         raise ValidationError("paths", "need at least one path")
     if not x0 > 0:
         raise ValidationError("x0", "must be positive")
     if seed < 0:
         raise ValidationError("seed", f"must be >= 0, got {seed!r}")
+    bvec = np.asarray(boundaries, dtype=float)
+    if np.isnan(bvec).any():
+        raise ValidationError("boundary", "must not be NaN")
     rng = np.random.Generator(np.random.SFC64(seed))
     k, sigma2, c = cir.k, cir.sigma ** 2, contract.c
     edt = math.exp(-k * dt)
     cbar = sigma2 * (1.0 - edt) / (4.0 * k)
     df = 4.0 * k * cir.theta / sigma2
-    bvec = np.asarray(boundaries, dtype=float)
     # levels[searchsorted(sorted b, y)] is the highest boundary below y
     levels = np.concatenate(([-np.inf], np.sort(bvec)))
     pay_rate = c * dt * 0.5
@@ -293,60 +327,118 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
     accrual = np.zeros(paths)           # running payments at unit weight
     top = np.full(paths, levels[np.searchsorted(levels[1:], x0)])
     n_live = paths if top[0] > -np.inf else 0
+    # the lowest boundary on a live path, -inf on a dead one
+    low = np.full(paths, levels[1] if n_live else -np.inf)
     weight = 1.0                        # shared: roulette doubles every path
 
-    def stop(rows, xs):
-        # working rows stop at xs for each live boundary at or above it,
-        # banking their payments; returns the (boundary, row) stops
-        jj, kk = ((bvec[:, None] <= top[rows])
-                  & (bvec[:, None] >= xs)).nonzero()
+    def retire(rows):
+        # working rows stop for every boundary they are live for, banking
+        # their payments
+        jj, kk = (bvec[:, None] <= top[rows]).nonzero()
         pay[jj, ids[rows[kk]]] = accrual[rows[kk]]
-        top[rows] = levels[np.searchsorted(levels[1:], xs)]
-        return jj, rows[kk]
+        top[rows] = -np.inf
+        low[rows] = -np.inf
 
     n_steps = int(round(horizon / dt))
     roulette_every = max(1, int(round(_ROULETTE_PERIOD / dt)))
     roulette_from = int(round(_ROULETTE_START / dt))
     shape_g = 0.5 * (df - 1.0)
+    drift = edt / cbar
     step = path_steps = 0
     while n_live and step < n_steps:
-        step += 1
         n_act = ids.size
-        path_steps += n_act
-        if df > 1.0:
-            zn = rng.standard_normal(n_act, dtype=np.float32)
-            g = rng.standard_gamma(shape_g, n_act)
-            xn = cbar * (2.0 * g + (zn + np.sqrt(x * (edt / cbar))) ** 2)
-        else:
-            mix = rng.poisson(0.5 * x * (edt / cbar))
-            g = rng.standard_gamma(0.5 * df + mix)
-            xn = cbar * 2.0 * g
-        ln = log_disc + (0.5 * dt) * (x + xn)
-        dn = np.exp(-ln)
-        accrual += (pay_rate * weight) * (disc + dn)
-        hit = (xn <= top).nonzero()[0]
+        # the block ends by the first roulette step after this one
+        next_roulette = (-(-max(step + 1, roulette_from) // roulette_every)
+                         * roulette_every)
+        xs = np.empty((min(max(1, _BLOCK_ELEMENTS // n_act), n_steps - step,
+                           next_roulette - step), n_act))
+        # n_live stays exact after every step but the block's last one,
+        # whose crossings the first passages below count
+        n_start = n_live
+        prev = x
+        for m, row in enumerate(xs):
+            if df > 1.0:
+                zn = rng.standard_normal(n_act, dtype=np.float32)
+                g = rng.standard_gamma(shape_g, n_act)
+                # cbar * (2 g + (zn + sqrt(x drift))^2)
+                np.multiply(prev, drift, out=row)
+                np.sqrt(row, out=row)
+                np.add(zn, row, out=row)
+                np.square(row, out=row)
+                g *= 2.0
+                row += g
+                row *= cbar
+            else:
+                mix = rng.poisson(0.5 * prev * drift)
+                g = rng.standard_gamma(0.5 * df + mix)
+                np.multiply(g, cbar * 2.0, out=row)
+            prev = row
+            if m + 1 < xs.shape[0]:
+                newly = row <= low
+                n_new = np.count_nonzero(newly)
+                if n_new:
+                    low[newly] = -np.inf
+                    n_live -= n_new
+                    if 2 * n_live <= n_act:     # compaction ends the block
+                        xs = xs[:m + 1]
+                        break
+        step += xs.shape[0]
+        path_steps += xs.size
+
+        # log-discount, discount and accrual after each step of the block
+        ld = np.empty_like(xs)
+        np.add(x, xs[0], out=ld[0])
+        np.add(xs[:-1], xs[1:], out=ld[1:])
+        ld *= 0.5 * dt
+        ld[0] += log_disc
+        _running_sums(ld)
+        d = np.negative(ld)
+        np.exp(d, out=d)
+        acc = np.empty_like(xs)
+        np.add(disc, d[0], out=acc[0])
+        np.add(d[:-1], d[1:], out=acc[1:])
+        acc *= pay_rate * weight
+        acc[0] += accrual
+        _running_sums(acc)
+
+        # first passages, on the paths whose lowest rate in the block is at
+        # or below the highest boundary they are live for
+        x_min = xs[0] if xs.shape[0] == 1 else xs.min(axis=0)
+        hit = (x_min <= top).nonzero()[0]
         if hit.size:
-            jj, rows = stop(hit, xn[hit])
-            payoff[jj, ids[rows]] = weight * dn[rows]
-            n_live -= int(np.count_nonzero(top[hit] == -np.inf))
-        x, log_disc, disc = xn, ln, dn
+            jj, kk = ((bvec[:, None] <= top[hit])
+                      & (bvec[:, None] >= x_min[hit])).nonzero()
+            cols = hit[kk]
+            first = (xs[:, cols] <= bvec[jj]).argmax(axis=0)
+            pay[jj, ids[cols]] = acc[first, cols]
+            payoff[jj, ids[cols]] = weight * d[first, cols]
+            top[hit] = levels[np.searchsorted(levels[1:], x_min[hit])]
+            gone = hit[top[hit] == -np.inf]
+            low[gone] = -np.inf
+            n_live = n_start - gone.size
+        # the state after the block; copies from a longer block let its
+        # buffers go before the next block allocates its own
+        x, log_disc, disc, accrual = (a[0] if a.shape[0] == 1 else a[-1].copy()
+                                      for a in (xs, ld, d, acc))
+        del xs, ld, d, acc
+
         roulette = step >= roulette_from and step % roulette_every == 0
         if roulette:
             # keep each live path with probability 1/2 at doubled weight;
             # payments accrued so far are banked at full weight either way
             drop = (weight * disc < 1e-8) | (rng.random(n_act) >= 0.5)
             out = ((top > -np.inf) & drop).nonzero()[0]
-            stop(out, -np.inf)
+            retire(out)
             n_live -= out.size
             weight *= 2.0
-        if roulette or 2 * n_live <= ids.size:
+        if roulette or 2 * n_live <= n_act:
             sel = (top > -np.inf).nonzero()[0]
-            ids, x, disc, log_disc, accrual, top = (
+            ids, x, disc, log_disc, accrual, top, low = (
                 ids[sel], x[sel], disc[sel], log_disc[sel], accrual[sel],
-                top[sel])
+                top[sel], low[sel])
 
     # paths live at the horizon contribute their accrued payments
-    stop((top > -np.inf).nonzero()[0], -np.inf)
+    retire((top > -np.inf).nonzero()[0])
     return [McReport(x0=x0, boundary_used=float(b),
                      value_estimate=float(totals.mean()),
                      std_error=(float(totals.std(ddof=1)) / math.sqrt(paths)
@@ -370,6 +462,8 @@ def mc_optimality_probe(cir: CirParams, contract: ContractParams, x0: float,
     """Common-random-number valuation at boundary - delta, boundary, and
     boundary + delta; the borrower minimizes, so the middle estimate should
     not exceed the neighbors by more than noise when boundary is optimal."""
+    if math.isnan(boundary):
+        raise ValidationError("boundary", "must not be NaN")
     if not boundary - delta > 0:
         raise ValidationError("delta", "requires boundary - delta > 0")
     return tuple(_simulate_threshold(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cirmort import oracles
 from cirmort.closed_form import solve_boundary, value
 from cirmort.errors import ConvergenceError, NoBracketError, ValidationError
 from cirmort.model import CirParams, ContractParams, bond_price_terms
@@ -171,6 +172,19 @@ def test_mc_validation_errors():
         mc_value(PRIMARY_CIR, CONTRACT, 0.06, 0.009, paths=10, dt=0.01,
                  horizon=1.0, seed=-1)
     assert exc.value.field == "seed"
+    # a NaN boundary stops no path; the probe names it, not delta
+    with pytest.raises(ValidationError) as exc:
+        mc_value(PRIMARY_CIR, CONTRACT, 0.06, math.nan, paths=10, dt=0.01,
+                 horizon=1.0)
+    assert exc.value.field == "boundary"
+    with pytest.raises(ValidationError) as exc:
+        mc_optimality_probe(PRIMARY_CIR, CONTRACT, 0.06, boundary=math.nan,
+                            delta=0.001, paths=10, dt=0.01, horizon=1.0)
+    assert exc.value.field == "boundary"
+    with pytest.raises(ValidationError) as exc:
+        mc_value(PRIMARY_CIR, CONTRACT, 0.06, 0.009, paths=200.0, dt=0.01,
+                 horizon=1.0)
+    assert exc.value.field == "paths"
 
 
 def test_mc_matches_closed_form_loosely(primary_solution):
@@ -252,3 +266,73 @@ def test_mc_retires_dead_paths():
     stopped = mc_value(cir, con, x0=0.5 * x_star, boundary=x_star,
                        paths=paths, dt=dt, horizon=400.0, seed=0)
     assert stopped.path_steps == 0
+
+
+# Reports pinned bit for bit: value_estimate and std_error by float.hex,
+# path_steps exactly.  They were recorded with the step-by-step loop that the
+# blocked one replaced, so a change to the draws, or to the order of the
+# additions in the discount and accrual sums, shows here.
+PRIMARY_X_STAR = 0.009217280309479105
+DF_BELOW_ONE = (CirParams(k=0.22487, theta=0.030652, sigma=0.17724),
+                ContractParams(c=0.036055, m=0.036055))     # df = 0.88
+DF_BELOW_ONE_X_STAR = 0.0043751544317062845
+
+
+def _verify_boundaries(x_star):
+    # cirmort verify's MC run: 0.9 x*, x* and 1.1 x* on common paths
+    return [x_star - 0.1 * x_star, x_star, x_star + 0.1 * x_star]
+
+
+# case: ((cir, contract, x0, boundaries, paths, dt, horizon, seed),
+#        [(value_estimate, std_error, path_steps) per boundary])
+MC_PINS = {
+    # verify on the primary fixture; its paths reach the roulette
+    "verify_primary": (
+        (PRIMARY_CIR, CONTRACT, 0.06, _verify_boundaries(PRIMARY_X_STAR),
+         2000, 1.0 / 252.0, 400.0, 0),
+        [("0x1.bf845acd128b0p-1", "0x1.328e761f80d25p-8", 18627840),
+         ("0x1.be89dcb24c950p-1", "0x1.2531bfebeee16p-8", 18627840),
+         ("0x1.beb0f8ae59023p-1", "0x1.1c762f0bc80c9p-8", 18627840)]),
+    # the Poisson-mixture transition
+    "df_below_one": (
+        (*DF_BELOW_ONE, 0.030652, _verify_boundaries(DF_BELOW_ONE_X_STAR),
+         500, 1.0 / 252.0, 400.0, 0),
+        [("0x1.e5eae7eeb8e17p-1", "0x1.ba71502003191p-8", 746156),
+         ("0x1.e5914722b12d6p-1", "0x1.b92286ed17818p-8", 746156),
+         ("0x1.e59aa4f4a461ap-1", "0x1.b81c8eaff75ccp-8", 746156)]),
+    "one_path": (
+        (PRIMARY_CIR, CONTRACT, 0.06, [PRIMARY_X_STAR], 1, 1.0 / 252.0,
+         400.0, 3),
+        [("0x1.1b1c8c15a93bep+0", "0x0.0p+0", 1773)]),
+    # x0 on the middle boundary: two of the three stop at once
+    "x0_on_a_boundary": (
+        (PRIMARY_CIR, CONTRACT, 0.04, [0.02, 0.04, 0.06], 300, 0.25, 100.0,
+         1),
+        [("0x1.d731841195c55p-1", "0x1.1edf4351bc90bp-7", 22498),
+         ("0x1.0000000000000p+0", "0x0.0p+0", 22498),
+         ("0x1.0000000000000p+0", "0x0.0p+0", 22498)]),
+    # the horizon ends the run with paths still live
+    "horizon_cuts_live_paths": (
+        (PRIMARY_CIR, CONTRACT, 0.06, [0.005], 500, 1.0 / 52.0, 20.0, 2),
+        [("0x1.47ac9b71b0daep-1", "0x1.f0ad6f46dad84p-8", 520000)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MC_PINS))
+def test_mc_reports_are_pinned(case):
+    args, want = MC_PINS[case]
+    got = [(r.value_estimate.hex(), r.std_error.hex(), r.path_steps)
+           for r in _simulate_threshold(*args)]
+    assert got == want
+
+
+@pytest.mark.parametrize("budget", [1, 600])
+@pytest.mark.parametrize("case", sorted(set(MC_PINS) - {"verify_primary"}))
+def test_block_length_changes_no_report(monkeypatch, case, budget):
+    # one-step blocks, and blocks of a few steps; with 600 the df < 1 and
+    # x0-on-a-boundary cases compact inside a block and roulette at the end
+    # of one
+    args, _ = MC_PINS[case]
+    want = _simulate_threshold(*args)
+    monkeypatch.setattr(oracles, "_BLOCK_ELEMENTS", budget)
+    assert _simulate_threshold(*args) == want
