@@ -24,8 +24,14 @@ gives ln U and U'/U (specfun._tricomi_u_raw).  The rule depends on (alpha,
 gamma) only: _Workspace builds it (specfun._LaplaceRule) at its first U
 pass and keeps it, so the residuals, c2 and the diagnostics of a solve, and
 every later evaluation of its solution, scale the same two unit node sets;
-a pass over the same span of t as the last one reuses its nodes.  R's root
-is x*, refined by Newton in ln z with R's slope from the same pass's
+a pass over the same span of t as the last one reuses its nodes.  Each
+workspace also gives its rule one solve window of z, [p c/10, 5 p c]: a
+pass whose z all lie in it takes the window's span, so the first decade of
+the step-down below p c (where most boundaries lie), Newton's iterates
+there, c2, the diagnostics on [x*, 5 x*] and V(x) for c/10 <= x <= 5 c
+share one set of nodes; other passes take their own span.  A residual or
+c2 passes one 0-d z, so it reads floats, not arrays.  R's root is x*,
+refined by Newton in ln z with R's slope from the same pass's
 U''/U = <t^2> and A''.
 A decreases (P = A_P e^{-B x}, B > 0) and U'/U < 0 tends to -inf as z -> 0,
 so R < 0 at every x > 0 if A(0) <= 1 and R > 0 near 0 if A(0) > 1: a
@@ -117,6 +123,8 @@ ODE_RESIDUAL_TOL_PER_C = 1e-6           # times the coupon c
 # [x*, 50 theta] peak at 91 MiB RSS at gamma = 1e5 and 181 MiB at 9.9e5.  The
 # README box reaches 1.2e5.
 GAMMA_CAP = 1e6
+# solve_boundary's diagnostic probes, in units of x*
+_PROBE_RATIOS = np.geomspace(1.02, 5.0, 7)
 
 
 class DiagnosticsWarning(UserWarning):
@@ -136,9 +144,10 @@ def _annuity_rule(r_inf: float) -> tuple[np.ndarray, np.ndarray]:
 
 class _Workspace:
     """Per-(cir, contract) evaluation context: the annuity rule with its
-    bond-price terms, and U's Laplace rule, built at the first U pass, so a
-    set without a boundary never builds it; all public entry points funnel
-    through here."""
+    bond-price terms, and U's Laplace rule, built at the first U pass with
+    the solve window [p c/10, 5 p c] (module docstring), so a set without a
+    boundary never builds it; all public entry points funnel through
+    here."""
 
     def __init__(self, cir: CirParams, contract: ContractParams):
         self.consts = consts = derive_constants(cir)
@@ -148,20 +157,24 @@ class _Workspace:
         self.weights = contract.c * np.stack([w, -w * b, w * b * b], axis=1)
         self.b = b
         self.u_rule = None
+        pc = consts.p * contract.c
+        self.window = (0.1 * pc, 5.0 * pc)
 
     def annuity(self, xs: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(A, dA/dx, d2A/dx2) at every rate x of xs, one matrix product."""
-        return tuple((np.exp(self.log_a - np.outer(xs, self.b))
+        """(A, dA/dx, d2A/dx2) at every rate x of xs, an array or one 0-d x,
+        one matrix product."""
+        return tuple((np.exp(self.log_a - np.multiply.outer(xs, self.b))
                       @ self.weights).T)
 
     def terms(self, zs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(A, A', A'', ln U, U'/U, U''/U) at every z of zs, A and its
-        x-derivatives at x = z/p: one annuity product and one pass of the
-        workspace's U rule."""
+        """(A, A', A'', ln U, U'/U, U''/U) at every z of zs, an array or one
+        0-d z, A and its x-derivatives at x = z/p: one annuity product and
+        one pass of the workspace's U rule."""
         alpha, gamma = self.consts.alpha, self.consts.gamma
         if self.u_rule is None:
             self.u_rule = _LaplaceRule(alpha, gamma)
+            self.u_rule.window = self.window
         return (*self.annuity(zs / self.consts.p),
                 *_tricomi_u_raw(alpha, gamma, zs, rule=self.u_rule))
 
@@ -170,8 +183,8 @@ class _Workspace:
         there, at one z; the slope is z times
         -A_z (U'/U - a) + (1 - A)(U''/U - (U'/U)^2) + A_zz."""
         p, a = self.consts.p, self.consts.a_exp
-        ann, ann_x, ann_xx, _, ratio, ratio2 = (
-            float(v[0]) for v in self.terms(np.array([z])))
+        ann, ann_x, ann_xx, _, ratio, ratio2 = map(
+            float, self.terms(np.float64(z)))
         res = (1.0 - ann) * (ratio - a) + ann_x / p
         slope = z * (ann_xx / (p * p) - ann_x / p * (ratio - a)
                      + (1.0 - ann) * (ratio2 - ratio * ratio))
@@ -220,17 +233,16 @@ def _branch(sol: SteadyStateSolution, xs: np.ndarray) -> np.ndarray:
     p, a = ws.consts.p, ws.consts.a_exp
     z = np.maximum(p * xs, sol.z_star)
     order = np.argsort(z, kind="stable")
-    zs = z[order]
-    rows = np.empty((3, zs.size))
-    for lo in range(0, zs.size, _CHUNK):
-        part = slice(lo, lo + _CHUNK)
-        c = zs[part]
+    rows = np.empty((3, z.size))
+    for lo in range(0, z.size, _CHUNK):
+        part = order[lo:lo + _CHUNK]
+        c = z[part]
         ann, ann_x, ann_xx, log_u, ratio, ratio2 = ws.terms(c)
         g = sol.amp * np.exp(log_u - sol.log_u_at_star - a * (c - sol.z_star))
-        rows[0, part] = ann + g
-        rows[1, part] = ann_x + p * g * (ratio - a)
-        rows[2, part] = ann_xx + p * p * g * (ratio2 - 2.0 * a * ratio + a * a)
-    return rows[:, np.argsort(order)]
+        rows[:, part] = (
+            ann + g, ann_x + p * g * (ratio - a),
+            ann_xx + p * p * g * (ratio2 - 2.0 * a * ratio + a * a))
+    return rows
 
 
 def _rows(solution: SteadyStateSolution, x: Real, name: str,
@@ -242,7 +254,8 @@ def _rows(solution: SteadyStateSolution, x: Real, name: str,
     if not np.all((xs >= 0) & (xs <= _X_MAX)):     # False at NaN too
         raise DomainError(f"{name} requires 0 <= x <= {_X_MAX:g}")
     scalar, xs = xs.ndim == 0, np.atleast_1d(xs)
-    rows = np.array([np.ones_like(xs), np.zeros_like(xs), np.zeros_like(xs)])
+    rows = np.zeros((3, xs.size))
+    rows[0] = 1.0
     cont = xs >= solution.x_star if closed else xs > solution.x_star
     rows[:, cont] = _branch(solution, xs[cont])
     return xs, rows, scalar
@@ -375,8 +388,7 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
         tol=tol, f_lo=f_lo, f_hi=f_hi))
     x_star = z_star / consts.p
 
-    ann, ann_x, _, log_u, ratio, _ = (
-        float(v[0]) for v in ws.terms(np.array([z_star])))
+    ann, ann_x, _, log_u, ratio, _ = map(float, ws.terms(np.float64(z_star)))
     # the paper's c2 with z_ref = z*; +-inf where e^{a z*}/U(z*) overflows,
     # as it is 0 where that underflows
     try:
@@ -389,7 +401,7 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
         cir=cir, contract=contract, consts=consts,
         z_star=z_star, x_star=x_star, c2=c2, diagnostics=None,
         workspace=ws, log_u_at_star=log_u, amp=1.0 - ann)
-    diag = diagnose(sol, np.geomspace(1.02 * x_star, 5.0 * x_star, 7))
+    diag = diagnose(sol, x_star * _PROBE_RATIOS)
     missed = [f"{name} = {getattr(diag, name)!r} (bound {bound!r})"
               for name, measured, bound in diag.bounds(contract.c)
               if not measured <= bound]

@@ -298,8 +298,13 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
             "paths", f"must be an integer, got {paths!r}") from None
     if paths < 1:
         raise ValidationError("paths", "need at least one path")
-    if not x0 > 0:
-        raise ValidationError("x0", "must be positive")
+    if not (x0 > 0 and math.isfinite(x0)):
+        raise ValidationError("x0", "must be positive and finite")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValidationError(
+            "seed", f"must be an integer, got {seed!r}") from None
     if seed < 0:
         raise ValidationError("seed", f"must be >= 0, got {seed!r}")
     bvec = np.asarray(boundaries, dtype=float)

@@ -24,7 +24,9 @@ rule gives ln U, U'/U and U''/U (_tricomi_u_raw).  A rule depends on
 (alpha, gamma) only: it builds the u-panels on (0, 1] and one t-panel on
 [1, e^step] once, and a pass scales both to its span of j and forms
 e^{-z t}.  A caller that keeps the rule (closed_form's workspace) reuses
-the last span's nodes, as Newton's iterates near a root do.
+the last span's nodes, as Newton's iterates near a root do; a caller that
+gives it a window of z makes every pass inside the window take the
+window's one span, so passes at nearby z share their nodes.
 
 Small alpha.  With t = t_split u^{1/alpha} the integrand varies on a scale
 of alpha in v = 1 - u, so the u-panels past u = 1/2 are graded
@@ -110,7 +112,14 @@ class _LaplaceRule:
     alpha).  t/t_split is u^{1/alpha} on the first, exp(log1p(-v)/alpha)
     on the others.  Both unit sets are formed once; a pass whose span
     (j0, j1) differs from the last one's scales them to it, and every node
-    adds (gamma-alpha-1) ln(1 + t) to its e."""
+    adds (gamma-alpha-1) ln(1 + t) to its e.
+
+    Window: the owner may set window = (z_lo, z_hi).  A pass whose z all lie
+    in it takes the span of (z_lo, z_hi) in place of its own, which covers
+    its own, so a run of passes there builds the nodes once and agrees with
+    a single-use rule to rounding; any other pass keeps its own span.
+    Without a window every pass takes its own span.  A pass takes an array
+    of z or one 0-d z, for which it returns scalars."""
 
     def __init__(self, alpha: float, gamma: float):
         self.alpha, self.gamma = alpha, gamma
@@ -130,6 +139,9 @@ class _LaplaceRule:
         # the last pass's (j0, j1) and the rows (e, 1, t, t^2) of its nodes:
         # Newton's iterates near a root ask for the same span again
         self.span, self.nodes = None, None
+        # the owner's solve window (z_lo, z_hi), or None: a pass inside it
+        # takes the window's span
+        self.window = None
 
     def _nodes(self, j0: int, j1: int) -> np.ndarray:
         """Rows (e, 1, t, t^2) of the nodes of span (j0, j1): summed with
@@ -149,22 +161,25 @@ class _LaplaceRule:
 
     def moments(self, zs: np.ndarray, z_min: float, z_max: float
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ln U, U'/U, U''/U) at every z of zs, whose least and largest are
-        z_min and z_max: ln U by log-sum-exp over the nodes, U'/U = -<t>
-        and U''/U = <t^2>, the moments of t under the same weights."""
-        step = self.step
+        """(ln U, U'/U, U''/U) at every z of zs, an array or one 0-d z, whose
+        least and largest are z_min and z_max: ln U by log-sum-exp over the
+        nodes, U'/U = -<t> and U''/U = <t^2>, the moments of t under the
+        same weights."""
+        step, window = self.step, self.window
+        if window is not None and window[0] <= z_min and z_max <= window[1]:
+            z_min, z_max = window
         span = (math.floor(-max(math.log(z_max), 0.0) / step),
                 math.ceil((math.log(self.reach) - math.log(z_min)) / step))
         if span != self.span:
             self.span, self.nodes = span, self._nodes(*span)
         nodes = self.nodes
-        e = zs[:, None] * nodes[2]
+        e = np.multiply.outer(zs, nodes[2])
         np.subtract(nodes[0], e, out=e)
-        peak = e.max(axis=1, keepdims=True)
+        peak = e.max(axis=-1, keepdims=True)
         e -= peak
         np.exp(e, out=e)
         total, mean_t, mean_tt = (e @ nodes[1:].T).T
-        return (peak[:, 0] + np.log(total) - math.lgamma(self.alpha),
+        return (peak[..., 0] + np.log(total) - math.lgamma(self.alpha),
                 -mean_t / total, mean_tt / total)
 
 

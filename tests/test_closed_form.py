@@ -713,9 +713,29 @@ def test_verify_evaluates_the_branch_twice(monkeypatch, primary_solution):
     (PRIMARY_CIR, 0.05),
     (CirParams(k=4.4479, theta=0.0037, sigma=0.0135), 0.0056),  # 8.3e-4
 ], ids=["primary", "alpha_8.3e-4"])
+def test_solve_and_value_at_theta_build_u_nodes_once(monkeypatch, cir, c):
+    # the step-down's first decade, Newton's iterates, c2, the diagnostics
+    # on [x*, 5 x*] and V(theta) all lie in the workspace's solve window
+    # [p c/10, 5 p c], so they share the nodes of its one span
+    builds = []
+    nodes = specfun._LaplaceRule._nodes
+
+    def counted(rule, j0, j1):
+        builds.append((j0, j1))
+        return nodes(rule, j0, j1)
+    monkeypatch.setattr(specfun._LaplaceRule, "_nodes", counted)
+    sol = solve_boundary(cir, ContractParams(c=c, m=c))
+    value(sol, cir.theta)
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("cir,c", [
+    (PRIMARY_CIR, 0.05),
+    (CirParams(k=4.4479, theta=0.0037, sigma=0.0135), 0.0056),  # 8.3e-4
+], ids=["primary", "alpha_8.3e-4"])
 def test_diagnose_reproduces_the_solve_diagnostics(cir, c):
     sol = solve_boundary(cir, ContractParams(c=c, m=c))
-    probes = np.geomspace(1.02 * sol.x_star, 5.0 * sol.x_star, 7)
+    probes = sol.x_star * closed_form._PROBE_RATIOS
     assert closed_form.diagnose(sol, probes) == sol.diagnostics
     # a probe in the stopped region has no continuation branch to test
     with pytest.raises(DomainError):

@@ -172,6 +172,16 @@ def test_mc_validation_errors():
         mc_value(PRIMARY_CIR, CONTRACT, 0.06, 0.009, paths=10, dt=0.01,
                  horizon=1.0, seed=-1)
     assert exc.value.field == "seed"
+    # nor a non-integer one
+    with pytest.raises(ValidationError) as exc:
+        mc_value(PRIMARY_CIR, CONTRACT, 0.06, 0.009, paths=10, dt=0.01,
+                 horizon=1.0, seed=1.5)
+    assert exc.value.field == "seed"
+    # a path started at +inf stays there and would price 0 with no error
+    with pytest.raises(ValidationError) as exc:
+        mc_value(PRIMARY_CIR, CONTRACT, math.inf, 0.009, paths=10, dt=0.01,
+                 horizon=1.0)
+    assert exc.value.field == "x0"
     # a NaN boundary stops no path; the probe names it, not delta
     with pytest.raises(ValidationError) as exc:
         mc_value(PRIMARY_CIR, CONTRACT, 0.06, math.nan, paths=10, dt=0.01,

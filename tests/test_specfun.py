@@ -356,22 +356,49 @@ def test_u_at_tiny_alpha_matches_mpmath():
                           <= 1e-12 * np.abs(want[1:])), gamma
 
 
-@pytest.mark.parametrize("alpha,gamma", [(0.19, 3.0), (8.3e-4, 180.0),
-                                         (2.5, 0.5)])
-def test_reused_rule_matches_a_fresh_rule(alpha, gamma):
+@pytest.mark.parametrize("alpha,gamma,window", [
+    (0.19, 3.0, None), (8.3e-4, 180.0, None), (2.5, 0.5, None),
+    (0.19, 3.0, (1e-2, 10.0)),
+], ids=["0.19-3.0", "0.00083-180.0", "2.5-0.5", "0.19-3.0-window"])
+def test_reused_rule_matches_a_fresh_rule(alpha, gamma, window):
     # one rule, passed z stepping down by decades and then a 64-z chunk at
-    # large z, changes its span at every pass; each pass equals a fresh
-    # rule's exactly, and the rule holds the nodes of one span only
+    # large z, changes its span at every pass outside its window; each such
+    # pass equals a fresh rule's exactly, and the rule holds the nodes of one
+    # span only.  A pass inside the window takes the window's span: it
+    # matches a fresh rule to rounding, and all such passes share that span
     rule = specfun._LaplaceRule(alpha, gamma)
+    rule.window = window
     passes = ([np.array([z]) for z in 10.0 ** np.arange(2.0, -7.0, -1.0)]
               + [np.geomspace(50.0, 5000.0, 64)])
+    window_spans = set()
     for zs in passes:
         got = np.array(_tricomi_u_raw(alpha, gamma, zs, rule=rule))
         fresh = specfun._LaplaceRule(alpha, gamma)
         want = np.array(_tricomi_u_raw(alpha, gamma, zs, rule=fresh))
+        if window and window[0] <= zs.min() and zs.max() <= window[1]:
+            assert np.all(np.abs(got[0] - want[0]) <= 1e-13), zs
+            assert np.all(np.abs(got[1:] - want[1:])
+                          <= 1e-13 * np.abs(want[1:])), zs
+            window_spans.add(rule.span)
+            continue
         assert np.array_equal(got, want), zs
         assert rule.span == fresh.span, zs
         assert rule.nodes.shape == fresh.nodes.shape, zs
+    assert len(window_spans) == (1 if window else 0)
+
+
+@pytest.mark.parametrize("alpha,gamma", [(0.19, 3.0), (8.3e-4, 180.0),
+                                         (2.5, 0.5)])
+def test_a_0d_z_matches_a_one_element_array(alpha, gamma):
+    # a single z may come as a 0-d array, for which a pass returns scalars
+    rule = specfun._LaplaceRule(alpha, gamma)
+    for z in 10.0 ** np.arange(2.0, -7.0, -1.0):
+        got = _tricomi_u_raw(alpha, gamma, np.float64(z), rule=rule)
+        want = _tricomi_u_raw(alpha, gamma, np.array([z]), rule=rule)
+        assert all(np.ndim(g) == 0 for g in got), z
+        assert abs(got[0] - want[0][0]) <= 1e-14 * max(1.0, abs(want[0][0]))
+        for g, w in zip(got[1:], want[1:]):
+            assert abs(g - w[0]) <= 1e-14 * abs(w[0]), z
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.03, 0.029, 8.3e-4])
