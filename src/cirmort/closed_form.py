@@ -120,8 +120,9 @@ PASTING_SLOPE_TOL = 1e-6
 ODE_RESIDUAL_TOL_PER_C = 1e-6           # times the coupon c
 # Largest gamma = 2 k theta / sigma^2 that solve_boundary accepts.  U's rule
 # has about sqrt(gamma) panels: a solve and a 100-point ode_residual on
-# [x*, 50 theta] peak at 91 MiB RSS at gamma = 1e5 and 181 MiB at 9.9e5.  The
-# README box reaches 1.2e5.
+# [x*, 50 theta] (k = 0.25, theta = 0.06, c = 0.05) take 0.05-0.07 s and peak
+# at 91 MiB RSS at gamma = 1e5, and 0.31 s and 189 MiB at 9.9e5 (2-core
+# x86-64 host).  The README box reaches 1.2e5.
 GAMMA_CAP = 1e6
 # solve_boundary's diagnostic probes, in units of x*
 _PROBE_RATIOS = np.geomspace(1.02, 5.0, 7)
@@ -232,7 +233,7 @@ def _branch(sol: SteadyStateSolution, xs: np.ndarray) -> np.ndarray:
     ws = sol.workspace
     p, a = ws.consts.p, ws.consts.a_exp
     z = np.maximum(p * xs, sol.z_star)
-    order = np.argsort(z, kind="stable")
+    order = z.argsort(kind="stable")
     rows = np.empty((3, z.size))
     for lo in range(0, z.size, _CHUNK):
         part = order[lo:lo + _CHUNK]
@@ -251,7 +252,7 @@ def _rows(solution: SteadyStateSolution, x: Real, name: str,
     d2V/dx2) at each, (1, 0, 0) on the stopped branch x <= x* (x < x* if
     closed) and _branch's rows above it, and whether x was a scalar."""
     xs = np.asarray(x, dtype=float)
-    if not np.all((xs >= 0) & (xs <= _X_MAX)):     # False at NaN too
+    if not ((xs >= 0) & (xs <= _X_MAX)).all():     # False at NaN too
         raise DomainError(f"{name} requires 0 <= x <= {_X_MAX:g}")
     scalar, xs = xs.ndim == 0, np.atleast_1d(xs)
     rows = np.zeros((3, xs.size))

@@ -193,7 +193,8 @@ def _tricomi_u_raw(alpha: float, gamma: float, zs: np.ndarray,
         raise DomainError(f"U requires alpha > 0, got {alpha!r}")
     if zs.size == 0:
         return np.empty_like(zs), np.empty_like(zs), np.empty_like(zs)
-    z_min, z_max = float(zs.min()), float(zs.max())
+    z_min, z_max = ((float(zs.min()), float(zs.max())) if zs.ndim
+                    else (float(zs),) * 2)
     _check_z(z_min, z_max, "U")
     if rule is None:
         rule = _LaplaceRule(alpha, gamma)
