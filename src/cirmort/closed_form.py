@@ -157,9 +157,8 @@ class _Workspace:
         # columns: c w for A, -c w B for A', c w B^2 for A''
         self.weights = contract.c * np.stack([w, -w * b, w * b * b], axis=1)
         self.b = b
+        self.c = contract.c
         self.u_rule = None
-        pc = consts.p * contract.c
-        self.window = (0.1 * pc, 5.0 * pc)
 
     def annuity(self, xs: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,7 +174,8 @@ class _Workspace:
         alpha, gamma = self.consts.alpha, self.consts.gamma
         if self.u_rule is None:
             self.u_rule = _LaplaceRule(alpha, gamma)
-            self.u_rule.window = self.window
+            pc = self.consts.p * self.c
+            self.u_rule.window = (0.1 * pc, 5.0 * pc)
         return (*self.annuity(zs / self.consts.p),
                 *_tricomi_u_raw(alpha, gamma, zs, rule=self.u_rule))
 
