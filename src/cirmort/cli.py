@@ -221,12 +221,10 @@ def _shooting_checks(config: RunConfig, solution) -> tuple:
 
 def _fd_checks(config: RunConfig, solution) -> tuple:
     cir, x_star = config.cir, solution.x_star
-    x_max = 50.0 * cir.theta
     fd_hi, fd_lo = (
-        oracles.fd_steady_state(cir, config.solver_contract,
-                                oracles.GridSpec(x_max, nodes))
+        oracles.fd_steady_state(cir, config.solver_contract, nodes)
         for nodes in (config.fd_nodes, config.fd_nodes // 2))
-    dx = fd_hi.grid[1] - fd_hi.grid[0]
+    x_max, dx = fd_hi.grid[-1], fd_hi.grid[1] - fd_hi.grid[0]
     h_fd = fd_hi.boundary
     probes = np.linspace(1.05 * x_star, 0.8 * x_max, 20)
     v_cf = closed_form.value(solution, probes)
@@ -317,12 +315,28 @@ def cmd_compare(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-# The optional numeric flags.  The parser leaves every option not given off
-# its namespace, so RunConfig holds the defaults.
-_NUMERIC_OPTIONS = (
-    ("--tol-root", float), ("--x-min", float), ("--x-max", float),
-    ("--points", int), ("--fd-nodes", int), ("--mc-paths", int),
-    ("--mc-dt", float), ("--mc-horizon", float), ("--seed", int))
+# The optional flags; below, each subcommand's function and the flags it
+# reads besides the four parameters.  The parser leaves every option not
+# given off its namespace, so RunConfig holds the defaults.
+_OPTIONS = {
+    "--m": {"type": float, "help": "payment rate; defaults to c (values "
+                                   "are reported scaled by m/c)"},
+    "--tol-root": {"type": float}, "--x-min": {"type": float},
+    "--x-max": {"type": float}, "--points": {"type": int},
+    "--fd-nodes": {"type": int}, "--mc-paths": {"type": int},
+    "--mc-dt": {"type": float}, "--mc-horizon": {"type": float},
+    "--seed": {"type": int}, "--output": {"choices": ("json", "csv")},
+    "--skip": {"action": "append", "choices": ("mc", "fd", "shooting")},
+}
+_VERIFY_FLAGS = ("--tol-root", "--fd-nodes", "--mc-paths", "--mc-dt",
+                 "--mc-horizon", "--seed", "--skip")
+_COMMANDS = {
+    "solve": (cmd_solve, ("--m", "--tol-root")),
+    "curve": (cmd_curve, ("--m", "--tol-root", "--x-min", "--x-max",
+                          "--points")),
+    "verify": (cmd_verify, _VERIFY_FLAGS),
+    "compare": (cmd_compare, ("--m", *_VERIFY_FLAGS, "--output")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,18 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Steady-state mortgage prepayment boundary solver "
                     "under a CIR short rate")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "curve", "verify", "compare"):
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         for flag in ("--k", "--theta", "--sigma", "--c"):
             p.add_argument(flag, type=float, required=True)
-        p.add_argument("--m", type=float,
-                       help="payment rate; defaults to c (values are "
-                            "reported scaled by m/c)")
-        for flag, kind in _NUMERIC_OPTIONS:
-            p.add_argument(flag, type=kind)
-        p.add_argument("--output", choices=("json", "csv"))
-        p.add_argument("--skip", action="append",
-                       choices=("mc", "fd", "shooting"))
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
@@ -355,16 +363,12 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(cir=cir, contract=contract, skip=skip, **opts)
 
 
-_COMMANDS = {"solve": cmd_solve, "curve": cmd_curve, "verify": cmd_verify,
-             "compare": cmd_compare}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        return _COMMANDS[args.command](config)
+        return _COMMANDS[args.command][0](config)
     except ValidationError as exc:
         _error_json(exc)
         return 2

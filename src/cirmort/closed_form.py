@@ -300,8 +300,9 @@ def diagnose(solution: SteadyStateSolution, probes: Real) -> Diagnostics:
     evaluation.  value() reads the stopped branch at x*, which is 1 by
     definition, so it cannot show a misplaced boundary."""
     xs = np.append(solution.x_star, probes)
-    if not (xs[1:].min() > xs[0] and xs.max() <= _X_MAX):   # NaN fails
-        raise DomainError(f"diagnose requires x* < x <= {_X_MAX:g}")
+    # NaN fails; so does an empty probe set, which has no residual to take
+    if not (xs.size > 1 and xs[1:].min() > xs[0] and xs.max() <= _X_MAX):
+        raise DomainError(f"diagnose requires probes x* < x <= {_X_MAX:g}")
     rows = _branch(solution, xs)
     return Diagnostics(
         float(rows[0, 0]) - 1.0, float(rows[1, 0]),

@@ -2,7 +2,8 @@
 
 * a backward Riccati sweep (invariant imbedding) of the steady ODE,
 * a finite-difference obstacle solver: policy iteration on the stationary
-  problem over the tridiagonal generator,
+  problem over the tridiagonal generator, on [0, 50 theta], an extent it
+  sets itself next to its Dirichlet value c/(50 theta) there,
 * Monte Carlo valuation of the threshold prepayment policy with exact CIR
   transition sampling.
 
@@ -43,7 +44,6 @@ from .model import (RATE_FLOOR, CirParams, ContractParams, balance,
 
 __all__ = [
     "ShootingReport",
-    "GridSpec",
     "FdReport",
     "McReport",
     "shoot_solve",
@@ -51,6 +51,14 @@ __all__ = [
     "mc_value",
     "mc_optimality_probe",
 ]
+
+
+def _integer(field: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(
+            field, f"must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +76,9 @@ def shoot_solve(cir: CirParams, contract: ContractParams,
     of (L, Y) in u = ln x, from X down to RATE_FLOOR; NoBracketError,
     carrying Y at the floor, if there is none.  The sweep runs at rtol
     1e-4 tol, and tol >= 1e-9 keeps that above scipy's floor."""
-    if not tol >= 1e-9:
-        raise ValidationError("tol", f"must be >= 1e-9, got {tol!r}")
+    if not (tol >= 1e-9 and math.isfinite(tol)):
+        raise ValidationError("tol",
+                              f"must be finite and >= 1e-9, got {tol!r}")
     k, theta, sigma2, c = cir.k, cir.theta, cir.sigma ** 2, contract.c
     consts = derive_constants(cir)
     x_hi = max(50.0 * max(theta, c), 30.0 * sigma2 / (k + consts.s))
@@ -105,18 +114,6 @@ def shoot_solve(cir: CirParams, contract: ContractParams,
 
 # ---------------------------------------------------------------------------
 # Finite differences
-
-@dataclass(frozen=True)
-class GridSpec:
-    x_max: float
-    n_nodes: int
-
-    def __post_init__(self):
-        if not self.x_max > 0:
-            raise ValidationError("x_max", "must be positive")
-        if self.n_nodes < 10:
-            raise ValidationError("n_nodes", "need at least 10 nodes")
-
 
 @dataclass(frozen=True)
 class FdReport:
@@ -184,15 +181,19 @@ def _contact_edge(xs: np.ndarray, v: np.ndarray, obstacle: float) -> float:
 
 
 def fd_steady_state(cir: CirParams, contract: ContractParams,
-                    grid_spec: GridSpec) -> FdReport:
+                    n_nodes: int) -> FdReport:
     """Finite-difference solve of the stationary obstacle problem
     min(m/c - v, c - M v) = 0, M = -A, by policy iteration on the monotone
-    tridiagonal generator.  At x = 0 the operator degenerates to first order
+    tridiagonal generator, on n_nodes equally spaced nodes over [0, x_max],
+    x_max = 50 theta.  At x = 0 the operator degenerates to first order
     and is discretized one-sided; at x_max a Dirichlet value c/x_max (the
     tail of the steady solution) is imposed.
     """
-    n = grid_spec.n_nodes
-    xs = np.linspace(0.0, grid_spec.x_max, n)
+    n = _integer("n_nodes", n_nodes)
+    if n < 10:
+        raise ValidationError("n_nodes", "need at least 10 nodes")
+    x_max = 50.0 * cir.theta
+    xs = np.linspace(0.0, x_max, n)
     dx = xs[1] - xs[0]
     c = contract.c
 
@@ -208,7 +209,7 @@ def fd_steady_state(cir: CirParams, contract: ContractParams,
     m_band[1, -1] = 1.0
     m_band[2, :-2] = -lo_i
     rhs = np.full(n, c)
-    rhs[-1] = c / grid_spec.x_max
+    rhs[-1] = c / x_max
     obstacle = balance(contract, math.inf)
     v = _howard(m_band, rhs, obstacle)
     return FdReport(grid=xs, v_steady=v,
@@ -291,20 +292,12 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
         raise ValidationError("dt", "must be positive and finite")
     if not (horizon >= dt and math.isfinite(horizon)):
         raise ValidationError("horizon", "must be finite and at least dt")
-    try:
-        paths = operator.index(paths)
-    except TypeError:
-        raise ValidationError(
-            "paths", f"must be an integer, got {paths!r}") from None
+    paths = _integer("paths", paths)
     if paths < 1:
         raise ValidationError("paths", "need at least one path")
     if not (x0 > 0 and math.isfinite(x0)):
         raise ValidationError("x0", "must be positive and finite")
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValidationError(
-            "seed", f"must be an integer, got {seed!r}") from None
+    seed = _integer("seed", seed)
     if seed < 0:
         raise ValidationError("seed", f"must be >= 0, got {seed!r}")
     bvec = np.asarray(boundaries, dtype=float)

@@ -1,8 +1,9 @@
 """Reference forms of the closed-form solution that the solver itself does
 not use, in mpmath at 20 digits: the source term, the variation-of-parameters
 kernel, the paper's particular solution u_p = M I_U + U I_M at any z_ref, two
-forms of its smooth-pasting residual, and the annuity-form residual R(x).
-The tests check them against each other and against the solver's root."""
+forms of its smooth-pasting residual, the annuity-form residual R(x), and the
+annuity at x = 0 by the incomplete beta function.  The tests check them
+against each other and against the solver."""
 
 import math
 
@@ -150,3 +151,19 @@ def annuity_residual_mp(cir, contract, x):
         ann, ann_x, _ = annuity_mp(cir, contract, x)
         ratio = -al * mp.hyperu(al + 1, g + 1, z) / mp.hyperu(al, g, z)
         return float((1 - ann) * (lam + p * ratio) + ann_x)
+
+
+def annuity_at_zero_betainc(cir, contract):
+    """A(0) = (c/s) a^{-alpha} (1-a)^{alpha-gamma} B(a; alpha, gamma-alpha)
+    at 20 digits from (k, theta, sigma, c) alone, with the incomplete beta
+    function B(a; ...) = mp.betainc(alpha, gamma - alpha, 0, a): the CIR
+    bond price written in b = B(t), integrated over maturity.  A boundary
+    exists exactly where this exceeds 1."""
+    with mp.workdps(DPS):
+        k, theta, sigma = map(mp.mpf, (cir.k, cir.theta, cir.sigma))
+        s = mp.sqrt(k * k + 2 * sigma ** 2)
+        a = sigma ** 2 / (s * (s + k))
+        g = 2 * k * theta / sigma ** 2
+        al = 2 * k * theta / (s * (s + k))
+        return float(mp.mpf(contract.c) / s * a ** -al * (1 - a) ** (al - g)
+                     * mp.betainc(al, g - al, 0, a))

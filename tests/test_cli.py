@@ -1,6 +1,7 @@
 """CLI tests: output formats, exit codes, determinism, and the structured
 error channel.  All runs go through main() in-process with captured stdio."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -124,15 +125,43 @@ def test_options_not_given_take_the_run_config_defaults():
         contract=ContractParams(c=0.05, m=0.05))
     given = cli._config_from_args(parser.parse_args(
         ["compare", *PRIMARY, "--m", "0.1", "--tol-root", "1e-9",
-         "--x-min", "0.01", "--x-max", "0.2", "--points", "7",
          "--fd-nodes", "300", "--mc-paths", "50", "--mc-dt", "0.1",
          "--mc-horizon", "9", "--seed", "4", "--output", "csv",
          "--skip", "mc", "--skip", "fd"]))
     assert given == dataclasses.replace(
         config, contract=ContractParams(c=0.05, m=0.1), tol_root=1e-9,
-        x_min=0.01, x_max=0.2, points=7, fd_nodes=300, mc_paths=50,
-        mc_dt=0.1, mc_horizon=9.0, seed=4, output="csv",
-        skip=frozenset({"mc", "fd"}))
+        fd_nodes=300, mc_paths=50, mc_dt=0.1, mc_horizon=9.0, seed=4,
+        output="csv", skip=frozenset({"mc", "fd"}))
+    given = cli._config_from_args(parser.parse_args(
+        ["curve", *PRIMARY, "--x-min", "0.01", "--x-max", "0.2",
+         "--points", "7"]))
+    assert given == dataclasses.replace(config, x_min=0.01, x_max=0.2,
+                                        points=7)
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
+    oracle = ["--tol-root", "--fd-nodes", "--mc-paths", "--mc-dt",
+              "--mc-horizon", "--seed", "--skip"]
+    want = {"solve": ["--m", "--tol-root"],
+            "curve": ["--m", "--tol-root", "--x-min", "--x-max", "--points"],
+            "verify": oracle,
+            "compare": ["--m", *oracle, "--output"]}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, flags in want.items():
+        got = {opt for action in subparsers.choices[name]._actions
+               for opt in action.option_strings}
+        assert got == {"-h", "--help", "--k", "--theta", "--sigma", "--c",
+                       *flags}, name
+    # a flag the subcommand does not read is a usage error, not ignored;
+    # verify reads --m as an ambiguous prefix of its --mc-* flags
+    for argv in (["solve", "--seed", "3"], ["curve", "--skip", "mc"],
+                 ["verify", "--m", "0.1"], ["compare", "--points", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv[:1], *PRIMARY, *argv[1:]])
+        assert exc.value.code == 2, argv
+        assert "error: " in (err := capsys.readouterr().err) \
+            and argv[1] in err, argv
 
 
 def test_no_bracket_exit_3(capsys):

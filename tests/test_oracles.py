@@ -11,9 +11,9 @@ from cirmort import oracles
 from cirmort.closed_form import solve_boundary, value
 from cirmort.errors import ConvergenceError, NoBracketError, ValidationError
 from cirmort.model import CirParams, ContractParams, bond_price_terms
-from cirmort.oracles import (GridSpec, _howard, _operator_coeffs,
-                             _simulate_threshold, fd_steady_state,
-                             mc_optimality_probe, mc_value, shoot_solve)
+from cirmort.oracles import (_howard, _operator_coeffs, _simulate_threshold,
+                             fd_steady_state, mc_optimality_probe, mc_value,
+                             shoot_solve)
 
 PRIMARY_CIR = CirParams(k=0.25, theta=0.06, sigma=0.1)
 CONTRACT = ContractParams(c=0.05, m=0.05)
@@ -39,24 +39,26 @@ def test_shoot_solve_raises_no_bracket_without_boundary():
 def test_shoot_solve_rejects_too_small_tolerance():
     with pytest.raises(ValidationError):
         shoot_solve(PRIMARY_CIR, CONTRACT, tol=1e-12)
-    # rtol 1e-4 tol would fall below scipy's 1e-13 floor
-    with pytest.raises(ValidationError):
-        shoot_solve(PRIMARY_CIR, CONTRACT, tol=1e-10)
+    # rtol 1e-4 tol would fall below scipy's 1e-13 floor; an infinite tol
+    # would stop the sweep far from the root
+    for tol in (1e-10, math.inf):
+        with pytest.raises(ValidationError):
+            shoot_solve(PRIMARY_CIR, CONTRACT, tol=tol)
 
 
 # ---------------------------------------------------------------------------
 # finite differences
 
-def test_grid_spec_validation():
-    with pytest.raises(ValidationError):
-        GridSpec(x_max=-1.0, n_nodes=100)
-    with pytest.raises(ValidationError):
-        GridSpec(x_max=1.0, n_nodes=5)
+def test_fd_steady_state_validates_the_node_count():
+    for n_nodes in (5, 100.0):
+        with pytest.raises(ValidationError) as exc:
+            fd_steady_state(PRIMARY_CIR, CONTRACT, n_nodes)
+        assert exc.value.field == "n_nodes"
 
 
 @pytest.fixture(scope="module")
 def fd_coarse():
-    return fd_steady_state(PRIMARY_CIR, CONTRACT, GridSpec(3.0, 500))
+    return fd_steady_state(PRIMARY_CIR, CONTRACT, 500)
 
 
 def test_fd_comparison_principle(fd_coarse):
@@ -97,7 +99,7 @@ def test_fd_profile_converges_under_refinement(primary_solution):
     probes = np.linspace(0.05, 2.0, 15)
     errs = []
     for n in (500, 1000):
-        rep = fd_steady_state(PRIMARY_CIR, CONTRACT, GridSpec(3.0, n))
+        rep = fd_steady_state(PRIMARY_CIR, CONTRACT, n)
         vfd = np.interp(probes, rep.grid, rep.v_steady)
         vref = np.array([value(primary_solution, float(x)) for x in probes])
         errs.append(float(np.max(np.abs(vfd - vref))))
