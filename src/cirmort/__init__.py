@@ -8,7 +8,7 @@ oracles.
 
 from .closed_form import (SteadyStateSolution, ValueCurve, solve_boundary,
                           value, value_curve, value_derivative)
-from .model import (CirParams, ContractParams, DerivedConstants, balance,
+from .model import (CirParams, ContractParams, DerivedConstants,
                     derive_constants)
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "DerivedConstants",
     "SteadyStateSolution",
     "ValueCurve",
-    "balance",
     "derive_constants",
     "solve_boundary",
     "value",

@@ -341,12 +341,13 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="cirmort",
+        prog="cirmort", allow_abbrev=False,
         description="Steady-state mortgage prepayment boundary solver "
                     "under a CIR short rate")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS,
+                           allow_abbrev=False)
         for flag in ("--k", "--theta", "--sigma", "--c"):
             p.add_argument(flag, type=float, required=True)
         for flag in flags:

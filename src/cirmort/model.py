@@ -1,13 +1,12 @@
-"""Model and contract parameters, derived transformation constants, the
-Cox-Ingersoll-Ross bond price, and the loan balance function.
-
-Time convention: the public API uses time-to-expiry tau everywhere, so the
-balance ODE reads B'(tau) = m - c*B with B(0) = 0.
+"""Model and contract parameters, the unit-balance rule m = c that every
+solver and oracle applies (require_unit_balance), derived transformation
+constants, and the Cox-Ingersoll-Ross bond price.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -22,10 +21,22 @@ __all__ = [
     "FellerWarning",
     "derive_constants",
     "bond_price_terms",
-    "balance",
+    "require_unit_balance",
 ]
 
 RATE_FLOOR = 1e-300    # lowest x searched; the box's least x*/theta is 4.2e-33
+
+
+def _positive_fields(params, names) -> None:
+    """Stores each named field of a frozen dataclass as a float; raises
+    ValidationError naming it unless it is a positive finite real, not bool."""
+    for name in names:
+        value = getattr(params, name)
+        if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value) and value > 0):
+            raise ValidationError(name, f"must be a positive finite "
+                                        f"number, got {value!r}")
+        object.__setattr__(params, name, float(value))
 
 
 class FellerWarning(UserWarning):
@@ -45,12 +56,7 @@ class CirParams:
     sigma: float
 
     def __post_init__(self):
-        for name in ("k", "theta", "sigma"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)
-                    and value > 0):
-                raise ValidationError(name, f"must be a positive finite "
-                                            f"number, got {value!r}")
+        _positive_fields(self, ("k", "theta", "sigma"))
         if not self.feller_satisfied:
             warnings.warn(
                 f"Feller condition violated: 2*k*theta = "
@@ -65,22 +71,24 @@ class CirParams:
 @dataclass(frozen=True)
 class ContractParams:
     """Contract rate c and continuous payment rate m of a loan with no
-    maturity: the steady state is the infinite-horizon problem.
-
-    The steady-state solver additionally requires m = c (values are reported
-    for general m by rescaling at the CLI layer).
-    """
+    maturity: the steady state is the infinite-horizon problem.  The balance
+    tends to m/c, so every solver and oracle takes unit balance m = c only
+    (require_unit_balance); values for another m are the m = c values times
+    m/c, which the CLI applies."""
 
     c: float
     m: float
 
     def __post_init__(self):
-        for name in ("c", "m"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)
-                    and value > 0):
-                raise ValidationError(name, f"must be a positive finite "
-                                            f"number, got {value!r}")
+        _positive_fields(self, ("c", "m"))
+
+
+def require_unit_balance(contract: ContractParams) -> None:
+    """ValidationError("m") unless m = c to rounding (ContractParams)."""
+    if abs(contract.m - contract.c) > 1e-15 * max(contract.m, contract.c):
+        raise ValidationError(
+            "m", "the steady-state solver requires the m = c normalization; "
+                 "rescale reported values by m/c instead")
 
 
 @dataclass(frozen=True)
@@ -132,9 +140,3 @@ def bond_price_terms(cir: CirParams,
         0.5 * k_minus_h * t - np.log1p(k_minus_h * -em / (2.0 * h)))
     return log_a, -2.0 * em / den
 
-
-def balance(contract: ContractParams, tau: float) -> float:
-    """Outstanding balance at time-to-expiry tau: (m/c)(1 - e^{-c tau})."""
-    if not tau >= 0:
-        raise ValidationError("tau", f"must be nonnegative, got {tau!r}")
-    return (contract.m / contract.c) * -math.expm1(-contract.c * tau)

@@ -39,8 +39,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
 from .errors import ConvergenceError, NoBracketError, ValidationError
-from .model import (RATE_FLOOR, CirParams, ContractParams, balance,
-                    derive_constants)
+from .model import (RATE_FLOOR, CirParams, ContractParams, derive_constants,
+                    require_unit_balance)
 
 __all__ = [
     "ShootingReport",
@@ -79,6 +79,7 @@ def shoot_solve(cir: CirParams, contract: ContractParams,
     if not (tol >= 1e-9 and math.isfinite(tol)):
         raise ValidationError("tol",
                               f"must be finite and >= 1e-9, got {tol!r}")
+    require_unit_balance(contract)
     k, theta, sigma2, c = cir.k, cir.theta, cir.sigma ** 2, contract.c
     consts = derive_constants(cir)
     x_hi = max(50.0 * max(theta, c), 30.0 * sigma2 / (k + consts.s))
@@ -170,10 +171,10 @@ def _howard(band: np.ndarray, rhs: np.ndarray, obstacle: float):
         f"policy iteration did not settle in {n + 1} iterations")
 
 
-def _contact_edge(xs: np.ndarray, v: np.ndarray, obstacle: float) -> float:
-    """Right edge of the contiguous run from x = 0 where v touches the
+def _contact_edge(xs: np.ndarray, v: np.ndarray) -> float:
+    """Right edge of the contiguous run from x = 0 where v touches the unit
     obstacle (the free boundary), or 0 when v does not touch at x = 0."""
-    touching = (obstacle - v) <= 1e-9 * max(1.0, obstacle)
+    touching = (1.0 - v) <= 1e-9
     if not touching[0]:
         return 0.0
     edge = int(np.argmin(touching)) - 1 if not touching.all() else xs.size - 1
@@ -183,12 +184,12 @@ def _contact_edge(xs: np.ndarray, v: np.ndarray, obstacle: float) -> float:
 def fd_steady_state(cir: CirParams, contract: ContractParams,
                     n_nodes: int) -> FdReport:
     """Finite-difference solve of the stationary obstacle problem
-    min(m/c - v, c - M v) = 0, M = -A, by policy iteration on the monotone
-    tridiagonal generator, on n_nodes equally spaced nodes over [0, x_max],
-    x_max = 50 theta.  At x = 0 the operator degenerates to first order
-    and is discretized one-sided; at x_max a Dirichlet value c/x_max (the
-    tail of the steady solution) is imposed.
-    """
+    min(1 - v, c - M v) = 0, M = -A, at unit balance m = c, by policy
+    iteration on the monotone tridiagonal generator, on n_nodes equally
+    spaced nodes over [0, x_max], x_max = 50 theta.  At x = 0 the operator
+    degenerates to first order and is discretized one-sided; at x_max a
+    Dirichlet value c/x_max (the tail of the steady solution) is imposed."""
+    require_unit_balance(contract)
     n = _integer("n_nodes", n_nodes)
     if n < 10:
         raise ValidationError("n_nodes", "need at least 10 nodes")
@@ -210,10 +211,8 @@ def fd_steady_state(cir: CirParams, contract: ContractParams,
     m_band[2, :-2] = -lo_i
     rhs = np.full(n, c)
     rhs[-1] = c / x_max
-    obstacle = balance(contract, math.inf)
-    v = _howard(m_band, rhs, obstacle)
-    return FdReport(grid=xs, v_steady=v,
-                    boundary=_contact_edge(xs, v, obstacle))
+    v = _howard(m_band, rhs, 1.0)
+    return FdReport(grid=xs, v_steady=v, boundary=_contact_edge(xs, v))
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +287,7 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
     included, so the stream, and with it every estimate, is fixed by the
     per-step draw sizes alone: the block length changes no report.
     """
+    require_unit_balance(contract)
     if not (dt > 0 and math.isfinite(dt)):
         raise ValidationError("dt", "must be positive and finite")
     if not (horizon >= dt and math.isfinite(horizon)):

@@ -25,7 +25,7 @@ rule gives ln U, U'/U and U''/U (_tricomi_u_raw).  A rule depends on
 [1, e^step] once, and a pass scales both to its span of j and forms
 e^{-z t}.  A caller that keeps the rule (closed_form's workspace) reuses
 the last span's nodes, as Newton's iterates near a root do; a caller that
-gives it a window of z makes every pass inside the window take the
+builds it with a window of z makes every pass inside the window take the
 window's one span, so passes at nearby z share their nodes.
 
 Small alpha.  With t = t_split u^{1/alpha} the integrand varies on a scale
@@ -114,15 +114,16 @@ class _LaplaceRule:
     (j0, j1) differs from the last one's scales them to it, and every node
     adds (gamma-alpha-1) ln(1 + t) to its e.
 
-    Window: the owner may set window = (z_lo, z_hi).  A pass whose z all lie
-    in it takes the span of (z_lo, z_hi) in place of its own, which covers
-    its own, so a run of passes there builds the nodes once and agrees with
-    a single-use rule to rounding; any other pass keeps its own span.
-    Without a window every pass takes its own span.  A pass takes an array
-    of z or one 0-d z, for which it returns scalars."""
+    Window: the owner may build the rule with window = (z_lo, z_hi).  A
+    pass whose z all lie in it takes the span of (z_lo, z_hi) in place of
+    its own, which covers its own, so a run of passes there builds the nodes
+    once and agrees with a single-use rule to rounding; any other pass keeps
+    its own span.  Without a window every pass takes its own span.  A pass
+    takes an array of z or one 0-d z, for which it returns scalars."""
 
-    def __init__(self, alpha: float, gamma: float):
-        self.alpha, self.gamma = alpha, gamma
+    def __init__(self, alpha: float, gamma: float,
+                 window: tuple[float, float] | None = None):
+        self.alpha, self.gamma, self.window = alpha, gamma, window
         g = max(gamma - 2.0, alpha - 1.0)
         self.reach = 60.0 + 3.0 * max(g, 0.0)
         self.step = min(math.log(2.0), 1.3 / math.sqrt(max(g, 1.0)))
@@ -139,9 +140,6 @@ class _LaplaceRule:
         # the last pass's (j0, j1) and the rows (e, 1, t, t^2) of its nodes:
         # Newton's iterates near a root ask for the same span again
         self.span, self.nodes = None, None
-        # the owner's solve window (z_lo, z_hi), or None: a pass inside it
-        # takes the window's span
-        self.window = None
 
     def _nodes(self, j0: int, j1: int) -> np.ndarray:
         """Rows (e, 1, t, t^2) of the nodes of span (j0, j1): summed with

@@ -153,10 +153,11 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys):
                for opt in action.option_strings}
         assert got == {"-h", "--help", "--k", "--theta", "--sigma", "--c",
                        *flags}, name
-    # a flag the subcommand does not read is a usage error, not ignored;
-    # verify reads --m as an ambiguous prefix of its --mc-* flags
+    # a flag the subcommand does not read is a usage error, not ignored,
+    # and so is a prefix of one it reads: flags are spelt in full
     for argv in (["solve", "--seed", "3"], ["curve", "--skip", "mc"],
-                 ["verify", "--m", "0.1"], ["compare", "--points", "7"]):
+                 ["verify", "--m", "0.1"], ["compare", "--points", "7"],
+                 ["solve", "--tol", "1e-3"], ["verify", "--mc-p", "10"]):
         with pytest.raises(SystemExit) as exc:
             main([*argv[:1], *PRIMARY, *argv[1:]])
         assert exc.value.code == 2, argv

@@ -305,7 +305,8 @@ def test_solve_warns_only_when_a_diagnostic_misses(monkeypatch):
     # U from a weight with gamma(1 + 1e-6) no longer solves Kummer's
     # equation at gamma; a U''/U taken from that equation would hide it
     (closed_form, "_LaplaceRule",
-     lambda f: lambda alpha, gamma: f(alpha, gamma * (1.0 + 1e-6))),
+     lambda f: lambda alpha, gamma, window: f(alpha, gamma * (1.0 + 1e-6),
+                                               window)),
 ], ids=["log_a", "u_weight_gamma"])
 def test_ode_residual_sees_a_perturbed_solution(monkeypatch, module, name,
                                                 perturb):
@@ -815,8 +816,3 @@ def test_asymptotic_elimination_of_m(primary_solution):
     log_u_branch = d.lam * x + float(
         _tricomi_u_raw(d.alpha, d.gamma, np.array([z]))[0][0])
     assert log_u_branch < -5.0
-
-
-@pytest.fixture(scope="module")
-def primary_solution():
-    return solve_boundary(PRIMARY_CIR, CONTRACT)

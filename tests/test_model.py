@@ -1,16 +1,17 @@
-"""Unit tests for parameter containers, derived constants, and the balance
-function."""
+"""Unit tests for parameter containers, the unit-balance rule and derived
+constants."""
 
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cirmort.errors import ValidationError
-from cirmort.model import (CirParams, ContractParams, FellerWarning, balance,
-                           derive_constants)
+from cirmort.model import (CirParams, ContractParams, FellerWarning,
+                           derive_constants, require_unit_balance)
 
 rates = st.floats(0.01, 2.0, allow_nan=False)
 
@@ -20,10 +21,17 @@ def test_validation_names_offending_field():
         ("k", dict(k=-1.0, theta=0.06, sigma=0.1)),
         ("theta", dict(k=0.25, theta=0.0, sigma=0.1)),
         ("sigma", dict(k=0.25, theta=0.06, sigma=float("inf"))),
+        # a bool is not a number, though Python counts it as an int
+        ("k", dict(k=True, theta=0.06, sigma=0.1)),
     ]:
         with pytest.raises(ValidationError) as exc:
             CirParams(**kwargs)
         assert exc.value.field == field
+    # any other real, numpy scalars included, is stored as a float
+    for k in (np.float32(0.25), np.int64(1), 1):
+        cir = CirParams(k=k, theta=0.06, sigma=np.float32(0.1))
+        assert type(cir.k) is float and cir.k == float(k)
+        assert type(cir.sigma) is float and cir.sigma == float(np.float32(0.1))
 
 
 def test_contract_validation():
@@ -33,6 +41,22 @@ def test_contract_validation():
     with pytest.raises(ValidationError) as exc:
         ContractParams(c=0.05, m=-1.0)
     assert exc.value.field == "m"
+    with pytest.raises(ValidationError) as exc:
+        ContractParams(c=0.05, m=True)
+    assert exc.value.field == "m"
+    con = ContractParams(c=np.float32(0.05), m=np.int64(1))
+    assert (type(con.c), type(con.m)) == (float, float)
+    assert (con.c, con.m) == (float(np.float32(0.05)), 1.0)
+
+
+def test_unit_balance_rule():
+    # m = c to rounding passes; anything else is rejected, naming m
+    require_unit_balance(ContractParams(c=0.05, m=0.05))
+    require_unit_balance(ContractParams(c=0.05, m=0.05 * (1.0 + 2e-16)))
+    for m in (0.06, 0.05 * (1.0 + 1e-14), 0.04):
+        with pytest.raises(ValidationError) as exc:
+            require_unit_balance(ContractParams(c=0.05, m=m))
+        assert exc.value.field == "m" and "m/c" in str(exc.value)
 
 
 def test_sigma_zero_rejected():
@@ -90,38 +114,3 @@ def test_derived_invariants(cir):
 def test_derive_constants_deterministic():
     cir = CirParams(k=0.3, theta=0.07, sigma=0.12)
     assert derive_constants(cir) == derive_constants(cir)
-
-
-def test_balance_examples():
-    con = ContractParams(c=0.06, m=1200.0)
-    assert balance(con, 0.0) == 0.0
-    got = balance(con, 10.0)
-    assert got == pytest.approx(20000.0 * (1.0 - math.exp(-0.6)), rel=1e-12)
-    assert got == pytest.approx(9023.77, abs=0.01)
-
-
-def test_balance_limit_with_m_equal_c():
-    con = ContractParams(c=0.05, m=0.05)
-    assert balance(con, 1e6) == pytest.approx(1.0, rel=1e-12)
-
-
-@given(st.floats(0.0, 200.0), st.floats(0.01, 0.2), st.floats(0.01, 5.0))
-def test_balance_properties(tau, c, m):
-    con = ContractParams(c=c, m=m)
-    b = balance(con, tau)
-    assert 0.0 <= b <= m / c + 1e-12
-    assert balance(con, tau + 1.0) >= b
-
-
-@given(st.floats(0.01, 100.0), st.floats(0.01, 0.2))
-def test_balance_satisfies_the_defining_ode(tau, c):
-    # M'(tau) = m - c M in time-to-expiry
-    con = ContractParams(c=c, m=1.0)
-    h = 1e-6 * max(1.0, tau)
-    dm = (balance(con, tau + h) - balance(con, tau - h)) / (2.0 * h)
-    assert abs(dm - (con.m - c * balance(con, tau))) <= 1e-6 * con.m
-
-
-def test_balance_rejects_negative_tau():
-    with pytest.raises(ValidationError):
-        balance(ContractParams(c=0.05, m=0.05), -1.0)

@@ -19,6 +19,23 @@ PRIMARY_CIR = CirParams(k=0.25, theta=0.06, sigma=0.1)
 CONTRACT = ContractParams(c=0.05, m=0.05)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda con: shoot_solve(PRIMARY_CIR, con),
+    lambda con: fd_steady_state(PRIMARY_CIR, con, 400),
+    lambda con: mc_value(PRIMARY_CIR, con, 0.06, 0.009, paths=10, dt=0.01,
+                         horizon=1.0),
+    lambda con: mc_optimality_probe(PRIMARY_CIR, con, 0.06, 0.009, 0.001,
+                                    paths=10, dt=0.01, horizon=1.0),
+], ids=["shooting", "fd", "mc_value", "mc_probe"])
+def test_every_oracle_rejects_m_other_than_c(solve):
+    # each solves at unit balance m = c, like solve_boundary; another m
+    # raises instead of returning the m = c numbers or a problem with
+    # another obstacle
+    with pytest.raises(ValidationError) as exc:
+        solve(ContractParams(c=0.05, m=0.06))
+    assert exc.value.field == "m"
+
+
 # ---------------------------------------------------------------------------
 # shooting
 
@@ -62,7 +79,7 @@ def fd_coarse():
 
 
 def test_fd_comparison_principle(fd_coarse):
-    # 0 <= v <= obstacle limit m/c = 1 everywhere at steady state
+    # 0 <= v <= the unit obstacle everywhere at steady state
     v = fd_coarse.v_steady
     assert float(v.min()) >= 0.0
     assert float(v.max()) <= 1.0 + 1e-9

@@ -366,8 +366,7 @@ def test_reused_rule_matches_a_fresh_rule(alpha, gamma, window):
     # pass equals a fresh rule's exactly, and the rule holds the nodes of one
     # span only.  A pass inside the window takes the window's span: it
     # matches a fresh rule to rounding, and all such passes share that span
-    rule = specfun._LaplaceRule(alpha, gamma)
-    rule.window = window
+    rule = specfun._LaplaceRule(alpha, gamma, window)
     passes = ([np.array([z]) for z in 10.0 ** np.arange(2.0, -7.0, -1.0)]
               + [np.geomspace(50.0, 5000.0, 64)])
     window_spans = set()
