@@ -104,7 +104,7 @@ def cmd_solve(config: RunConfig) -> int:
     report = {
         "x_star": solution.x_star,
         "z_star": solution.z_star,
-        "c2": solution.c2,
+        "c2": closed_form.c2(solution),
         # identically 0: e^{lam x} M grows, so M cannot appear in a
         # decaying solution
         "c1": 0.0,

@@ -22,17 +22,15 @@ where <t> is the mean of t under the weight e^{-z t} t^{alpha-1}
 (1 + t)^{gamma-alpha-1} of U's Laplace integral, so one pass of that rule
 gives ln U and U'/U (specfun._tricomi_u_raw).  The rule depends on (alpha,
 gamma) only: _Workspace builds it (specfun._LaplaceRule) at its first U
-pass and keeps it, so the residuals, c2 and the diagnostics of a solve, and
-every later evaluation of its solution, scale the same two unit node sets;
-a pass over the same span of t as the last one reuses its nodes.  Each
-workspace also gives its rule one solve window of z, [p c/10, 5 p c]: a
-pass whose z all lie in it takes the window's span, so the first decade of
-the step-down below p c (where most boundaries lie), Newton's iterates
-there, c2, the diagnostics on [x*, 5 x*] and V(x) for c/10 <= x <= 5 c
-share one set of nodes; other passes take their own span.  A residual or
-c2 passes one 0-d z, so it reads floats, not arrays.  R's root is x*,
-refined by Newton in ln z with R's slope from the same pass's
-U''/U = <t^2> and A''.
+pass with one solve window of z, [p c/10, 5 p c], and keeps it.  A pass
+whose z all lie in the window takes the window's span, so the first decade
+of the step-down below p c (where most boundaries lie), Newton's iterates
+there, the diagnostics on [x*, 5 x*] and V(x) for c/10 <= x <= 5 c share
+one set of nodes; other passes take their own span.  R's root is x*,
+refined by Newton in ln z on one 0-d pass per step, with R's slope from
+that pass's U''/U = <t^2> and A''.  One pass at z* and the 7 diagnostic
+probes then gives V below its U(z*) and 1 - A(x*) (the first row) and the
+diagnostics (the whole pass, through _combine).
 A decreases (P = A_P e^{-B x}, B > 0) and U'/U < 0 tends to -inf as z -> 0,
 so R < 0 at every x > 0 if A(0) <= 1 and R > 0 near 0 if A(0) > 1: a
 boundary exists if and only if A(0) > 1, and then x* <= c.  The value on the
@@ -41,33 +39,17 @@ branch x >= x* is
     V(x) = A(x) + (1 - A(x*)) e^{lam (x - x*)} U(z) / U(z*).
 
 A, A' = -c int B P dt and A'' = c int B^2 P dt come from one fixed GK15 rule
-in t (_annuity_rule) and one matrix product per array of x; A and A' agree
-with a 25-digit mpmath quadrature to 7e-15 relative for x up to 1e6 on the
-supported box (see specfun); the rule has about 400 nodes.  Its first panel
-resolves P up to x = _X_MAX = 1e7 only, so V and the ODE residual raise
-DomainError above it.  U enters only through U'/U, U''/U and as exp of a
-difference of logs, so nothing overflows.  _Workspace.terms alone pairs A,
-A', A'' at x = z/p with ln U, U'/U, U''/U at z; _rows alone splits V into
-its stopped rows (1, 0, 0) and _branch's V, V', V'' (V'' within 7.8e-14 of
-the sum of its terms' sizes against mpmath), to which ode_residual and
-diagnose apply the ODE.  Near x* with A >> 1 the factor 1 - A(x*)
-multiplies U's error, which is why specfun's rule grades its u-panels with
-alpha, so that U at small alpha is as accurate as elsewhere.
-
-The paper's variation-of-parameters form, V = e^{lam x} (c2 U + u_p) with
-u_p = M I_U + U I_M and z_ref = z*, is a 20-digit reference in the tests.
-Its constant c2, which `cirmort solve` prints, needs M only at z*: there
-I_M = 0, so e^{-a z} u_p = Msc IU~ (Msc = e^{-z} M, IU~ = e^{(1-a) z} I_U,
-a = 1/2 - k/(2s) = -lam/p) and the same with M' for the derivative, while
-e^{-a z} u_p = A + D with D a multiple of W.  Matching value and slope in z
-gives the 2x2 solve
-
-    Msc IU~ = (A_z - (U'/U - a) A) / (M'/M - U'/U),   A_z = A' / p,
-    c2      = e^{a z*} (1 - Msc IU~) / U(z*).
-
-M'/M, like U'/U, is the exp of a difference of logs
-(specfun._kummer_m_scaled returns ln(e^{-z} M)), so it stays in range where
-M itself does not.
+in t (_annuity_rule, about 400 nodes) and one matrix product per array of x;
+A and A' agree with a 25-digit mpmath quadrature to 7e-15 relative for x up
+to 1e6 on the supported box (see specfun).  Its first panel resolves P up to
+x = _X_MAX = 1e7 only, so V and the ODE residual raise DomainError above
+it.  U enters only through U'/U, U''/U and as exp of a difference of logs,
+so nothing overflows.  _rows alone splits V into its stopped rows (1, 0, 0)
+and _combine's V, V', V'' (V'' within 7.8e-14 of the sum of its terms'
+sizes against mpmath), to which ode_residual and diagnose apply the ODE.
+Near x* with A >> 1 the factor 1 - A(x*) multiplies U's error, which is why
+specfun's rule grades its u-panels with alpha.  The paper's constant c2 is
+no part of the solve: c2(solution) computes it on demand.
 """
 
 from __future__ import annotations
@@ -87,18 +69,9 @@ from .model import (RATE_FLOOR, CirParams, ContractParams, DerivedConstants,
 from .numerics import find_root_bracketed, gk15_panels
 from .specfun import _kummer_m_scaled, _LaplaceRule, _tricomi_u_raw
 
-__all__ = [
-    "SteadyStateSolution",
-    "Diagnostics",
-    "DiagnosticsWarning",
-    "ValueCurve",
-    "solve_boundary",
-    "value",
-    "value_derivative",
-    "diagnose",
-    "ode_residual",
-    "value_curve",
-]
+__all__ = ["SteadyStateSolution", "Diagnostics", "DiagnosticsWarning",
+           "ValueCurve", "solve_boundary", "value", "value_derivative",
+           "diagnose", "ode_residual", "value_curve", "c2"]
 
 Real = Union[float, np.ndarray]
 
@@ -106,8 +79,11 @@ _CHUNK = 64
 # The annuity rule in t (years): GK15 on [0, _T_FIRST], then panels growing
 # by _T_RATIO until their width reaches _T_SPAN / r_inf, equal panels of that
 # width beyond, out to _T_REACH / r_inf, where P has decayed like
-# e^{-r_inf t}; r_inf = 2 k theta / (s + k) is the long rate.  The first
-# panel resolves the e^{-B x} ~ e^{-x t} start of P while x <= _X_MAX.
+# e^{-r_inf t}; r_inf = 2 k theta / (s + k) is the long rate.  A rate that
+# starts at 0 climbs over about 1/k years, so the reach is at least
+# _T_REACH / theta + 1/k, where its mean integral theta (T - (1 - e^{-k T})/k)
+# passes _T_REACH (the later reach where s - k < theta/30).  The first panel
+# resolves the e^{-B x} ~ e^{-x t} start of P while x <= _X_MAX.
 _T_FIRST = 1e-6
 _X_MAX = 10.0 / _T_FIRST
 _T_RATIO = 3.0
@@ -133,13 +109,15 @@ class DiagnosticsWarning(UserWarning):
     value function may be less accurate than documented."""
 
 
-def _annuity_rule(r_inf: float) -> tuple[np.ndarray, np.ndarray]:
+def _annuity_rule(cir: CirParams, s: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights in t of the annuity integral (see _T_FIRST)."""
+    r_inf = 2.0 * cir.k * cir.theta / (s + cir.k)
     width = _T_SPAN / r_inf
-    t_switch = min(width / (_T_RATIO - 1.0), _T_REACH / r_inf)
+    reach = max(_T_REACH / r_inf, _T_REACH / cir.theta + 1.0 / cir.k)
+    t_switch = min(width / (_T_RATIO - 1.0), reach)
     n = math.ceil(math.log(t_switch / _T_FIRST) / math.log(_T_RATIO))
     grown = _T_FIRST * _T_RATIO ** np.arange(n + 1)
-    even = np.arange(grown[-1], _T_REACH / r_inf + width, width)[1:]
+    even = np.arange(grown[-1], reach + width, width)[1:]
     return gk15_panels(np.concatenate([[0.0], grown, even]))
 
 
@@ -148,13 +126,13 @@ class _Workspace:
     bond-price terms, and U's Laplace rule, built at the first U pass with
     the solve window [p c/10, 5 p c] (module docstring), so a set without a
     boundary never builds it; all public entry points funnel through
-    here.  On perfbench's solve_sets(1, 512), one solve_op each, 3192 of
-    3401 U passes lie inside the window; the other 209 come from the 29 of
+    here.  On perfbench's solve_sets(1, 512), one solve_op each, 2892 of
+    3072 U passes lie inside the window; the other 180 come from the 29 of
     329 solved sets with x* < c/10, and the run makes 426 node builds."""
 
     def __init__(self, cir: CirParams, contract: ContractParams):
         self.consts = consts = derive_constants(cir)
-        t, w = _annuity_rule(2.0 * cir.k * cir.theta / (consts.s + cir.k))
+        t, w = _annuity_rule(cir, consts.s)
         self.log_a, b = bond_price_terms(cir, t)
         # columns: c w for A, -c w B for A', c w B^2 for A''
         self.weights = contract.c * np.stack([w, -w * b, w * b * b], axis=1)
@@ -162,8 +140,7 @@ class _Workspace:
         self.c = contract.c
         self.u_rule = None
 
-    def annuity(self, xs: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def annuity(self, xs: np.ndarray) -> tuple[np.ndarray, ...]:
         """(A, dA/dx, d2A/dx2) at every rate x of xs, an array or one 0-d x,
         one matrix product."""
         return tuple((np.exp(self.log_a - np.multiply.outer(xs, self.b))
@@ -214,36 +191,36 @@ class SteadyStateSolution:
     consts: DerivedConstants
     z_star: float
     x_star: float
-    c2: float
     diagnostics: Diagnostics
     workspace: _Workspace = field(repr=False, compare=False)
     log_u_at_star: float = field(repr=False, compare=False)
     amp: float = field(repr=False, compare=False)  # 1 - A(x*)
 
 
-def _branch(sol: SteadyStateSolution, xs: np.ndarray) -> np.ndarray:
-    """The rows (V, dV/dx, d2V/dx2) on the continuation branch at each rate
-    x >= x* of the array xs, in any order, at z = max(p x, z*):
+def _combine(sol: SteadyStateSolution, z: np.ndarray,
+             terms: tuple) -> np.ndarray:
+    """The rows (V, dV/dx, d2V/dx2) on the continuation branch at each z >= z*
+    of the array z, from _Workspace.terms there:
 
         V       = A(x) + g,   g = amp e^{-a (z - z*)} U(z) / U(z*),
         dV/dx   = A'(x) + p g (U'/U - a),
-        d2V/dx2 = A''(x) + p^2 g (U''/U - 2 a U'/U + a^2),
+        d2V/dx2 = A''(x) + p^2 g (U''/U - 2 a U'/U + a^2)."""
+    p, a = sol.consts.p, sol.consts.a_exp
+    ann, ann_x, ann_xx, log_u, ratio, ratio2 = terms
+    g = sol.amp * np.exp(log_u - sol.log_u_at_star - a * (z - sol.z_star))
+    return np.array([ann + g, ann_x + p * g * (ratio - a),
+                     ann_xx + p * p * g * (ratio2 - 2.0 * a * ratio + a * a)])
 
-    with one call of the annuity kernel and of U per chunk of at most
-    _CHUNK sorted abscissae."""
-    ws = sol.workspace
-    p, a = ws.consts.p, ws.consts.a_exp
-    z = np.maximum(p * xs, sol.z_star)
+
+def _branch(sol: SteadyStateSolution, xs: np.ndarray) -> np.ndarray:
+    """_combine's rows at each rate x >= x* of the array xs, in any order, at
+    z = max(p x, z*), one terms pass per chunk of _CHUNK sorted abscissae."""
+    z = np.maximum(sol.consts.p * xs, sol.z_star)
     order = z.argsort(kind="stable")
     rows = np.empty((3, z.size))
     for lo in range(0, z.size, _CHUNK):
         part = order[lo:lo + _CHUNK]
-        c = z[part]
-        ann, ann_x, ann_xx, log_u, ratio, ratio2 = ws.terms(c)
-        g = sol.amp * np.exp(log_u - sol.log_u_at_star - a * (c - sol.z_star))
-        rows[:, part] = (
-            ann + g, ann_x + p * g * (ratio - a),
-            ann_xx + p * p * g * (ratio2 - 2.0 * a * ratio + a * a))
+        rows[:, part] = _combine(sol, z[part], sol.workspace.terms(z[part]))
     return rows
 
 
@@ -304,7 +281,12 @@ def diagnose(solution: SteadyStateSolution, probes: Real) -> Diagnostics:
     # NaN fails; so does an empty probe set, which has no residual to take
     if not (xs.size > 1 and xs[1:].min() > xs[0] and xs.max() <= _X_MAX):
         raise DomainError(f"diagnose requires probes x* < x <= {_X_MAX:g}")
-    rows = _branch(solution, xs)
+    return _diagnostics(solution, xs, _branch(solution, xs))
+
+
+def _diagnostics(solution: SteadyStateSolution, xs: np.ndarray,
+                 rows: np.ndarray) -> Diagnostics:
+    """Diagnostics from the branch rows at x* and the probes xs[1:]."""
     return Diagnostics(
         float(rows[0, 0]) - 1.0, float(rows[1, 0]),
         float(np.max(np.abs(_ode(solution, xs[1:], rows[:, 1:])))))
@@ -341,12 +323,34 @@ def _log_msc_and_ratio(alpha: float, gamma: float,
 
 def _msc_iu(ws: _Workspace, z: float, ann: float, ann_x: float,
             ratio: float) -> float:
-    """Msc IU~ at z, given A, A' at x = z/p and U'/U at z: the 2x2 solve of
-    the module docstring with z_ref = z, which needs M only through M'/M."""
+    """Msc IU~ at z, given A, A' at x = z/p and U'/U at z: c2's 2x2 solve
+    with z_ref = z, which needs M only through M'/M."""
     consts = ws.consts
     m_ratio = float(_log_msc_and_ratio(consts.alpha, consts.gamma, [z])[1][0])
     return ((ann_x / consts.p - (ratio - consts.a_exp) * ann)
             / (m_ratio - ratio))
+
+
+def c2(solution: SteadyStateSolution) -> float:
+    """c2 of the paper's form V = e^{lam x} (c2 U + u_p), u_p = M I_U + U I_M
+    with z_ref = z* (a 20-digit reference in the tests), from one 0-d pass
+    at z*.  There I_M = 0, so e^{-a z} u_p = Msc IU~ (Msc = e^{-z} M,
+    IU~ = e^{(1-a) z} I_U, a = -lam/p), and likewise with M' for the slope,
+    while e^{-a z} u_p = A + D with D a multiple of W; matching both gives
+
+        Msc IU~ = (A_z - (U'/U - a) A) / (M'/M - U'/U),   A_z = A' / p,
+        c2      = e^{a z*} (1 - Msc IU~) / U(z*).
+
+    M'/M, a difference of logs, stays in range where M does not.  c2 is +-inf
+    or 0 where e^{a z*}/U(z*) over- or underflows; ConvergenceError where M
+    fails."""
+    ws, z_star = solution.workspace, solution.z_star
+    ann, ann_x, _, log_u, ratio, _ = map(float, ws.terms(np.float64(z_star)))
+    try:
+        scale = math.exp(ws.consts.a_exp * z_star - log_u)
+    except OverflowError:
+        scale = math.inf
+    return scale * (1.0 - _msc_iu(ws, z_star, ann, ann_x, ratio))
 
 
 def solve_boundary(cir: CirParams, contract: ContractParams,
@@ -389,20 +393,15 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
         tol=tol, f_lo=f_lo, f_hi=f_hi))
     x_star = z_star / consts.p
 
-    ann, ann_x, _, log_u, ratio, _ = map(float, ws.terms(np.float64(z_star)))
-    # the paper's c2 with z_ref = z*; +-inf where e^{a z*}/U(z*) overflows,
-    # as it is 0 where that underflows
-    try:
-        scale = math.exp(consts.a_exp * z_star - log_u)
-    except OverflowError:
-        scale = math.inf
-    c2 = scale * (1.0 - _msc_iu(ws, z_star, ann, ann_x, ratio))
-
+    # diagnose's one pass; its first row, at z*, gives U(z*) and 1 - A(x*)
+    xs = np.append(x_star, x_star * _PROBE_RATIOS)
+    zs = np.maximum(consts.p * xs, z_star)
+    terms = ws.terms(zs)
     sol = SteadyStateSolution(
         cir=cir, contract=contract, consts=consts,
-        z_star=z_star, x_star=x_star, c2=c2, diagnostics=None,
-        workspace=ws, log_u_at_star=log_u, amp=1.0 - ann)
-    diag = diagnose(sol, x_star * _PROBE_RATIOS)
+        z_star=z_star, x_star=x_star, diagnostics=None, workspace=ws,
+        log_u_at_star=float(terms[3][0]), amp=1.0 - float(terms[0][0]))
+    diag = _diagnostics(sol, xs, _combine(sol, zs, terms))
     missed = [f"{name} = {getattr(diag, name)!r} (bound {bound!r})"
               for name, measured, bound in diag.bounds(contract.c)
               if not measured <= bound]

@@ -24,7 +24,7 @@ __all__ = [
     "require_unit_balance",
 ]
 
-RATE_FLOOR = 1e-300    # lowest x searched; the box's least x*/theta is 4.2e-33
+RATE_FLOOR = 1e-100    # lowest x searched; the box's least x*/theta is 4.2e-33
 
 
 def _positive_fields(params, names) -> None:

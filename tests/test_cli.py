@@ -6,7 +6,6 @@ import dataclasses
 import json
 import math
 import os
-import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +173,27 @@ def test_no_bracket_exit_3(capsys):
     payload = json.loads(err)
     assert payload["error"] == "NoBracketError"
     assert payload["annuity_at_zero"] <= 1.0
+
+
+def test_boundary_below_the_rate_floor_exits_4(capsys):
+    # A(0) = 2.79 > 1, but x* is near 1e-269
+    code, out, err = run_cli(
+        capsys, ["solve", "--k", "0.0003874", "--theta", "0.3798",
+                 "--sigma", "0.6395", "--c", "0.0009067"])
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == "BoundaryBelowFloorError"
+
+
+def test_only_solve_needs_m_at_z_star(capsys):
+    # M's series fails at z* = 3190 here; c2 alone reads M
+    argv = ["--k", "3.62e-4", "--theta", "1.208", "--sigma", "4.32e-4",
+            "--c", "0.420"]
+    code, out, err = run_cli(capsys, ["solve", *argv])
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"] == "ConvergenceError"
+    code, out, err = run_cli(capsys, ["curve", *argv, "--points", "3"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("0.419205362436,1,")
 
 
 def test_tol_root_consistency(capsys):
@@ -424,14 +444,12 @@ def test_compare_scales_values_by_m_over_c(capsys):
             assert row[key] == at_c[method][key], (method, key)
 
 
-def test_compare_script_wraps_the_subcommand(capsys):
-    # x* = 0.0763 > theta: the script used to start MC at theta and divide
-    # by its zero standard error
-    scripts = Path(__file__).resolve().parents[1] / "scripts"
-    script = runpy.run_path(str(scripts / "compare_methods.py"))
-    code = script["main"](["--k", "0.5", "--theta", "0.03", "--sigma", "0.05",
-                           "--c", "0.08", "--mc-paths", "2000",
-                           "--skip", "fd", "--skip", "shooting"])
+def test_compare_runs_mc_above_a_boundary_over_theta(capsys):
+    # x* = 0.0763 > theta: MC used to start at theta and divide by its zero
+    # standard error
+    code = main(["compare", "--k", "0.5", "--theta", "0.03", "--sigma", "0.05",
+                 "--c", "0.08", "--mc-paths", "2000",
+                 "--skip", "fd", "--skip", "shooting"])
     assert code == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [r["method"] for r in rows] == ["closed_form", "monte_carlo"]

@@ -15,15 +15,15 @@ from cirmort import cli, closed_form, specfun
 from cirmort.closed_form import (DiagnosticsWarning, _Workspace, ode_residual,
                                  solve_boundary, value, value_curve,
                                  value_derivative)
-from cirmort.errors import (BoundaryBelowFloorError, DomainError,
-                            NoBracketError, ValidationError)
+from cirmort.errors import (BoundaryBelowFloorError, ConvergenceError,
+                            DomainError, NoBracketError, ValidationError)
 from cirmort.model import CirParams, ContractParams, derive_constants
 from cirmort.oracles import shoot_solve
 from cirmort.specfun import _kummer_m_scaled, _tricomi_u_raw  # noqa: the
 # log-space helpers are internal but are the only overflow-free route for the
 # asymptotic-elimination check below
-from closed_form_reference import (annuity_mp, annuity_residual_mp,
-                                   boundary_residual,
+from closed_form_reference import (annuity_at_zero_betainc, annuity_mp,
+                                   annuity_residual_mp, boundary_residual,
                                    boundary_residual_ratio_form,
                                    kernel_weight, particular_solution,
                                    source_term)
@@ -267,7 +267,7 @@ def test_ratio_form_shares_the_root(primary_solution, primary_consts):
 def test_solve_primary_fixture(primary_solution):
     sol = primary_solution
     assert sol.x_star == pytest.approx(sol.z_star / sol.consts.p, rel=1e-14)
-    assert sol.c2 > 0
+    assert closed_form.c2(sol) > 0
     # boundary fixture recorded from the shooting oracle at first build
     assert sol.x_star == pytest.approx(0.009217280309, rel=1e-8)
 
@@ -370,7 +370,7 @@ def test_gamma_cap_separates_sets_just_above_and_below_it():
 def test_solution_needs_its_workspace_and_branch_constants(primary_solution):
     # without them V would silently be the annuity A
     public = {f: getattr(primary_solution, f)
-              for f in ("cir", "contract", "consts", "z_star", "x_star", "c2",
+              for f in ("cir", "contract", "consts", "z_star", "x_star",
                         "diagnostics")}
     with pytest.raises(TypeError):
         closed_form.SteadyStateSolution(**public)
@@ -406,6 +406,22 @@ def test_extreme_gamma_boundary_matches_shooting(cir, c):
     sol = solve_boundary(cir, con)
     rep = shoot_solve(cir, con, tol=1e-8)
     assert abs(sol.x_star - rep.r_star) <= 1e-6 * rep.r_star
+    assert not math.isnan(closed_form.c2(sol))
+
+
+def test_boundary_solves_where_m_has_no_series_at_z_star():
+    # alpha = 1150, gamma = 4691: hyp1f1 overflows at z* = 3190 and M's
+    # large-z series needs z > gamma, so c2 raises ConvergenceError; the
+    # boundary and V need no M
+    cir = CirParams(k=3.62e-4, theta=1.208, sigma=4.32e-4)
+    con = ContractParams(c=0.420, m=0.420)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_boundary(cir, con)
+    rep = shoot_solve(cir, con, tol=1e-8)
+    assert abs(sol.x_star - rep.r_star) <= 1e-12 * rep.r_star
+    with pytest.raises(ConvergenceError):
+        closed_form.c2(sol)
 
 
 def test_fuzz_box_solves_within_bounds_or_has_no_bracket():
@@ -561,6 +577,31 @@ def test_root_below_the_rate_floor_raises_boundary_below_floor(monkeypatch):
     assert not isinstance(exc.value, (NoBracketError, DomainError))
 
 
+def test_root_below_the_default_rate_floor_raises():
+    # alpha = 3.6e-4 and sigma^2 >> k theta put x* near 1e-269, where U's
+    # rule forms t^2 beyond float range; below RATE_FLOOR = 1e-100 no
+    # boundary is returned
+    cir = CirParams(k=0.0003874, theta=0.3798, sigma=0.6395)
+    con = ContractParams(c=0.0009067, m=0.0009067)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BoundaryBelowFloorError):
+            solve_boundary(cir, con)
+
+
+@pytest.mark.parametrize("k", [0.001, 0.003, 0.005, 0.01])
+@pytest.mark.parametrize("theta", [0.03, 0.06, 0.1, 0.3])
+@pytest.mark.parametrize("sigma", [5e-4, 1e-3, 2e-3, 5e-3])
+def test_annuity_rule_reaches_past_a_slowly_climbing_rate(k, theta, sigma):
+    # with k T < 1 a rate that starts at 0 is still far below the long rate
+    # at 60 / r_inf, so the rule must also reach 60 / theta + 1 / k
+    cir = CirParams(k=k, theta=theta, sigma=sigma)
+    con = ContractParams(c=0.05, m=0.05)
+    got = _Workspace(cir, con).annuity(np.zeros(1))[0][0]
+    want = annuity_at_zero_betainc(cir, con)
+    assert abs(got - want) <= 1e-13 * want
+
+
 # ---------------------------------------------------------------------------
 # value function
 
@@ -659,12 +700,12 @@ def test_value_path_calls_the_annuity_kernel_once_per_chunk(monkeypatch):
     monkeypatch.setattr(_Workspace, "annuity", counted)
     monkeypatch.setattr(_Workspace, "residual_scaled", counted_residual)
     sol = solve_boundary(PRIMARY_CIR, CONTRACT)
-    # one call for A(0), one per residual (the step-down, then Newton's), one
-    # for A at x*, and the diagnostics last: one call at x* and the 7 probes
+    # one call for A(0), one per residual (the step-down, then Newton's), and
+    # the diagnostics last: one call at x* and the 7 probes
     assert sizes[0] == 1
     assert sizes[1:1 + len(residual_calls)] == residual_calls
-    assert len(sizes) == len(residual_calls) + 3
-    assert sizes[-2:] == [1, 8]
+    assert len(sizes) == len(residual_calls) + 2
+    assert sizes[-1] == 8
     sizes.clear()
     value_curve(sol, sol.x_star, 5.0 * sol.x_star, 101)
     # V at the 100 points past x*, then the residual at the same points, in
