@@ -5,7 +5,11 @@
   problem over the tridiagonal generator, on [0, 50 theta], an extent it
   sets itself next to its Dirichlet value c/(50 theta) there,
 * Monte Carlo valuation of the threshold prepayment policy with exact CIR
-  transition sampling.
+  transition sampling (Glasserman, Monte Carlo Methods in Financial
+  Engineering, 2004, sec. 3.4), on three SFC64 streams spawned from the
+  seed (normals, gammas, roulette uniforms): a block of steps draws its
+  normals and its gammas in one call each, and stopped paths leave the
+  working set at segment ends and roulettes.
 
 Riccati sweep.  With D = sigma^2 x / 2 and K = k (theta - x), the steady ODE
 D V'' + K V' - x V + c = 0 on x >= x* is written V' = q V + phi, with
@@ -235,8 +239,12 @@ class McReport:
 _ROULETTE_START = 30.0
 _ROULETTE_PERIOD = 15.0
 
+# Steps in one segment of the simulation loop: stopped paths leave the
+# working set at segment ends, on absolute step multiples, and at roulettes.
+_SEGMENT = 32
+
 # Path-steps in one block of the simulation loop (a block has at least one
-# step): each of its four buffers stays at 256 KiB.
+# step and lies inside a segment): each of its buffers stays at 256 KiB.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -272,20 +280,23 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
     A path stops for a boundary at its first step at or below it, so the
     live sets are nested: a path is live while it is live for the lowest
     boundary (by value, not position), and it carries the highest boundary
-    it is still live for.  The working set drops its dead paths at each
-    roulette and whenever at most half of it is live, which keeps the
-    copying amortised O(paths); the loop ends when no path is live.
+    it is still live for.  Stopped paths leave the working set only at the
+    end of each segment of _SEGMENT steps and at each roulette; the loop
+    ends when none is left.
 
-    The loop runs in blocks of steps.  A step only draws, writes the
-    transition into its row of the block and counts the live paths newly
-    at or below the lowest boundary, since that count decides the next
-    compaction.  A block ends at a compaction, a roulette, the horizon or
-    after _BLOCK_ELEMENTS path-steps.  Then the log-discount, discount and
-    accrual of every row are formed as running sums, in the order of a
-    per-step update, and each boundary's first passage in the block banks
-    the payments.  Every step draws for the whole working set, dead paths
-    included, so the stream, and with it every estimate, is fixed by the
-    per-step draw sizes alone: the block length changes no report.
+    Three SFC64 generators, spawned from the seed in this order, draw the
+    normals, the gammas and the roulette uniforms.  The loop runs in blocks
+    of steps inside a segment, of at most _BLOCK_ELEMENTS path-steps.  For
+    df > 1 a block draws all its normals (float32) and all its
+    gamma((df - 1)/2, 2) values g in one call each, and a step forms
+    x' = cbar ((zn + sqrt(nc))^2 + g); for df <= 1 a step makes one
+    noncentral_chisquare call on the normals stream.  Then the
+    log-discount, discount and accrual of every row are formed as running
+    sums, in the order of a per-step update, and each boundary's first
+    passage in the block banks the payments.  The working set changes only
+    at segment ends and roulettes, so each stream is consumed in the same
+    order however a segment is cut into blocks: the block length changes
+    no report.
     """
     require_unit_balance(contract)
     if not (dt > 0 and math.isfinite(dt)):
@@ -303,7 +314,9 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
     bvec = np.asarray(boundaries, dtype=float)
     if np.isnan(bvec).any():
         raise ValidationError("boundary", "must not be NaN")
-    rng = np.random.Generator(np.random.SFC64(seed))
+    normals, gammas, uniforms = (
+        np.random.Generator(np.random.SFC64(s))
+        for s in np.random.SeedSequence(seed).spawn(3))
     k, sigma2, c = cir.k, cir.sigma ** 2, contract.c
     edt = math.exp(-k * dt)
     cbar = sigma2 * (1.0 - edt) / (4.0 * k)
@@ -317,16 +330,14 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
     payoff = np.zeros((bvec.size, paths))
     payoff[x0 <= bvec, :] = 1.0
 
-    # working set: every live path, and at most as many dead ones
-    ids = np.arange(paths)
-    x = np.full(paths, x0, dtype=float)
-    disc = np.ones(paths)
-    log_disc = np.zeros(paths)
-    accrual = np.zeros(paths)           # running payments at unit weight
-    top = np.full(paths, levels[np.searchsorted(levels[1:], x0)])
-    n_live = paths if top[0] > -np.inf else 0
-    # the lowest boundary on a live path, -inf on a dead one
-    low = np.full(paths, levels[1] if n_live else -np.inf)
+    # working set: the paths live at the last compaction
+    top0 = levels[np.searchsorted(levels[1:], x0)]
+    ids = np.arange(paths if top0 > -np.inf else 0)
+    x = np.full(ids.size, x0, dtype=float)
+    disc = np.ones(ids.size)
+    log_disc = np.zeros(ids.size)
+    accrual = np.zeros(ids.size)        # running payments at unit weight
+    top = np.full(ids.size, top0)
     weight = 1.0                        # shared: roulette doubles every path
 
     def retire(rows):
@@ -335,7 +346,6 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
         jj, kk = (bvec[:, None] <= top[rows]).nonzero()
         pay[jj, ids[rows[kk]]] = accrual[rows[kk]]
         top[rows] = -np.inf
-        low[rows] = -np.inf
 
     n_steps = int(round(horizon / dt))
     roulette_every = max(1, int(round(_ROULETTE_PERIOD / dt)))
@@ -343,43 +353,35 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
     shape_g = 0.5 * (df - 1.0)
     drift = edt / cbar
     step = path_steps = 0
-    while n_live and step < n_steps:
+    while ids.size and step < n_steps:
         n_act = ids.size
-        # the block ends by the first roulette step after this one
+        # the block ends by the segment end, the first roulette step after
+        # this one and the horizon
         next_roulette = (-(-max(step + 1, roulette_from) // roulette_every)
                          * roulette_every)
-        xs = np.empty((min(max(1, _BLOCK_ELEMENTS // n_act), n_steps - step,
-                           next_roulette - step), n_act))
-        # n_live stays exact after every step but the block's last one,
-        # whose crossings the first passages below count
-        n_start = n_live
+        shape = (min(max(1, _BLOCK_ELEMENTS // n_act), n_steps - step,
+                     next_roulette - step, _SEGMENT - step % _SEGMENT), n_act)
+        if df > 1.0:
+            zn = normals.standard_normal(shape, dtype=np.float32)
+            xs = gammas.gamma(shape_g, 2.0, shape)
+        else:
+            xs = np.empty(shape)
+        root = np.empty(n_act)
         prev = x
         for m, row in enumerate(xs):
+            np.multiply(prev, drift, out=root)
             if df > 1.0:
-                zn = rng.standard_normal(n_act, dtype=np.float32)
-                g = rng.standard_gamma(shape_g, n_act)
-                # cbar * (2 g + (zn + sqrt(x drift))^2)
-                np.multiply(prev, drift, out=row)
-                np.sqrt(row, out=row)
-                np.add(zn, row, out=row)
-                np.square(row, out=row)
-                g *= 2.0
-                row += g
+                # cbar * ((zn + sqrt(x drift))^2 + row), row drawn from
+                # gamma(shape_g, 2)
+                np.sqrt(root, out=root)
+                np.add(zn[m], root, out=root)
+                np.square(root, out=root)
+                row += root
                 row *= cbar
             else:
-                mix = rng.poisson(0.5 * prev * drift)
-                g = rng.standard_gamma(0.5 * df + mix)
-                np.multiply(g, cbar * 2.0, out=row)
+                np.multiply(normals.noncentral_chisquare(df, root), cbar,
+                            out=row)
             prev = row
-            if m + 1 < xs.shape[0]:
-                newly = row <= low
-                n_new = np.count_nonzero(newly)
-                if n_new:
-                    low[newly] = -np.inf
-                    n_live -= n_new
-                    if 2 * n_live <= n_act:     # compaction ends the block
-                        xs = xs[:m + 1]
-                        break
         step += xs.shape[0]
         path_steps += xs.size
 
@@ -411,9 +413,6 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
             pay[jj, ids[cols]] = acc[first, cols]
             payoff[jj, ids[cols]] = weight * d[first, cols]
             top[hit] = levels[np.searchsorted(levels[1:], x_min[hit])]
-            gone = hit[top[hit] == -np.inf]
-            low[gone] = -np.inf
-            n_live = n_start - gone.size
         # the state after the block; copies from a longer block let its
         # buffers go before the next block allocates its own
         x, log_disc, disc, accrual = (a[0] if a.shape[0] == 1 else a[-1].copy()
@@ -424,16 +423,14 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
         if roulette:
             # keep each live path with probability 1/2 at doubled weight;
             # payments accrued so far are banked at full weight either way
-            drop = (weight * disc < 1e-8) | (rng.random(n_act) >= 0.5)
-            out = ((top > -np.inf) & drop).nonzero()[0]
-            retire(out)
-            n_live -= out.size
+            drop = (weight * disc < 1e-8) | (uniforms.random(n_act) >= 0.5)
+            retire(((top > -np.inf) & drop).nonzero()[0])
             weight *= 2.0
-        if roulette or 2 * n_live <= n_act:
+        if roulette or step % _SEGMENT == 0:
             sel = (top > -np.inf).nonzero()[0]
-            ids, x, disc, log_disc, accrual, top, low = (
+            ids, x, disc, log_disc, accrual, top = (
                 ids[sel], x[sel], disc[sel], log_disc[sel], accrual[sel],
-                top[sel], low[sel])
+                top[sel])
 
     # paths live at the horizon contribute their accrued payments
     retire((top > -np.inf).nonzero()[0])

@@ -298,9 +298,10 @@ def test_mc_retires_dead_paths():
 
 
 # Reports pinned bit for bit: value_estimate and std_error by float.hex,
-# path_steps exactly.  They were recorded with the step-by-step loop that the
-# blocked one replaced, so a change to the draws, or to the order of the
-# additions in the discount and accrual sums, shows here.
+# path_steps exactly.  They were recorded with the segment loop on three
+# spawned streams (normals, gammas, roulette uniforms), so a change to the
+# draws, to the segment length, or to the order of the additions in the
+# discount and accrual sums, shows here.
 PRIMARY_X_STAR = 0.009217280309479105
 DF_BELOW_ONE = (CirParams(k=0.22487, theta=0.030652, sigma=0.17724),
                 ContractParams(c=0.036055, m=0.036055))     # df = 0.88
@@ -319,31 +320,31 @@ MC_PINS = {
     "verify_primary": (
         (PRIMARY_CIR, CONTRACT, 0.06, _verify_boundaries(PRIMARY_X_STAR),
          2000, 1.0 / 252.0, 400.0, 0),
-        [("0x1.bf845acd128b0p-1", "0x1.328e761f80d25p-8", 18627840),
-         ("0x1.be89dcb24c950p-1", "0x1.2531bfebeee16p-8", 18627840),
-         ("0x1.beb0f8ae59023p-1", "0x1.1c762f0bc80c9p-8", 18627840)]),
-    # the Poisson-mixture transition
+        [("0x1.bd831e61ec5efp-1", "0x1.2c791b9ae5c0fp-8", 14061140),
+         ("0x1.be4451a1819cdp-1", "0x1.2510c3118e9b6p-8", 14061140),
+         ("0x1.be7f297af9d28p-1", "0x1.17bb84df91327p-8", 14061140)]),
+    # the noncentral_chisquare transition of df <= 1
     "df_below_one": (
         (*DF_BELOW_ONE, 0.030652, _verify_boundaries(DF_BELOW_ONE_X_STAR),
          500, 1.0 / 252.0, 400.0, 0),
-        [("0x1.e5eae7eeb8e17p-1", "0x1.ba71502003191p-8", 746156),
-         ("0x1.e5914722b12d6p-1", "0x1.b92286ed17818p-8", 746156),
-         ("0x1.e59aa4f4a461ap-1", "0x1.b81c8eaff75ccp-8", 746156)]),
+        [("0x1.e8e0278978100p-1", "0x1.90e2afa630fe4p-8", 519912),
+         ("0x1.e87949fb15becp-1", "0x1.8fdc86749f34ep-8", 519912),
+         ("0x1.e96aa991f0645p-1", "0x1.86fe94355c180p-8", 519912)]),
     "one_path": (
         (PRIMARY_CIR, CONTRACT, 0.06, [PRIMARY_X_STAR], 1, 1.0 / 252.0,
          400.0, 3),
-        [("0x1.1b1c8c15a93bep+0", "0x0.0p+0", 1773)]),
+        [("0x1.72b63e5e40b39p-1", "0x0.0p+0", 7560)]),
     # x0 on the middle boundary: two of the three stop at once
     "x0_on_a_boundary": (
         (PRIMARY_CIR, CONTRACT, 0.04, [0.02, 0.04, 0.06], 300, 0.25, 100.0,
          1),
-        [("0x1.d731841195c55p-1", "0x1.1edf4351bc90bp-7", 22498),
-         ("0x1.0000000000000p+0", "0x0.0p+0", 22498),
-         ("0x1.0000000000000p+0", "0x0.0p+0", 22498)]),
+        [("0x1.dd79f8599fcb0p-1", "0x1.030a29e6136a7p-7", 20000),
+         ("0x1.0000000000000p+0", "0x0.0p+0", 20000),
+         ("0x1.0000000000000p+0", "0x0.0p+0", 20000)]),
     # the horizon ends the run with paths still live
     "horizon_cuts_live_paths": (
         (PRIMARY_CIR, CONTRACT, 0.06, [0.005], 500, 1.0 / 52.0, 20.0, 2),
-        [("0x1.47ac9b71b0daep-1", "0x1.f0ad6f46dad84p-8", 520000)]),
+        [("0x1.48ee77e6b2b27p-1", "0x1.028fb62aff582p-7", 488272)]),
 }
 
 
@@ -358,9 +359,9 @@ def test_mc_reports_are_pinned(case):
 @pytest.mark.parametrize("budget", [1, 600])
 @pytest.mark.parametrize("case", sorted(set(MC_PINS) - {"verify_primary"}))
 def test_block_length_changes_no_report(monkeypatch, case, budget):
-    # one-step blocks, and blocks of a few steps; with 600 the df < 1 and
-    # x0-on-a-boundary cases compact inside a block and roulette at the end
-    # of one
+    # one-step blocks, and blocks of a few steps that cut each segment
+    # into several; the working set changes only at segment ends and
+    # roulettes, so every stream is drawn in the same order either way
     args, _ = MC_PINS[case]
     want = _simulate_threshold(*args)
     monkeypatch.setattr(oracles, "_BLOCK_ELEMENTS", budget)
