@@ -47,9 +47,10 @@ it.  U enters only through U'/U, U''/U and as exp of a difference of logs,
 so nothing overflows.  _rows alone splits V into its stopped rows (1, 0, 0)
 and _combine's V, V', V'' (V'' within 7.8e-14 of the sum of its terms'
 sizes against mpmath), to which ode_residual and diagnose apply the ODE.
-Near x* with A >> 1 the factor 1 - A(x*) multiplies U's error, which is why
-specfun's rule grades its u-panels with alpha.  The paper's constant c2 is
-no part of the solve: c2(solution) computes it on demand.
+Near x* with A >> 1 the factor 1 - A(x*) multiplies U's error, so U'/U
+must hold its accuracy at small alpha too (specfun, Inner range).  The
+paper's constant c2 is no part of the solve: c2(solution) computes it on
+demand.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ PASTING_SLOPE_TOL = 1e-6
 ODE_RESIDUAL_TOL_PER_C = 1e-6           # times the coupon c
 # Largest gamma = 2 k theta / sigma^2 that solve_boundary accepts.  U's rule
 # has about sqrt(gamma) panels: a solve and a 100-point ode_residual on
-# [x*, 50 theta] (k = 0.25, theta = 0.06, c = 0.05) take 0.05-0.07 s and peak
-# at 91 MiB RSS at gamma = 1e5, and 0.31 s and 189 MiB at 9.9e5 (2-core
+# [x*, 50 theta] (k = 0.25, theta = 0.06, c = 0.05) take 0.06-0.07 s and peak
+# at 96 MiB RSS at gamma = 1e5, and 0.25 s and 186 MiB at 9.9e5 (2-core
 # x86-64 host).  The README box reaches 1.2e5.
 GAMMA_CAP = 1e6
 # solve_boundary's diagnostic probes, in units of x*

@@ -1,5 +1,6 @@
-"""Shared numerical kernels: the Gauss-Kronrod 7/15 rule and bracketed root
-refinement by safeguarded Newton (Press et al., Numerical Recipes, 9.4).
+"""Shared numerical kernels: the Gauss-Kronrod 15-point rule (GK15) and
+bracketed root refinement by safeguarded Newton (Press et al., Numerical
+Recipes, 9.4).
 
 The GK15 nodes and weights serve the fixed panel rules of `specfun` (the
 Laplace integral of U) and of `closed_form` (the annuity integral in t).
@@ -18,7 +19,7 @@ __all__ = [
 ]
 
 # Kronrod-15 abscissae on [-1, 1] (symmetric; nonnegative half listed) and the
-# matching Kronrod and embedded Gauss-7 weights, QUADPACK values.
+# matching Kronrod weights, QUADPACK values.
 _XGK_HALF = np.array([
     0.991455371120813, 0.949107912342759, 0.864864423359769,
     0.741531185599394, 0.586087235467691, 0.405845151377397,
@@ -29,15 +30,9 @@ _WGK_HALF = np.array([
     0.140653259715525, 0.169004726639267, 0.190350578064785,
     0.204432940075298, 0.209482141084728,
 ])
-_WG_HALF = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-])
 
 _XGK = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])          # 15 nodes
 _WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
-_WG = np.zeros(15)
-_WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])      # Gauss nodes
 
 # the relative part of the root tolerance is held at or above this
 _RTOL_FLOOR = 4.0 * np.finfo(float).eps

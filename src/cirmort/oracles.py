@@ -325,10 +325,9 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
     levels = np.concatenate(([-np.inf], np.sort(bvec)))
     pay_rate = c * dt * 0.5
 
-    # full-size accumulators indexed by original path id
-    pay = np.zeros((bvec.size, paths))
-    payoff = np.zeros((bvec.size, paths))
-    payoff[x0 <= bvec, :] = 1.0
+    # discounted payments plus prepayment, by boundary and original path id
+    total = np.zeros((bvec.size, paths))
+    total[x0 <= bvec, :] = 1.0
 
     # working set: the paths live at the last compaction
     top0 = levels[np.searchsorted(levels[1:], x0)]
@@ -344,7 +343,7 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
         # working rows stop for every boundary they are live for, banking
         # their payments
         jj, kk = (bvec[:, None] <= top[rows]).nonzero()
-        pay[jj, ids[rows[kk]]] = accrual[rows[kk]]
+        total[jj, ids[rows[kk]]] = accrual[rows[kk]]
         top[rows] = -np.inf
 
     n_steps = int(round(horizon / dt))
@@ -410,8 +409,7 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
                       & (bvec[:, None] >= x_min[hit])).nonzero()
             cols = hit[kk]
             first = (xs[:, cols] <= bvec[jj]).argmax(axis=0)
-            pay[jj, ids[cols]] = acc[first, cols]
-            payoff[jj, ids[cols]] = weight * d[first, cols]
+            total[jj, ids[cols]] = acc[first, cols] + weight * d[first, cols]
             top[hit] = levels[np.searchsorted(levels[1:], x_min[hit])]
         # the state after the block; copies from a longer block let its
         # buffers go before the next block allocates its own
@@ -439,7 +437,7 @@ def _simulate_threshold(cir: CirParams, contract: ContractParams, x0: float,
                      std_error=(float(totals.std(ddof=1)) / math.sqrt(paths)
                                 if paths > 1 else 0.0),
                      paths=paths, dt=dt, seed=seed, path_steps=path_steps)
-            for b, totals in zip(boundaries, pay + payoff)]
+            for b, totals in zip(boundaries, total)]
 
 
 def mc_value(cir: CirParams, contract: ContractParams, x0: float,

@@ -6,46 +6,42 @@ only through M'/M at one z, so these are the only forms kept; none of them
 overflows where U or M itself leaves float range (U(0.05, 133, 1e-3) is
 about 10^617).
 
-U comes from one rule at every z > 0: panel-wise Gauss-Kronrod (GK15)
-quadrature of the Laplace integral (DLMF 13.4.4)
+U comes from one rule at every z > 0: the Laplace integral (DLMF 13.4.4)
     U = 1/Gamma(alpha) * int_0^inf e^{-z t} t^{alpha-1}
         (1 + t)^{gamma-alpha-1} dt,
-on the nodes of a _LaplaceRule: panels in u = (t/t_split)^alpha up to a
-point t_split = e^{j0 step} <= min(1, 1/z_max), which absorb the
-t^{alpha-1} endpoint singularity, then geometric panels
-[e^{j step}, e^{(j+1) step}] in t out to e^{-50} below the integrand's
-peak.  All terms are positive, so there is no cancellation and the
-point-to-point noise stays at rounding level, which downstream residual
+summed on the nodes of a _LaplaceRule: a Gauss-Jacobi rule on
+(0, t_split], t_split = e^{j0 step} <= min(1, 1/z_max), which absorbs the
+t^{alpha-1} endpoint singularity, then geometric Gauss-Kronrod (GK15)
+panels [e^{j step}, e^{(j+1) step}] in t out to e^{-50} below the
+integrand's peak.  All terms are positive, so there is no cancellation and
+the point-to-point noise stays at rounding level, which downstream residual
 checks rely on.  The sum is taken in log space (log-sum-exp over the
 nodes).  Differentiating under the integral gives
 U' = -1/Gamma(alpha) int t e^{-z t} ..., so U'/U = -<t>, the mean of t
 under U's own Laplace weight, and likewise U''/U = <t^2>: one pass of the
 rule gives ln U, U'/U and U''/U (_tricomi_u_raw).  A rule depends on
-(alpha, gamma) only: it builds the u-panels on (0, 1] and one t-panel on
+(alpha, gamma) only: it builds the inner nodes on (0, 1] and one t-panel on
 [1, e^step] once, and a pass scales both to its span of j and forms
 e^{-z t}.  A caller that keeps the rule (closed_form's workspace) reuses
 the last span's nodes, as Newton's iterates near a root do; a caller that
 builds it with a window of z makes every pass inside the window take the
 window's one span, so passes at nearby z share their nodes.
 
-Small alpha.  With t = t_split u^{1/alpha} the integrand varies on a scale
-of alpha in v = 1 - u, so the u-panels past u = 1/2 are graded
-geometrically in v toward u = 1, down to v ~ alpha/20 (Davis & Rabinowitz,
-Methods of Numerical Integration, 2nd ed. 1984, 2.12 and 4.8): one rule,
-one pass at every alpha, from 26 panels in u at alpha >= 2 to 33 at
-alpha = 8.3e-4 and 56 at 1e-14.  Those nodes are kept as v, and
-t/t_split = exp(log1p(-v)/alpha) is formed from v once per rule, so no
-node loses digits next to u = 1, however small alpha is.
-
-Measured against mpmath at 40 digits on 12 alpha in [8.3e-4, 21], gamma in
-{0.0043, 0.05, 0.5, 3, 24, 41, 180} and 12 z in [1e-3, 500], on one array
-and at single points: ln U within 4.6e-13 absolute, U'/U and U''/U within
-4.6e-13 relative; at alpha = 8.3e-4 within 1.1e-13 up to gamma = 180.  At
-alpha = 1e-6, 1e-10 and 1e-14 (gamma in {0.0043, 0.5, 3, 41}, 8 z in
-[1e-3, 500]) ln U is within 5.7e-14 and U'/U and U''/U within 4.7e-15
-relative.  Between the adjacent floats of alpha where the rule gains a
-panel, all three jump by at most 2.8e-14, at every seam from alpha = 1.1
-down to 1.6e-14.
+Inner range.  With t = t_split x and f = e^{-z t} (1 + t)^{gamma-alpha-1},
+int_0^1 x^{alpha-1} f dx = 1/alpha + int_0^1 x^alpha (f - 1)/x dx, as
+f = 1 at x = 0.  The 16-node Gauss rule for the weight x^alpha (nodes x_i,
+weights w_i; Golub & Welsch, Math. Comp. 23, 1969, from the Jacobi matrix
+of P^(0, alpha) on [-1, 1]) makes that sum (w_i/x_i) f(x_i) + C f(0),
+C = 1/alpha - sum w_i/x_i > 0, its error on 1/x.  The node at x = 0 adds
+nothing to <t> and <t^2>, and is left out where C rounds to <= 0 (from
+alpha ~ 12 up, below 1e-16 of 1/alpha).  The rule integrates
+x^{alpha-1+j}, j <= 31, within 1e-14 relative on 200 alpha from 1e-14 to
+2000, with no seam in alpha.  Against mpmath at 40 digits on 12 alpha in
+[8.3e-4, 21], gamma in {0.0043, 0.05, 0.5, 3, 24, 41, 180} and 12 z in
+[1e-3, 500], on one array and at single points, ln U is within 2.3e-13
+absolute and U'/U and U''/U within 8.5e-15 relative; at alpha = 1e-6,
+1e-10 and 1e-14 (gamma in {0.0043, 0.5, 3, 41}, 8 z) within 5.7e-14 and
+8.4e-15.
 
 Supported box.  On 2000 log-uniform draws over k in [0.01, 5], theta in
 [0.003, 0.3], sigma in [0.005, 0.5] and c in [0.005, 0.2] (gamma from 6e-4
@@ -67,6 +63,7 @@ import math
 
 import numpy as np
 from scipy import special
+from scipy.linalg.lapack import dstev
 
 from .errors import ConvergenceError, DomainError
 from .numerics import gk15_panels
@@ -83,14 +80,11 @@ def _check_z(z_min: float, z_max: float, name: str) -> None:
         raise DomainError(f"{name} requires z > 0")
 
 
-# The inner u-panels of _LaplaceRule, in u = (t / t_split)^alpha on (0, 1]:
-# 23 geometric in u from 1e-18 to 1/2; each rule adds its panels graded in
-# v = 1 - u.
-_U_NODES, _U_WEIGHTS = gk15_panels(np.geomspace(1e-18, 0.5, 24))
+_JACOBI_NODES = 16      # Gauss-Jacobi nodes of U's rule on (0, t_split]
 
 
 class _LaplaceRule:
-    """GK15 nodes for int_0^inf t^{alpha-1} f(t) dt, f = e^{-z t}
+    """Nodes for int_0^inf t^{alpha-1} f(t) dt, f = e^{-z t}
     (1 + t)^{gamma-alpha-1}, at one (alpha, gamma) and any z > 0; f decays
     like (z t)^g e^{-z t}, g = max(gamma - 2, alpha - 1).  Each node keeps
     the z-free part e of its exponent, so a pass (moments) adds -z t.
@@ -104,15 +98,13 @@ class _LaplaceRule:
     peak.  Each is the unit panel on [1, e^step] scaled by e^{j step}, with
     e = ln w + (alpha-1) ln t, which scaling raises by alpha j step.
 
-    Inner panels on (0, t_split], t_split = e^{j0 step} <= 1/z_max: GK15 in
-    u = (t/t_split)^alpha, which turns t^{alpha-1} dt into
-    t_split^alpha du/alpha; 23 panels geometric in u up to u = 1/2, then
-    m = ceil(log_3(10 / min(alpha, 2))) geometric in v = 1 - u by factors
-    of 3 down to v ~ alpha/20, and one to v = 0 (module docstring, Small
-    alpha).  t/t_split is u^{1/alpha} on the first, exp(log1p(-v)/alpha)
-    on the others.  Both unit sets are formed once; a pass whose span
-    (j0, j1) differs from the last one's scales them to it, and every node
-    adds (gamma-alpha-1) ln(1 + t) to its e.
+    Inner range (0, t_split], t_split = e^{j0 step} <= 1/z_max, in
+    x = t/t_split: the _JACOBI_NODES Gauss-Jacobi nodes for the weight
+    x^alpha, weighted w/x, and x = 0, weighted C (module docstring, Inner
+    range); e = ln weight, which scaling raises by alpha j0 step.  Both unit
+    sets are formed once; a pass whose span (j0, j1) differs from the last
+    one's scales them to it, and every node adds (gamma-alpha-1) ln(1 + t)
+    to its e.
 
     Window: the owner may build the rule with window = (z_lo, z_hi).  A
     pass whose z all lie in it takes the span of (z_lo, z_hi) in place of
@@ -127,14 +119,19 @@ class _LaplaceRule:
         g = max(gamma - 2.0, alpha - 1.0)
         self.reach = 60.0 + 3.0 * max(g, 0.0)
         self.step = min(math.log(2.0), 1.3 / math.sqrt(max(g, 1.0)))
-        m = math.ceil((math.log(10.0) - math.log(min(alpha, 2.0)))
-                      / math.log(3.0))
-        v, v_weights = gk15_panels(
-            np.append(0.0, 0.5 / 3.0 ** np.arange(m, -1, -1)))
-        self.t_unit = np.concatenate([_U_NODES ** (1.0 / alpha),
-                                      np.exp(np.log1p(-v) / alpha)])
-        self.e_unit = (np.log(np.concatenate([_U_WEIGHTS, v_weights]))
-                       - math.log(alpha))
+        # Golub-Welsch on the Jacobi matrix of P^(0, alpha): eigenvalues y,
+        # and weights from the first components of the eigenvectors
+        n = np.arange(1.0, _JACOBI_NODES)
+        s = 2.0 * np.arange(_JACOBI_NODES) + alpha
+        y, vectors, _ = dstev(alpha * alpha / (s * (s + 2.0)),
+                              2.0 * n * (n + alpha)
+                              / (s[1:] * np.sqrt(s[1:] * s[1:] - 1.0)))
+        x = 0.5 * (1.0 + y)
+        w = vectors[0] ** 2 / ((alpha + 1.0) * x)
+        at_zero = 1.0 / alpha - w.sum()
+        if at_zero > 0.0:
+            x, w = np.append(0.0, x), np.append(at_zero, w)
+        self.t_unit, self.e_unit = x, np.log(w)
         self.t_panel, w = gk15_panels(np.array([1.0, math.exp(self.step)]))
         self.e_panel = np.log(w) + (alpha - 1.0) * np.log(self.t_panel)
         # the last pass's (j0, j1) and the rows (e, 1, t, t^2) of its nodes:

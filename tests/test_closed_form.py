@@ -218,7 +218,7 @@ def test_residual_matches_one_terms_pass(primary_consts):
 
 @pytest.mark.parametrize("cir,c", [
     (PRIMARY_CIR, 0.05),
-    # alpha = 8.3e-4: U''/U from the rule's graded u-panels
+    # alpha = 8.3e-4: U''/U from the rule's Gauss-Jacobi inner range
     (CirParams(k=4.4479, theta=0.0037, sigma=0.0135), 0.0056),
 ], ids=["primary", "alpha_8.3e-4"])
 def test_residual_slope_matches_a_central_difference(cir, c):
@@ -452,9 +452,9 @@ def test_fuzz_box_solves_within_bounds_or_has_no_bracket():
 
 
 @pytest.mark.parametrize("cir,c", [
-    # gamma = 0.0043, alpha = 0.0021 and A(x*) of about 59: with five equal
-    # u-panels on [1/2, 1] in U's rule, not graded toward u = 1, the
-    # boundary sits 2.4e-4 above this root
+    # gamma = 0.0043, alpha = 0.0021 and A(x*) of about 59, so 1 - A(x*)
+    # multiplies U's error: a U rule with five equal panels in u = t^alpha
+    # on [1/2, 1] put the boundary 2.4e-4 above this root
     (CirParams(k=0.013318, theta=0.011423, sigma=0.265309), 0.045874),
     # the two small-gamma sets of the shooting test above
     (CirParams(k=0.024337, theta=0.021019, sigma=0.168964), 0.023025),

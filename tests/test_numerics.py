@@ -8,12 +8,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cirmort.errors import ConvergenceError, NoBracketError
-from cirmort.numerics import _WG, _WGK, _XGK, find_root_bracketed
+from cirmort.numerics import _WGK, _XGK, find_root_bracketed
 
 
 # ---------------------------------------------------------------------------
 # the fixed GK15 rule shared by the panel quadratures of specfun and
 # closed_form
+
+# the Gauss-7 weights embedded at the odd Kronrod nodes (QUADPACK values),
+# for the rule's Kronrod-minus-Gauss error estimate
+_WG_HALF = np.array([
+    0.129484966168870, 0.279705391489277, 0.381830050505119,
+    0.417959183673469,
+])
+_WG = np.zeros(15)
+_WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
+
 
 def _gk15_panels(f, a, b, n):
     """Composite GK15 on n equal panels: (Kronrod sum, sum of |K - G|)."""

@@ -266,8 +266,8 @@ def test_u_matches_mpmath_on_array_and_points(alpha):
 
 @pytest.mark.parametrize("alpha", [8.3e-4, 2.1e-3, 8.9e-3])
 def test_u_at_small_alpha_matches_mpmath(alpha):
-    # the u-panels graded toward u = 1 resolve t = u^{1/alpha}; on arrays
-    # and single points
+    # the weight t^{alpha-1} puts most of U's mass next to t = 0, which the
+    # inner rule's node at t = 0 carries; on arrays and single points
     zs = np.geomspace(1e-3, 500.0, 12)
     for gamma in (0.0043, 0.5, 3.0):
         with mpmath.workdps(30):
@@ -312,22 +312,23 @@ def test_u_at_small_alpha_and_large_gamma_matches_mpmath(alpha):
 
 
 def test_u_is_continuous_across_the_panel_seams():
-    # bisect to the two adjacent floats of alpha between which the rule
-    # gains a u-panel; there U, U'/U and U''/U agree, on arrays and at
-    # single points
+    # the inner rule has 16 Gauss-Jacobi nodes at every alpha, and its node
+    # at t = 0 up to alpha = 10 (beyond, its weight may round to <= 0 and it
+    # drops), so U's rule has no seams; at the two alpha where graded
+    # u-panels once gained a panel, U, U'/U and U''/U agree between adjacent
+    # floats, on arrays and at single points
     zs = np.geomspace(0.01, 500.0, 10)
 
     def nodes(alpha):
-        return specfun._LaplaceRule(alpha, 1.0).t_unit.size
+        return specfun._LaplaceRule(alpha, 1.0).t_unit
+    for alpha in np.geomspace(1e-14, 2000.0, 241):
+        t = nodes(alpha)
+        assert np.count_nonzero(t) == specfun._JACOBI_NODES, alpha
+        assert t.size == specfun._JACOBI_NODES + 1 or alpha > 10.0, alpha
     for seam in (10.0 / 3.0 ** 5, 10.0 / 3.0 ** 8):
-        below, above = seam * (1.0 - 1e-12), seam * (1.0 + 1e-12)
-        assert nodes(below) != nodes(above), seam
-        while np.nextafter(below, above) != above:
-            mid = 0.5 * (below + above)
-            if nodes(mid) == nodes(below):
-                below = mid
-            else:
-                above = mid
+        below = seam
+        above = np.nextafter(below, np.inf)
+        assert nodes(below).size == nodes(above).size, seam
         for gamma in (0.0043, 0.5, 3.0, 24.0, 41.0):
             for z in (zs, *zs):
                 at, under = (np.array(_u_parts(alpha, gamma, z))
@@ -337,10 +338,27 @@ def test_u_is_continuous_across_the_panel_seams():
                               <= 2e-12 * np.abs(at[1:])), (gamma, z)
 
 
+@pytest.mark.parametrize("alpha", [1e-14, 8.3e-4, 0.37, 1.0, 21.0, 1840.0])
+def test_inner_rule_is_exact_for_powers(alpha):
+    # the inner nodes x = t/t_split and weights W of U's rule stand for
+    # int_0^1 x^{alpha-1} g(x) dx, so sum W x^j = 1/(alpha + j): at j = 0
+    # through the node at x = 0, above through the Gauss-Jacobi rule's
+    # degree; summed at 30 digits.  Every weight is positive
+    rule = specfun._LaplaceRule(alpha, 1.0)
+    weights = np.exp(rule.e_unit)
+    assert np.all(weights > 0.0)
+    with mpmath.workdps(30):
+        x = [mpmath.mpf(v) for v in rule.t_unit]
+        w = [mpmath.mpf(v) for v in weights]
+        for j in range(32):
+            got = mpmath.fsum(wi * xi ** j for wi, xi in zip(w, x))
+            assert abs(got * (alpha + j) - 1) <= 1e-14, j
+
+
 def test_u_at_tiny_alpha_matches_mpmath():
-    # far below the supported box (alpha >= 1.2e-4) the graded panels end
-    # within 1e-11 of u = 1; kept in v = 1 - u they still resolve
-    # t = u^{1/alpha}, on arrays and single points
+    # far below the supported box (alpha >= 1.2e-4) the inner rule keeps
+    # its 17 nodes, and its node at t = 0 weighs 1/alpha - O(1); on arrays
+    # and single points
     alpha = 1e-10
     zs = np.geomspace(1e-3, 500.0, 6)
     for gamma in (0.0043, 0.5, 3.0, 41.0):
