@@ -20,17 +20,11 @@ boundary residual
 
 where <t> is the mean of t under the weight e^{-z t} t^{alpha-1}
 (1 + t)^{gamma-alpha-1} of U's Laplace integral, so one pass of that rule
-gives ln U and U'/U (specfun._tricomi_u_raw).  The rule depends on (alpha,
-gamma) only: _Workspace builds it (specfun._LaplaceRule) at its first U
-pass with one solve window of z, [p c/10, 5 p c], and keeps it.  A pass
-whose z all lie in the window takes the window's span, so the first decade
-of the step-down below p c (where most boundaries lie), Newton's iterates
-there, the diagnostics on [x*, 5 x*] and V(x) for c/10 <= x <= 5 c share
-one set of nodes; other passes take their own span.  R's root is x*,
-refined by Newton in ln z on one 0-d pass per step, with R's slope from
-that pass's U''/U = <t^2> and A''.  One pass at z* and the 7 diagnostic
-probes then gives V below its U(z*) and 1 - A(x*) (the first row) and the
-diagnostics (the whole pass, through _combine).
+gives ln U and U'/U (specfun._tricomi_u_raw).  R's root is x*, refined by
+Newton in ln z on one 0-d pass per step, with R's slope from that pass's
+U''/U = <t^2> and A''.  One pass at z* and the 7 diagnostic probes then
+gives V below its U(z*) and 1 - A(x*) (the first row) and the diagnostics
+(the whole pass, through _combine).
 A decreases (P = A_P e^{-B x}, B > 0) and U'/U < 0 tends to -inf as z -> 0,
 so R < 0 at every x > 0 if A(0) <= 1 and R > 0 near 0 if A(0) > 1: a
 boundary exists if and only if A(0) > 1, and then x* <= c.  The value on the
@@ -38,12 +32,23 @@ branch x >= x* is
 
     V(x) = A(x) + (1 - A(x*)) e^{lam (x - x*)} U(z) / U(z*).
 
-A, A' = -c int B P dt and A'' = c int B^2 P dt come from one fixed GK15 rule
-in t (_annuity_rule, about 400 nodes) and one matrix product per array of x;
-A and A' agree with a 25-digit mpmath quadrature to 7e-15 relative for x up
-to 1e6 on the supported box (see specfun).  Its first panel resolves P up to
-x = _X_MAX = 1e7 only, so V and the ODE residual raise DomainError above
-it.  U enters only through U'/U, U''/U and as exp of a difference of logs,
+Annuity.  In the bond variable b = B(t) = B_inf v, B_inf = -lam, v in
+[0, 1) (Cox, Ingersoll & Ross, Econometrica 53, 1985; ROADMAP item 8's
+w = a (1 - v), a = a_exp), the t -> inf tail is the endpoint weight of
+
+    A = c/(s (1-a)) int_0^1 (1-v)^{alpha-1} (1 + a v/(1-a))^{gamma-alpha-1}
+        e^{-x b} dv,
+
+and A', A'' take -b, b^2 under the integral.  The nodes
+(_Workspace._annuity_nodes) are U's Gauss-Jacobi unit rule for that weight
+on 1 - v in (0, rho], rho <= 1/alpha, then GK15 panels geometric in 1 - v
+up to 1/2 and in v down to v_min <= 1e-3 min(1, 1/(B_inf x_max)), x_max
+the largest x of a pass, and one panel on [0, v_min].  Each node keeps the
+x-free part e of its exponent, so (A, A', A'') = sum e^{e - x b}
+(1, -b, b^2) is one matrix product per array of x >= 0 (p x finite).
+Against a 30-digit mpmath quadrature of the w-integral on 25 sets at 10 x
+from 0 to 1e12, A, A' and A'' agree within 4.9e-15 relative.
+U enters only through U'/U, U''/U and as exp of a difference of logs,
 so nothing overflows.  _rows alone splits V into its stopped rows (1, 0, 0)
 and _combine's V, V', V'' (V'' within 7.8e-14 of the sum of its terms'
 sizes against mpmath), to which ode_residual and diagnose apply the ODE.
@@ -57,6 +62,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Union
@@ -66,9 +72,10 @@ import numpy as np
 from .errors import (BoundaryBelowFloorError, DomainError, NoBracketError,
                      ValidationError)
 from .model import (RATE_FLOOR, CirParams, ContractParams, DerivedConstants,
-                    bond_price_terms, derive_constants, require_unit_balance)
-from .numerics import find_root_bracketed, gk15_panels
-from .specfun import _kummer_m_scaled, _LaplaceRule, _tricomi_u_raw
+                    derive_constants, require_unit_balance)
+from .numerics import find_root_bracketed
+from .specfun import (_UNIT_NODES, _UNIT_WEIGHTS, _jacobi_unit,
+                      _kummer_m_scaled, _LaplaceRule, _tricomi_u_raw)
 
 __all__ = ["SteadyStateSolution", "Diagnostics", "DiagnosticsWarning",
            "ValueCurve", "solve_boundary", "value", "value_derivative",
@@ -77,19 +84,8 @@ __all__ = ["SteadyStateSolution", "Diagnostics", "DiagnosticsWarning",
 Real = Union[float, np.ndarray]
 
 _CHUNK = 64
-# The annuity rule in t (years): GK15 on [0, _T_FIRST], then panels growing
-# by _T_RATIO until their width reaches _T_SPAN / r_inf, equal panels of that
-# width beyond, out to _T_REACH / r_inf, where P has decayed like
-# e^{-r_inf t}; r_inf = 2 k theta / (s + k) is the long rate.  A rate that
-# starts at 0 climbs over about 1/k years, so the reach is at least
-# _T_REACH / theta + 1/k, where its mean integral theta (T - (1 - e^{-k T})/k)
-# passes _T_REACH (the later reach where s - k < theta/30).  The first panel
-# resolves the e^{-B x} ~ e^{-x t} start of P while x <= _X_MAX.
-_T_FIRST = 1e-6
-_X_MAX = 10.0 / _T_FIRST
-_T_RATIO = 3.0
-_T_SPAN = 8.0
-_T_REACH = 60.0
+_END_E = np.log(_UNIT_WEIGHTS)          # the annuity's panel on [0, v_min]
+_FLOAT_MAX = sys.float_info.max         # x <= _FLOAT_MAX / p: z = p x finite
 # Bounds on a solution's diagnostics, applied by Diagnostics.bounds alone for
 # solve_boundary's warning and cirmort verify's pasting and ODE checks
 PASTING_VALUE_TOL = 1e-8
@@ -110,42 +106,82 @@ class DiagnosticsWarning(UserWarning):
     value function may be less accurate than documented."""
 
 
-def _annuity_rule(cir: CirParams, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights in t of the annuity integral (see _T_FIRST)."""
-    r_inf = 2.0 * cir.k * cir.theta / (s + cir.k)
-    width = _T_SPAN / r_inf
-    reach = max(_T_REACH / r_inf, _T_REACH / cir.theta + 1.0 / cir.k)
-    t_switch = min(width / (_T_RATIO - 1.0), reach)
-    n = math.ceil(math.log(t_switch / _T_FIRST) / math.log(_T_RATIO))
-    grown = _T_FIRST * _T_RATIO ** np.arange(n + 1)
-    even = np.arange(grown[-1], reach + width, width)[1:]
-    return gk15_panels(np.concatenate([[0.0], grown, even]))
-
-
 class _Workspace:
-    """Per-(cir, contract) evaluation context: the annuity rule with its
-    bond-price terms, and U's Laplace rule, built at the first U pass with
-    the solve window [p c/10, 5 p c] (module docstring), so a set without a
-    boundary never builds it; all public entry points funnel through
-    here.  On perfbench's solve_sets(1, 512), one solve_op each, 2892 of
-    3072 U passes lie inside the window; the other 180 come from the 29 of
-    329 solved sets with x* < c/10, and the run makes 426 node builds."""
+    """Per-(cir, contract) evaluation context, through which every public
+    entry point funnels: the annuity's nodes and U's Laplace rule, which
+    share one Gauss-Jacobi unit rule (one dstev call) and depend on the set
+    only.  Each keeps one solve window, x <= 5 c for the annuity and
+    z in [p c/10, 5 p c] for U: a pass inside it takes the window's span,
+    so the step-down's first decade below p c (where most boundaries lie),
+    Newton's iterates there, the diagnostics on [x*, 5 x*] and V(x) for
+    c/10 <= x <= 5 c share one set of nodes; other passes take their own.
+    U's rule is built at the first U pass, so a set without a boundary
+    never builds it.  On perfbench's solve_sets(1, 512), one solve_op each,
+    all 3584 annuity passes lie in its window, one build per set, and 2892
+    of 3072 U passes lie in U's window; the other 180 come from the 29 of
+    329 solved sets with x* < c/10, and the run makes 426 U node builds."""
 
     def __init__(self, cir: CirParams, contract: ContractParams):
         self.consts = consts = derive_constants(cir)
-        t, w = _annuity_rule(cir, consts.s)
-        self.log_a, b = bond_price_terms(cir, t)
-        # columns: c w for A, -c w B for A', c w B^2 for A''
-        self.weights = contract.c * np.stack([w, -w * b, w * b * b], axis=1)
-        self.b = b
         self.c = contract.c
-        self.u_rule = None
+        self.inner = _jacobi_unit(consts.alpha)
+        self.step = min(math.log(2.0), 1.3 / math.sqrt(max(consts.alpha, 1.0)))
+        self.n_w = max(math.ceil(math.log(0.5 * consts.alpha) / self.step), 0)
+        width = -math.expm1(-self.step)     # the unit panel [e^{-step}, 1]
+        self.panel = 1.0 - width + width * _UNIT_NODES
+        self.e_panel = np.log(width * _UNIT_WEIGHTS)
+        self.window = self._span(5.0 * contract.c)
+        self.span = self.u_rule = None
+
+    def _span(self, x_max: float) -> int:
+        """The n of the v_min = e^{-n step}/2 <= 1e-3 min(1, 1/(B_inf x_max))
+        of a pass whose largest rate is x_max."""
+        return math.ceil((math.log(500.0) + math.log(
+            max(-self.consts.lam * x_max, 1.0))) / self.step)
+
+    def _annuity_nodes(self, n: int) -> np.ndarray:
+        """Rows (e, 1, -b, b^2) of the annuity's nodes with n panels in v
+        (module docstring, Annuity): summed with e^{e - x b}, the last three
+        give A, A' and A''."""
+        consts, step, n_w = self.consts, self.step, self.n_w
+        alpha, gamma, a = consts.alpha, consts.gamma, consts.a_exp
+        # panel j is the unit panel times top[j] = e^{-j step}/2
+        log_top = math.log(0.5) - step * np.arange(max(n, n_w) + 1.0)
+        q = np.multiply.outer(np.exp(log_top[:-1]), self.panel).ravel()
+        e_q = np.add.outer(log_top[:-1], self.e_panel).ravel()
+        k_w, k_y = n_w * self.panel.size, n * self.panel.size
+        x, e_x = self.inner
+        rows = np.empty((4, x.size + k_w + k_y + _UNIT_NODES.size))
+        e, v = rows[0], rows[2]
+        np.concatenate([1.0 - math.exp(log_top[n_w]) * x, 1.0 - q[:k_w],
+                        q[:k_y], math.exp(log_top[n]) * _UNIT_NODES], out=v)
+        np.concatenate([e_x + alpha * log_top[n_w],
+                        e_q[:k_w] + (alpha - 1.0) * np.log(q[:k_w]), e_q[:k_y],
+                        _END_E + log_top[n]], out=e)
+        # (1 - v)^{alpha-1} on the panels in v; the others carry it already
+        tail = x.size + k_w
+        e[tail:] += (alpha - 1.0) * np.log1p(-v[tail:])
+        e += ((gamma - alpha - 1.0) * np.log1p(a / (1.0 - a) * v)
+              + math.log(self.c / (consts.s * (1.0 - a))))
+        v *= consts.lam                     # -b
+        rows[1] = 1.0
+        np.multiply(v, v, out=rows[3])
+        return rows
 
     def annuity(self, xs: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(A, dA/dx, d2A/dx2) at every rate x of xs, an array or one 0-d x,
-        one matrix product."""
-        return tuple((np.exp(self.log_a - np.multiply.outer(xs, self.b))
-                      @ self.weights).T)
+        """(A, dA/dx, d2A/dx2) at every rate x >= 0 of xs, an array or one
+        0-d x: one matrix product over the nodes of the span of the largest
+        x, or of the window x <= 5 c if it holds them all."""
+        x_max = float(xs.max()) if xs.ndim else float(xs)
+        span = self.window if x_max <= 5.0 * self.c else self._span(x_max)
+        if span != self.span:
+            rows = self._annuity_nodes(span)
+            self.span, self.e, self.minus_b = span, rows[0], rows[2]
+            self.weights = np.ascontiguousarray(rows[1:].T)
+        e = np.multiply.outer(xs, self.minus_b)
+        e += self.e
+        np.exp(e, out=e)
+        return tuple((e @ self.weights).T)
 
     def terms(self, zs: np.ndarray) -> tuple[np.ndarray, ...]:
         """(A, A', A'', ln U, U'/U, U''/U) at every z of zs, an array or one
@@ -154,7 +190,8 @@ class _Workspace:
         alpha, gamma = self.consts.alpha, self.consts.gamma
         if self.u_rule is None:
             pc = self.consts.p * self.c
-            self.u_rule = _LaplaceRule(alpha, gamma, (0.1 * pc, 5.0 * pc))
+            self.u_rule = _LaplaceRule(alpha, gamma, (0.1 * pc, 5.0 * pc),
+                                       self.inner)
         return (*self.annuity(zs / self.consts.p),
                 *_tricomi_u_raw(alpha, gamma, zs, rule=self.u_rule))
 
@@ -230,9 +267,9 @@ def _rows(solution: SteadyStateSolution, x: Real, name: str,
     """(xs, rows, scalar): the rates x as an array, the rows (V, dV/dx,
     d2V/dx2) at each, (1, 0, 0) on the stopped branch x <= x* (x < x* if
     closed) and _branch's rows above it, and whether x was a scalar."""
-    xs = np.asarray(x, dtype=float)
-    if not ((xs >= 0) & (xs <= _X_MAX)).all():     # False at NaN too
-        raise DomainError(f"{name} requires 0 <= x <= {_X_MAX:g}")
+    xs, x_top = np.asarray(x, dtype=float), _FLOAT_MAX / solution.consts.p
+    if not ((xs >= 0.0) & (xs <= x_top)).all():     # False at NaN too
+        raise DomainError(f"{name} requires 0 <= x <= {x_top:g}")
     scalar, xs = xs.ndim == 0, np.atleast_1d(xs)
     rows = np.zeros((3, xs.size))
     rows[0] = 1.0
@@ -275,13 +312,14 @@ def ode_residual(solution: SteadyStateSolution, x: Real) -> Real:
 
 def diagnose(solution: SteadyStateSolution, probes: Real) -> Diagnostics:
     """V(x*) - 1 and V'(x*) on the continuation branch, and the largest
-    |ODE residual| at the probes x* < x <= _X_MAX, from one branch
+    |ODE residual| at the probes x* < x, p x finite, from one branch
     evaluation.  value() reads the stopped branch at x*, which is 1 by
     definition, so it cannot show a misplaced boundary."""
-    xs = np.append(solution.x_star, probes)
+    xs, x_top = (np.append(solution.x_star, probes),
+                 _FLOAT_MAX / solution.consts.p)
     # NaN fails; so does an empty probe set, which has no residual to take
-    if not (xs.size > 1 and xs[1:].min() > xs[0] and xs.max() <= _X_MAX):
-        raise DomainError(f"diagnose requires probes x* < x <= {_X_MAX:g}")
+    if not (xs.size > 1 and xs[1:].min() > xs[0] and xs.max() <= x_top):
+        raise DomainError(f"diagnose requires probes x* < x <= {x_top:g}")
     return _diagnostics(solution, xs, _branch(solution, xs))
 
 
@@ -300,8 +338,8 @@ class ValueCurve:
 
 def value_curve(solution: SteadyStateSolution, x_min: float, x_max: float,
                 points: int) -> ValueCurve:
-    if not (math.isfinite(x_max) and x_max <= _X_MAX):
-        raise ValidationError("x_max", f"need finite x_max <= {_X_MAX:g}")
+    if not math.isfinite(x_max):
+        raise ValidationError("x_max", "need finite x_max")
     if not (0 <= x_min < x_max):
         raise ValidationError("x_min", "need 0 <= x_min < x_max")
     if not (isinstance(points, (int, np.integer)) and points >= 2):
@@ -377,7 +415,7 @@ def solve_boundary(cir: CirParams, contract: ContractParams,
     ws = _Workspace(cir, contract)
     consts = ws.consts
 
-    ann_zero = float(ws.annuity(np.zeros(1))[0][0])
+    ann_zero = float(ws.annuity(np.float64(0.0))[0])
     if not ann_zero > 1.0:
         raise NoBracketError(f"no interior boundary: A(0) = {ann_zero!r} <= 1",
                              annuity_at_zero=ann_zero)

@@ -20,18 +20,15 @@ nodes).  Differentiating under the integral gives
 U' = -1/Gamma(alpha) int t e^{-z t} ..., so U'/U = -<t>, the mean of t
 under U's own Laplace weight, and likewise U''/U = <t^2>: one pass of the
 rule gives ln U, U'/U and U''/U (_tricomi_u_raw).  A rule depends on
-(alpha, gamma) only: it builds the inner nodes on (0, 1] and one t-panel on
-[1, e^step] once, and a pass scales both to its span of j and forms
-e^{-z t}.  A caller that keeps the rule (closed_form's workspace) reuses
-the last span's nodes, as Newton's iterates near a root do; a caller that
-builds it with a window of z makes every pass inside the window take the
-window's one span, so passes at nearby z share their nodes.
+(alpha, gamma) only, and a caller may keep it between passes
+(_LaplaceRule, Window).
 
 Inner range.  With t = t_split x and f = e^{-z t} (1 + t)^{gamma-alpha-1},
 int_0^1 x^{alpha-1} f dx = 1/alpha + int_0^1 x^alpha (f - 1)/x dx, as
 f = 1 at x = 0.  The 16-node Gauss rule for the weight x^alpha (nodes x_i,
 weights w_i; Golub & Welsch, Math. Comp. 23, 1969, from the Jacobi matrix
-of P^(0, alpha) on [-1, 1]) makes that sum (w_i/x_i) f(x_i) + C f(0),
+of P^(0, alpha) on [-1, 1]; _jacobi_unit, which closed_form's annuity
+shares) makes that sum (w_i/x_i) f(x_i) + C f(0),
 C = 1/alpha - sum w_i/x_i > 0, its error on 1/x.  The node at x = 0 adds
 nothing to <t> and <t^2>, and is left out where C rounds to <= 0 (from
 alpha ~ 12 up, below 1e-16 of 1/alpha).  The rule integrates
@@ -39,9 +36,9 @@ x^{alpha-1+j}, j <= 31, within 1e-14 relative on 200 alpha from 1e-14 to
 2000, with no seam in alpha.  Against mpmath at 40 digits on 12 alpha in
 [8.3e-4, 21], gamma in {0.0043, 0.05, 0.5, 3, 24, 41, 180} and 12 z in
 [1e-3, 500], on one array and at single points, ln U is within 2.3e-13
-absolute and U'/U and U''/U within 8.5e-15 relative; at alpha = 1e-6,
+absolute and U'/U and U''/U within 9.1e-15 relative; at alpha = 1e-6,
 1e-10 and 1e-14 (gamma in {0.0043, 0.5, 3, 41}, 8 z) within 5.7e-14 and
-8.4e-15.
+1.1e-14.
 
 Supported box.  On 2000 log-uniform draws over k in [0.01, 5], theta in
 [0.003, 0.3], sigma in [0.005, 0.5] and c in [0.005, 0.2] (gamma from 6e-4
@@ -81,6 +78,27 @@ def _check_z(z_min: float, z_max: float, name: str) -> None:
 
 
 _JACOBI_NODES = 16      # Gauss-Jacobi nodes of U's rule on (0, t_split]
+_K = np.arange(float(_JACOBI_NODES))    # the Jacobi matrix's row index
+# GK15 on [0, 1], of which each panel of U's rule and of the annuity's
+# (closed_form) is an affine copy
+_UNIT_NODES, _UNIT_WEIGHTS = gk15_panels(np.array([0.0, 1.0]))
+
+
+def _jacobi_unit(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x in [0, 1] and log weights of the _JACOBI_NODES-point rule for
+    int_0^1 x^{alpha-1} f(x) dx of the module docstring's Inner range: one
+    dstev call on the Jacobi matrix of P^(0, alpha) gives the eigenvalues y,
+    x = (1 + y)/2, and the weights from the eigenvectors' first components."""
+    s = 2.0 * _K + alpha
+    y, vectors, _ = dstev(alpha * alpha / (s * (s + 2.0)),
+                          2.0 * _K[1:] * (_K[1:] + alpha)
+                          / (s[1:] * np.sqrt(s[1:] * s[1:] - 1.0)))
+    x, w = np.zeros(_JACOBI_NODES + 1), np.empty(_JACOBI_NODES + 1)
+    np.multiply(0.5, 1.0 + y, out=x[1:])
+    np.divide(vectors[0] ** 2, (alpha + 1.0) * x[1:], out=w[1:])
+    w[0] = 1.0 / alpha - w[1:].sum()     # C, at x = 0
+    keep = 0 if w[0] > 0.0 else 1
+    return x[keep:], np.log(w[keep:])
 
 
 class _LaplaceRule:
@@ -99,12 +117,10 @@ class _LaplaceRule:
     e = ln w + (alpha-1) ln t, which scaling raises by alpha j step.
 
     Inner range (0, t_split], t_split = e^{j0 step} <= 1/z_max, in
-    x = t/t_split: the _JACOBI_NODES Gauss-Jacobi nodes for the weight
-    x^alpha, weighted w/x, and x = 0, weighted C (module docstring, Inner
-    range); e = ln weight, which scaling raises by alpha j0 step.  Both unit
-    sets are formed once; a pass whose span (j0, j1) differs from the last
-    one's scales them to it, and every node adds (gamma-alpha-1) ln(1 + t)
-    to its e.
+    x = t/t_split: the nodes of _jacobi_unit(alpha), or of inner if the
+    owner passes them; e = ln weight, which scaling raises by alpha j0 step.
+    A pass whose span (j0, j1) differs from the last one's scales both unit
+    sets to it, and every node adds (gamma-alpha-1) ln(1 + t) to its e.
 
     Window: the owner may build the rule with window = (z_lo, z_hi).  A
     pass whose z all lie in it takes the span of (z_lo, z_hi) in place of
@@ -114,28 +130,21 @@ class _LaplaceRule:
     takes an array of z or one 0-d z, for which it returns scalars."""
 
     def __init__(self, alpha: float, gamma: float,
-                 window: tuple[float, float] | None = None):
+                 window: tuple[float, float] | None = None,
+                 inner: tuple[np.ndarray, np.ndarray] | None = None):
         self.alpha, self.gamma, self.window = alpha, gamma, window
         g = max(gamma - 2.0, alpha - 1.0)
         self.reach = 60.0 + 3.0 * max(g, 0.0)
         self.step = min(math.log(2.0), 1.3 / math.sqrt(max(g, 1.0)))
-        # Golub-Welsch on the Jacobi matrix of P^(0, alpha): eigenvalues y,
-        # and weights from the first components of the eigenvectors
-        n = np.arange(1.0, _JACOBI_NODES)
-        s = 2.0 * np.arange(_JACOBI_NODES) + alpha
-        y, vectors, _ = dstev(alpha * alpha / (s * (s + 2.0)),
-                              2.0 * n * (n + alpha)
-                              / (s[1:] * np.sqrt(s[1:] * s[1:] - 1.0)))
-        x = 0.5 * (1.0 + y)
-        w = vectors[0] ** 2 / ((alpha + 1.0) * x)
-        at_zero = 1.0 / alpha - w.sum()
-        if at_zero > 0.0:
-            x, w = np.append(0.0, x), np.append(at_zero, w)
-        self.t_unit, self.e_unit = x, np.log(w)
-        self.t_panel, w = gk15_panels(np.array([1.0, math.exp(self.step)]))
-        self.e_panel = np.log(w) + (alpha - 1.0) * np.log(self.t_panel)
-        # the last pass's (j0, j1) and the rows (e, 1, t, t^2) of its nodes:
-        # Newton's iterates near a root ask for the same span again
+        self.t_unit, self.e_unit = (_jacobi_unit(alpha) if inner is None
+                                    else inner)
+        width = math.expm1(self.step)
+        self.t_panel = 1.0 + width * _UNIT_NODES
+        self.e_panel = (np.log(width * _UNIT_WEIGHTS)
+                        + (alpha - 1.0) * np.log(self.t_panel))
+        # the last pass's (j0, j1), the rows (e, 1, t, t^2) of its nodes and
+        # the last three as columns: Newton's iterates near a root ask for
+        # the same span again
         self.span, self.nodes = None, None
 
     def _nodes(self, j0: int, j1: int) -> np.ndarray:
@@ -167,13 +176,14 @@ class _LaplaceRule:
                 math.ceil((math.log(self.reach) - math.log(z_min)) / step))
         if span != self.span:
             self.span, self.nodes = span, self._nodes(*span)
+            self.weights = np.ascontiguousarray(self.nodes[1:].T)
         nodes = self.nodes
         e = np.multiply.outer(zs, nodes[2])
         np.subtract(nodes[0], e, out=e)
         peak = e.max(axis=-1, keepdims=True)
         e -= peak
         np.exp(e, out=e)
-        total, mean_t, mean_tt = (e @ nodes[1:].T).T
+        total, mean_t, mean_tt = (e @ self.weights).T
         return (peak[..., 0] + np.log(total) - math.lgamma(self.alpha),
                 -mean_t / total, mean_tt / total)
 

@@ -1,9 +1,10 @@
 """Reference forms of the closed-form solution that the solver itself does
-not use, in mpmath at 20 digits: the source term, the variation-of-parameters
-kernel, the paper's particular solution u_p = M I_U + U I_M at any z_ref, two
-forms of its smooth-pasting residual, the annuity-form residual R(x), and the
-annuity at x = 0 by the incomplete beta function.  The tests check them
-against each other and against the solver."""
+not use, in mpmath at 20 digits unless stated: the source term, the
+variation-of-parameters kernel, the paper's particular solution
+u_p = M I_U + U I_M at any z_ref, two forms of its smooth-pasting residual,
+the annuity-form residual R(x), the annuity as an integral in the bond
+variable, and the annuity at x = 0 by the incomplete beta function.  The
+tests check them against each other and against the solver."""
 
 import math
 
@@ -11,6 +12,7 @@ import mpmath as mp
 import numpy as np
 
 from cirmort.errors import DomainError
+from cirmort.model import derive_constants
 
 DPS = 20
 
@@ -135,6 +137,47 @@ def annuity_mp(cir, contract, x, dps=DPS):
         ann_x = -c * mp.quad(lambda t: mp.fprod(terms(t)), pts)
         ann_xx = c * mp.quad(lambda t: b_squared_p(*terms(t)), pts)
         return +ann, +ann_x, +ann_xx
+
+
+def annuity_w_mp(cir, contract, x, dps=30):
+    """(A, A', A'') as mpf from the annuity in the bond variable
+    w = a - B(t)/p, a = a_exp, z = p x (Cox, Ingersoll & Ross 1985):
+
+        A = (c/s) a^{-alpha} (1-a)^{alpha-gamma}
+            int_0^a w^{alpha-1} (1-w)^{gamma-alpha-1} e^{-z (a-w)} dw,
+
+    A' and A'' with the factors -p (a - w) and p^2 (a - w)^2 under the
+    integral, by mp.quad at dps + alpha/ln 10 digits (the margin that the
+    a-series of this integral needs: it cancels by about e^alpha).  mp.quad
+    stops on an absolute error, so each piece is put in O(1) form, in
+    v = (a - w)/a and zeta = z a: w <= a/2 as u = (2w/a)^alpha, which
+    absorbs w^{alpha-1}, and w > a/2 as u = q v, q = max(1, zeta), split
+    geometrically toward v = 0."""
+    with mp.workdps(dps + int(derive_constants(cir).alpha / math.log(10)) + 1):
+        k, theta, sigma = map(mp.mpf, (cir.k, cir.theta, cir.sigma))
+        s = mp.sqrt(k * k + 2 * sigma ** 2)
+        a, g = sigma ** 2 / (s * (s + k)), 2 * k * theta / sigma ** 2
+        al, p = g * a, 2 * s / sigma ** 2
+        zeta = p * mp.mpf(x) * a
+        q = max(1, zeta)
+
+        def f(v):
+            return (1 + a * v / (1 - a)) ** (g - al - 1) * mp.exp(-zeta * v)
+
+        lows = [0] + [mp.mpf(4) ** (-i * al) for i in range(11, -1, -1)]
+        highs = [q / 2]
+        while highs[-1] > 1e-3:
+            highs.append(highs[-1] / 4)
+        highs.append(0)
+        out = []
+        for j in range(3):
+            low = mp.quad(lambda u: f(1 - u ** (1 / al) / 2)
+                          * (1 - u ** (1 / al) / 2) ** j, lows)
+            high = mp.quad(lambda u: (1 - u / q) ** (al - 1) * f(u / q)
+                           * u ** j, highs[::-1])
+            out.append(mp.mpf(contract.c) / (s * (1 - a)) * (-p * a) ** j
+                       * (2 ** -al / al * low + q ** (-1 - j) * high))
+        return tuple(out)
 
 
 def annuity_residual_mp(cir, contract, x):

@@ -64,7 +64,7 @@ def test_solve_prints_an_overflowing_c2_as_null(capsys):
     assert json.loads(out)["c2"] is None
     code, out, _ = run_cli(capsys, ["solve", *PRIMARY[:-1], "150"])
     assert code == 0
-    assert '"c2": 1.6805040919336744e+243,' in out
+    assert '"c2": 1.6805040919352028e+243,' in out
 
 
 def test_solve_determinism_byte_identical(capsys):
@@ -232,12 +232,15 @@ def test_curve_csv_invariants(capsys):
 def test_curve_rejects_bad_window(capsys):
     for window, field in ((["--x-min", "0.5", "--x-max", "0.1"], "x_min"),
                           (["--x-max", "inf"], "x_max"),
-                          (["--x-min", "0.01", "--x-max", "nan"], "x_max"),
-                          (["--x-max", "1e8"], "x_max")):
+                          (["--x-min", "0.01", "--x-max", "nan"], "x_max")):
         code, out, err = run_cli(capsys, ["curve", *PRIMARY, *window])
         assert code == 2
         assert out == ""
         assert json.loads(err)["field"] == field
+    # any finite window above x* evaluates: the annuity has no rate cap
+    code, out, err = run_cli(capsys, ["curve", *PRIMARY, "--x-max", "1e8"])
+    assert (code, err) == (0, "")
+    assert float(out.splitlines()[-1].split(",")[0]) == 1e8
 
 
 def test_curve_rejects_one_point_after_the_solve(capsys):
@@ -266,6 +269,21 @@ def test_verify_fast_pass(capsys):
                  "shooting_agreement", "fd_boundary", "mc_agreement",
                  "mc_optimality"):
         assert want in names
+
+
+def test_verify_passes_where_the_tail_probe_is_100_k(capsys):
+    # k = 2e5 puts the tail probe max(50 max(theta, c, x*), 100 k) at 2e7,
+    # beyond the rate cap of 1e7 that the annuity's t-rule had
+    code, out, _ = run_cli(capsys, ["verify", "--k", "2e5", "--theta", "0.03",
+                                    "--sigma", "0.2", "--c", "0.08",
+                                    "--skip", "mc", "--skip", "fd",
+                                    "--skip", "shooting"])
+    rep = json.loads(out)
+    assert code == 0, rep
+    assert rep["overall"] == "pass" and rep["failed"] == []
+    statuses = [ch["status"] for ch in rep["checks"]]
+    assert statuses.count("pass") == 7
+    assert set(statuses) == {"pass", "skipped"}
 
 
 def test_verify_skip_marks_checks_skipped(capsys):

@@ -23,7 +23,8 @@ from cirmort.specfun import _kummer_m_scaled, _tricomi_u_raw  # noqa: the
 # log-space helpers are internal but are the only overflow-free route for the
 # asymptotic-elimination check below
 from closed_form_reference import (annuity_at_zero_betainc, annuity_mp,
-                                   annuity_residual_mp, boundary_residual,
+                                   annuity_residual_mp, annuity_w_mp,
+                                   boundary_residual,
                                    boundary_residual_ratio_form,
                                    kernel_weight, particular_solution,
                                    source_term)
@@ -140,25 +141,53 @@ def test_particular_solution_requires_ordered_arguments(primary_consts):
 # ---------------------------------------------------------------------------
 # annuity A = c int P dt
 
-@pytest.mark.parametrize("cir,c", [
-    (PRIMARY_CIR, 0.05),
-    (CirParams(k=0.1, theta=0.03, sigma=0.2), 0.05),     # alpha = 0.05
-    (CirParams(k=0.5, theta=0.1, sigma=0.05), 0.05),     # gamma = 40
-    (CirParams(k=0.21605, theta=0.014419, sigma=0.49818), 0.037467),
-    (CirParams(k=0.024337, theta=0.021019, sigma=0.168964), 0.023025),
-], ids=["primary", "low_alpha", "gamma_40", "gamma_0.025", "gamma_0.036"])
-def test_annuity_matches_bond_price_quadrature(cir, c):
+ANNUITY_SETS = [
+    pytest.param(PRIMARY_CIR, 0.05, id="primary"),
+    pytest.param(CirParams(k=0.1, theta=0.03, sigma=0.2), 0.05,
+                 id="low_alpha"),                          # alpha = 0.05
+    pytest.param(CirParams(k=0.5, theta=0.1, sigma=0.05), 0.05,
+                 id="gamma_40"),
+    pytest.param(CirParams(k=0.21605, theta=0.014419, sigma=0.49818),
+                 0.037467, id="gamma_0.025"),
+    pytest.param(CirParams(k=0.024337, theta=0.021019, sigma=0.168964),
+                 0.023025, id="gamma_0.036"),
+]
+
+
+def _annuity_check(cir, c, reference, **kwargs):
+    """A, A' and A'' of the workspace within 1e-13 relative of reference
+    from 1e-4 theta to the tail probe of cmd_verify."""
     con = ContractParams(c=c, m=c)
     ws = _Workspace(cir, con)
     d = ws.consts
-    # from 1e-4 theta to the tail probe of cmd_verify
     xs = np.array([1e-4 * cir.theta, 1.0 / d.p, cir.theta,
                    10.0 * max(cir.theta, c), 1400.0 / d.p,
                    max(50.0 * max(cir.theta, c), 100.0 * cir.k)])
     for x, *got in zip(xs, *ws.annuity(xs)):
         # A, A' and A'' do not cancel: each integrand keeps one sign
-        for v, want in zip(got, annuity_mp(cir, con, x, dps=25)):
+        for v, want in zip(got, reference(cir, con, x, **kwargs)):
             assert abs(v - want) <= 1e-13 * abs(want), x
+
+
+@pytest.mark.parametrize("cir,c", ANNUITY_SETS)
+def test_annuity_matches_bond_price_quadrature(cir, c):
+    _annuity_check(cir, c, annuity_mp, dps=25)
+
+
+@pytest.mark.parametrize("cir,c", ANNUITY_SETS + [
+    pytest.param(CirParams(k=4.4479, theta=0.0037, sigma=0.0135), 0.0056,
+                 id="alpha_8.3e-4"),
+    pytest.param(CirParams(k=0.25, theta=0.06, sigma=0.001), 0.05,
+                 id="gamma_3e4"),
+    pytest.param(CirParams(k=0.02, theta=0.3, sigma=0.002), 0.05,
+                 id="alpha_15"),
+    # the set of the t-rule's too-short reach; annuity_mp is 2.5e-10 off
+    # there at 40 digits
+    pytest.param(CirParams(k=8.74e-4, theta=0.335, sigma=8.88e-4), 0.0145,
+                 id="alpha_159"),
+])
+def test_annuity_matches_the_w_integral(cir, c):
+    _annuity_check(cir, c, annuity_w_mp)
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +328,15 @@ def test_solve_warns_only_when_a_diagnostic_misses(monkeypatch):
 
 
 @pytest.mark.parametrize("module,name,perturb", [
-    # A scaled by 1 + 1e-6 no longer solves L A + c = 0
-    (closed_form, "bond_price_terms",
-     lambda f: lambda cir, t: (f(cir, t)[0] + 1e-6, f(cir, t)[1])),
+    # A scaled by 1 + 1e-6, its log prefactor shifted by 1e-6, no longer
+    # solves L A + c = 0
+    (_Workspace, "_annuity_nodes",
+     lambda f: lambda ws, n: f(ws, n) + [[1e-6], [0.0], [0.0], [0.0]]),
     # U from a weight with gamma(1 + 1e-6) no longer solves Kummer's
     # equation at gamma; a U''/U taken from that equation would hide it
     (closed_form, "_LaplaceRule",
-     lambda f: lambda alpha, gamma, window: f(alpha, gamma * (1.0 + 1e-6),
-                                               window)),
+     lambda f: lambda alpha, gamma, *rest: f(alpha, gamma * (1.0 + 1e-6),
+                                              *rest)),
 ], ids=["log_a", "u_weight_gamma"])
 def test_ode_residual_sees_a_perturbed_solution(monkeypatch, module, name,
                                                 perturb):
@@ -738,17 +768,24 @@ def test_verify_evaluates_the_branch_twice(monkeypatch, primary_solution):
 def test_solve_and_value_at_theta_build_u_nodes_once(monkeypatch, cir, c):
     # the step-down's first decade, Newton's iterates, c2, the diagnostics
     # on [x*, 5 x*] and V(theta) all lie in the workspace's solve window
-    # [p c/10, 5 p c], so they share the nodes of its one span
-    builds = []
-    nodes = specfun._LaplaceRule._nodes
+    # [p c/10, 5 p c], so they share the nodes of its one span; the annuity
+    # and U's rule share one Gauss-Jacobi unit rule, one dstev call
+    builds, eigen = [], []
+    nodes, dstev = specfun._LaplaceRule._nodes, specfun.dstev
 
     def counted(rule, j0, j1):
         builds.append((j0, j1))
         return nodes(rule, j0, j1)
+
+    def counted_dstev(*args):
+        eigen.append(args[0].size)
+        return dstev(*args)
     monkeypatch.setattr(specfun._LaplaceRule, "_nodes", counted)
+    monkeypatch.setattr(specfun, "dstev", counted_dstev)
     sol = solve_boundary(cir, ContractParams(c=c, m=c))
     value(sol, cir.theta)
     assert len(builds) == 1
+    assert eigen == [specfun._JACOBI_NODES]
 
 
 @pytest.mark.parametrize("cir,c", [
@@ -814,33 +851,46 @@ def test_value_curve_names_the_bad_argument(primary_solution):
     with pytest.raises(ValidationError) as exc:
         value_curve(primary_solution, 0.1, 0.5, 1)
     assert exc.value.field == "points"
-    # the annuity rule resolves no rate above 1e7
-    for x_max in (math.inf, math.nan, 2e7):
+    for x_max in (math.inf, math.nan):
         with pytest.raises(ValidationError) as exc:
             value_curve(primary_solution, 0.1, x_max, 11)
         assert exc.value.field == "x_max"
+    # a finite window evaluates at any height: V tends to c/x
+    x, v, _ = value_curve(primary_solution, 0.1, 2e7, 11).points[-1]
+    assert x == 2e7 and v == pytest.approx(CONTRACT.c / x, rel=1e-7)
     with pytest.raises(ValidationError) as exc:
         value_curve(primary_solution, 0.0, 0.1, 2.5)
     assert exc.value.field == "points"
 
 
-# the annuity rule resolves no rate above 1e7
 @pytest.mark.parametrize("x", [math.nan, math.inf,
                                np.array([0.02, math.nan]), 2e7,
                                np.array([0.02, 2e7])])
 def test_value_rejects_non_finite_rate(primary_solution, x):
-    for fn in (value, value_derivative, ode_residual, closed_form.diagnose):
+    # any finite rate evaluates, 2e7 too, where V is c/x to 1.3e-8 and the
+    # ODE residual stays at rounding
+    fns = (value, value_derivative, ode_residual, closed_form.diagnose)
+    if np.all(np.isfinite(x)):
+        v, dv, res, diag = (fn(primary_solution, x) for fn in fns)
+        assert np.all(np.isfinite([v, dv, res]))
+        assert max(np.max(np.abs(res)), diag.ode_residual_max) \
+            <= 1e-14 * CONTRACT.c
+        assert np.atleast_1d(v)[-1] == pytest.approx(CONTRACT.c / 2e7,
+                                                     rel=2e-8)
+        return
+    for fn in fns:
         with pytest.raises(DomainError):
             fn(primary_solution, x)
 
 
 def test_tail_tracks_first_order_correction(primary_solution):
     # x V - c = k c / x (1 + O(1/x)); at x >= 100 k the first-order term
-    # describes the tail to better than 50 percent
+    # describes the tail to better than 50 percent, out to x = 1e12, where
+    # it is 2.5e-13 of c
     sol = primary_solution
     c = sol.contract.c
     k = sol.cir.k
-    for x in (25.0, 50.0, 100.0):
+    for x in (25.0, 50.0, 100.0, 1e7, 1e9, 1e12):
         gap = x * value(sol, x) - c
         assert gap == pytest.approx(k * c / x, rel=0.5)
 

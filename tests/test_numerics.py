@@ -15,11 +15,11 @@ from cirmort.numerics import _WGK, _XGK, find_root_bracketed
 # the fixed GK15 rule shared by the panel quadratures of specfun and
 # closed_form
 
-# the Gauss-7 weights embedded at the odd Kronrod nodes (QUADPACK values),
-# for the rule's Kronrod-minus-Gauss error estimate
+# the Gauss-7 weights embedded at the odd Kronrod nodes (QUADPACK dqk15's
+# 33-digit values), for the rule's Kronrod-minus-Gauss error estimate
 _WG_HALF = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
 ])
 _WG = np.zeros(15)
 _WG[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
@@ -36,16 +36,16 @@ def _gk15_panels(f, a, b, n):
 
 
 def test_quad_constant():
-    # Kronrod-15 is exact to degree 22 and its Gauss-7 subset to degree 13
-    # (to the 15 digits of the tabulated weights)
+    # Kronrod-15 is exact to degree 22 and its Gauss-7 subset to degree 13,
+    # to rounding with the 33-digit tables
     value, err = _gk15_panels(lambda x: np.ones_like(x), 0.0, 1.0, 1)
     assert value == pytest.approx(1.0, rel=1e-13)
     assert 0.0 <= err <= 1e-14
     for deg in range(23):
         truth = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
-        assert abs(_XGK ** deg @ _WGK - truth) <= 1e-14, deg
+        assert abs(_XGK ** deg @ _WGK - truth) <= 1e-15, deg
         if deg <= 13:
-            assert abs(_XGK ** deg @ _WG - truth) <= 1e-14, deg
+            assert abs(_XGK ** deg @ _WG - truth) <= 1e-15, deg
 
 
 def test_quad_error_estimates_conservative():
