@@ -173,7 +173,7 @@ def _wronskian_grid_error() -> float:
     errs = []
     for alpha, gamma in pairs:
         log_u, u_ratio, _ = specfun._tricomi_u_raw(alpha, gamma, zs)
-        log_msc, m_ratio = closed_form._log_msc_and_ratio(alpha, gamma, zs)
+        log_msc, m_ratio = specfun._log_msc_and_ratio(alpha, gamma, zs)
         log_w = log_msc + zs + log_u + np.log(m_ratio - u_ratio)
         errs.append(np.abs(np.expm1(
             log_w - specfun.log_wronskian(alpha, gamma, zs))))

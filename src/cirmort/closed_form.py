@@ -8,9 +8,10 @@ Annuity form.  The steady ODE
 
 has the decaying particular solution A(x) = c int_0^inf P(x, t) dt, the value
 of a loan that is never prepaid, where P is the Cox-Ingersoll-Ross
-zero-coupon bond price (model.bond_price_terms; it solves the ODE by
-Feynman-Kac).  With s = sqrt(k^2 + 2 sigma^2), lam = (k - s)/sigma^2,
-p = 2s/sigma^2 and z = p x, the decaying homogeneous solution is
+zero-coupon bond price (it solves the ODE by Feynman-Kac; the tests'
+closed_form_reference.bond_price_terms gives it in t).  With
+s = sqrt(k^2 + 2 sigma^2), lam = (k - s)/sigma^2, p = 2s/sigma^2 and
+z = p x, the decaying homogeneous solution is
 W(x) = e^{lam x} U(alpha, gamma, z), so every decaying solution is A + C W.
 Smooth pasting V(x*) = 1, V'(x*) = 0 gives C = (1 - A(x*)) / W(x*) and the
 boundary residual
@@ -65,17 +66,16 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .errors import (BoundaryBelowFloorError, DomainError, NoBracketError,
-                     ValidationError)
+from .errors import (BoundaryBelowFloorError, ConvergenceError, DomainError,
+                     NoBracketError, ValidationError)
 from .model import (RATE_FLOOR, CirParams, ContractParams, DerivedConstants,
                     derive_constants, require_unit_balance)
-from .numerics import find_root_bracketed
 from .specfun import (_UNIT_NODES, _UNIT_WEIGHTS, _jacobi_unit,
-                      _kummer_m_scaled, _LaplaceRule, _tricomi_u_raw)
+                      _LaplaceRule, _log_msc_and_ratio, _tricomi_u_raw)
 
 __all__ = ["SteadyStateSolution", "Diagnostics", "DiagnosticsWarning",
            "ValueCurve", "solve_boundary", "value", "value_derivative",
@@ -84,6 +84,11 @@ __all__ = ["SteadyStateSolution", "Diagnostics", "DiagnosticsWarning",
 Real = Union[float, np.ndarray]
 
 _CHUNK = 64
+# Largest z_max/z_min of one _branch pass.  U's rule reaches from
+# t = min(1, 1/z_max) to reach/z_min, so z t stays below 1e100 reach and
+# z_max > 1 adds a bounded number of panels.  verify's widest chunk spans
+# 63 decades on 3000 draws over ROADMAP item 11's wide box.
+_Z_RATIO = 1e100
 _END_E = np.log(_UNIT_WEIGHTS)          # the annuity's panel on [0, v_min]
 _FLOAT_MAX = sys.float_info.max         # x <= _FLOAT_MAX / p: z = p x finite
 # Bounds on a solution's diagnostics, applied by Diagnostics.bounds alone for
@@ -99,6 +104,7 @@ ODE_RESIDUAL_TOL_PER_C = 1e-6           # times the coupon c
 GAMMA_CAP = 1e6
 # solve_boundary's diagnostic probes, in units of x*
 _PROBE_RATIOS = np.geomspace(1.02, 5.0, 7)
+_RTOL_FLOOR = 4.0 * np.finfo(float).eps  # find_root_bracketed's least rtol
 
 
 class DiagnosticsWarning(UserWarning):
@@ -252,13 +258,18 @@ def _combine(sol: SteadyStateSolution, z: np.ndarray,
 
 def _branch(sol: SteadyStateSolution, xs: np.ndarray) -> np.ndarray:
     """_combine's rows at each rate x >= x* of the array xs, in any order, at
-    z = max(p x, z*), one terms pass per chunk of _CHUNK sorted abscissae."""
+    z = max(p x, z*), one terms pass per chunk of at most _CHUNK sorted
+    abscissae whose largest z is at most _Z_RATIO times its least."""
     z = np.maximum(sol.consts.p * xs, sol.z_star)
     order = z.argsort(kind="stable")
     rows = np.empty((3, z.size))
-    for lo in range(0, z.size, _CHUNK):
+    lo = 0
+    while lo < z.size:
         part = order[lo:lo + _CHUNK]
+        # in Python floats z_min * _Z_RATIO overflows to inf without a warning
+        part = part[z[part] <= float(z[part[0]]) * _Z_RATIO]
         rows[:, part] = _combine(sol, z[part], sol.workspace.terms(z[part]))
+        lo += part.size
     return rows
 
 
@@ -350,16 +361,6 @@ def value_curve(solution: SteadyStateSolution, x_min: float, x_max: float,
         ode_residual(solution, xs).tolist())))
 
 
-def _log_msc_and_ratio(alpha: float, gamma: float,
-                       zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ln(e^{-z} M), M'/M) at every z >= 0 of zs, with
-    M'/M = (alpha/gamma) M(alpha+1, gamma+1, z) / M(alpha, gamma, z)."""
-    log_msc, log_msc1 = np.array(
-        [[_kummer_m_scaled(alpha, gamma, z),
-          _kummer_m_scaled(alpha + 1.0, gamma + 1.0, z)] for z in zs]).T
-    return log_msc, (alpha / gamma) * np.exp(log_msc1 - log_msc)
-
-
 def _msc_iu(ws: _Workspace, z: float, ann: float, ann_x: float,
             ratio: float) -> float:
     """Msc IU~ at z, given A, A' at x = z/p and U'/U at z: c2's 2x2 solve
@@ -390,6 +391,40 @@ def c2(solution: SteadyStateSolution) -> float:
     except OverflowError:
         scale = math.inf
     return scale * (1.0 - _msc_iu(ws, z_star, ann, ann_x, ratio))
+
+
+def find_root_bracketed(f: Callable[[float], tuple[float, float]], lo: float,
+                        hi: float, tol: float = 1e-10, max_iter: int = 200,
+                        f_lo: tuple | None = None, f_hi: tuple | None = None
+                        ) -> float:
+    """Safeguarded Newton on f (Press et al., Numerical Recipes, 9.4), which
+    returns (value, slope); f_lo and f_hi are those pairs at lo and hi, if
+    known.  Requires values of opposite sign there; never evaluates outside
+    [lo, hi].  Starts from the end with the shorter Newton step, and bisects
+    where a step would leave the bracket or the slope is 0.  Stops once the
+    step, which it then takes unevaluated, or the bracket is within
+    tol * max(1, |x|) or so (the relative part held at _RTOL_FLOOR when tol
+    is below it)."""
+    f_lo = f(lo) if f_lo is None else f_lo
+    f_hi = f(hi) if f_hi is None else f_hi
+    if np.sign(f_lo[0]) * np.sign(f_hi[0]) > 0.0:
+        raise NoBracketError(f"f({lo!r}) and f({hi!r}) have the same sign")
+    neg, pos = (lo, hi) if f_lo[0] < 0.0 else (hi, lo)
+    x, y = ((lo, f_lo) if abs(f_lo[0] * f_hi[1]) <= abs(f_hi[0] * f_lo[1])
+            else (hi, f_hi))
+    for _ in range(max_iter):
+        x_new = x - (y[0] / y[1] if y[1] else np.inf)
+        close = tol + max(tol, _RTOL_FLOOR) * abs(x)
+        if abs(x_new - x) <= close:
+            return min(max(x_new, lo), hi)
+        if not min(neg, pos) < x_new < max(neg, pos):
+            x_new = 0.5 * (neg + pos)
+        x, y = x_new, f(x_new)
+        neg, pos = (x, pos) if y[0] < 0.0 else (neg, x)
+        if abs(pos - neg) <= close:
+            return x
+    raise ConvergenceError(
+        f"root refinement did not converge in {max_iter} iterations")
 
 
 def solve_boundary(cir: CirParams, contract: ContractParams,

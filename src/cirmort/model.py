@@ -1,6 +1,6 @@
 """Model and contract parameters, the unit-balance rule m = c that every
-solver and oracle applies (require_unit_balance), derived transformation
-constants, and the Cox-Ingersoll-Ross bond price.
+solver and oracle applies (require_unit_balance), and derived
+transformation constants.
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ import numbers
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 
 __all__ = [
@@ -20,7 +18,6 @@ __all__ = [
     "DerivedConstants",
     "FellerWarning",
     "derive_constants",
-    "bond_price_terms",
     "require_unit_balance",
 ]
 
@@ -122,21 +119,4 @@ def derive_constants(cir: CirParams) -> DerivedConstants:
     assert 0.0 < consts.a_exp < 0.5
     assert consts.alpha > 0 and consts.gamma > 0
     return consts
-
-
-def bond_price_terms(cir: CirParams,
-                     t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ln A(t), B(t)) at each maturity t >= 0 of an array, for the zero-coupon
-    bond price P(x, t) = E[exp(-int_0^t x)] = A(t) e^{-B(t) x} of Cox,
-    Ingersoll & Ross (Econometrica 53, 1985), written with e^{-h t},
-    h = sqrt(k^2 + 2 sigma^2), so that nothing overflows at any t."""
-    t = np.asarray(t, dtype=float)
-    k = cir.k
-    h = math.sqrt(k * k + 2.0 * cir.sigma ** 2)
-    k_minus_h = -2.0 * cir.sigma ** 2 / (h + k)
-    em = np.expm1(-h * t)                               # e^{-ht} - 1
-    den = 2.0 * h + k_minus_h * -em
-    log_a = (2.0 * k * cir.theta / cir.sigma ** 2) * (
-        0.5 * k_minus_h * t - np.log1p(k_minus_h * -em / (2.0 * h)))
-    return log_a, -2.0 * em / den
 

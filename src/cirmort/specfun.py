@@ -1,10 +1,10 @@
 """Confluent hypergeometric functions in log space: ln U, U'/U and U''/U
-(Tricomi), ln(e^{-z} M) (Kummer), and the log of their Wronskian.
+(Tricomi), ln(e^{-z} M) and M'/M (Kummer), and the log of their Wronskian.
 
-The solver uses U only through U'/U, U''/U and differences of ln U, and M
-only through M'/M at one z, so these are the only forms kept; none of them
-overflows where U or M itself leaves float range (U(0.05, 133, 1e-3) is
-about 10^617).
+The solver uses U only through U'/U, U''/U and differences of ln U, and c2
+uses M only through M'/M at one z, so these are the only forms kept; none
+of them overflows where U or M itself leaves float range (U(0.05, 133,
+1e-3) is about 10^617).
 
 U comes from one rule at every z > 0: the Laplace integral (DLMF 13.4.4)
     U = 1/Gamma(alpha) * int_0^inf e^{-z t} t^{alpha-1}
@@ -49,9 +49,11 @@ ln U do not.
 M is scipy's hyp1f1, verified to ~1e-14 on the contract box including
 near-integer gamma.  _kummer_m_scaled returns ln(e^{-z} M): ln hyp1f1 - z
 while hyp1f1 is in range, the large-z series (DLMF 13.7.2) summed in log
-form beyond it.  U is never routed through scipy's hyperu: that
-implementation loses all accuracy for gamma within ~1e-15 of an integer, a
-regime gamma = 2*k*theta/sigma^2 hits for round model inputs.
+form beyond it; _log_msc_and_ratio adds M'/M from M(alpha+1, gamma+1, z)
+for c2 and cirmort verify's Wronskian check.  U is never routed through
+scipy's hyperu: that implementation loses all accuracy for gamma within
+~1e-15 of an integer, a regime gamma = 2*k*theta/sigma^2 hits for round
+model inputs.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from scipy import special
 from scipy.linalg.lapack import dstev
 
 from .errors import ConvergenceError, DomainError
-from .numerics import gk15_panels
 
 __all__ = ["log_wronskian"]
 
@@ -79,9 +80,25 @@ def _check_z(z_min: float, z_max: float, name: str) -> None:
 
 _JACOBI_NODES = 16      # Gauss-Jacobi nodes of U's rule on (0, t_split]
 _K = np.arange(float(_JACOBI_NODES))    # the Jacobi matrix's row index
+# Kronrod-15 abscissae on [-1, 1] (symmetric; nonnegative half listed) and the
+# matching Kronrod weights, QUADPACK dqk15's 33-digit values: with them the
+# rule integrates x^j, j <= 22, within 3e-27 (mpmath at 40 digits).
+_XGK_HALF = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_WGK_HALF = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
 # GK15 on [0, 1], of which each panel of U's rule and of the annuity's
 # (closed_form) is an affine copy
-_UNIT_NODES, _UNIT_WEIGHTS = gk15_panels(np.array([0.0, 1.0]))
+_UNIT_NODES = 0.5 + 0.5 * np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])
+_UNIT_WEIGHTS = 0.5 * np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 
 
 def _jacobi_unit(alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -238,3 +255,13 @@ def _kummer_m_scaled(alpha: float, gamma: float, z: float) -> float:
                     + (alpha - gamma) * math.log(z) + math.log(total))
     raise ConvergenceError(
         f"the large-z series of M({alpha}, {gamma}, {z}) does not converge")
+
+
+def _log_msc_and_ratio(alpha: float, gamma: float,
+                       zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ln(e^{-z} M), M'/M) at every z >= 0 of zs, with
+    M'/M = (alpha/gamma) M(alpha+1, gamma+1, z) / M(alpha, gamma, z)."""
+    log_msc, log_msc1 = np.array(
+        [[_kummer_m_scaled(alpha, gamma, z),
+          _kummer_m_scaled(alpha + 1.0, gamma + 1.0, z)] for z in zs]).T
+    return log_msc, (alpha / gamma) * np.exp(log_msc1 - log_msc)

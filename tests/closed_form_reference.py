@@ -3,8 +3,10 @@ not use, in mpmath at 20 digits unless stated: the source term, the
 variation-of-parameters kernel, the paper's particular solution
 u_p = M I_U + U I_M at any z_ref, two forms of its smooth-pasting residual,
 the annuity-form residual R(x), the annuity as an integral in the bond
-variable, and the annuity at x = 0 by the incomplete beta function.  The
-tests check them against each other and against the solver."""
+variable, the annuity at x = 0 by the incomplete beta function, and, in
+floats, the zero-coupon bond price whose integral in t is the annuity.  The
+tests check them against each other, against the solver and against the
+Monte Carlo oracle."""
 
 import math
 
@@ -210,3 +212,19 @@ def annuity_at_zero_betainc(cir, contract):
         al = 2 * k * theta / (s * (s + k))
         return float(mp.mpf(contract.c) / s * a ** -al * (1 - a) ** (al - g)
                      * mp.betainc(al, g - al, 0, a))
+
+
+def bond_price_terms(cir, t):
+    """(ln A(t), B(t)) at each maturity t >= 0 of an array, for the zero-coupon
+    bond price P(x, t) = E[exp(-int_0^t x)] = A(t) e^{-B(t) x} of Cox,
+    Ingersoll & Ross (Econometrica 53, 1985), written with e^{-h t},
+    h = sqrt(k^2 + 2 sigma^2), so that nothing overflows at any t."""
+    t = np.asarray(t, dtype=float)
+    k = cir.k
+    h = math.sqrt(k * k + 2.0 * cir.sigma ** 2)
+    k_minus_h = -2.0 * cir.sigma ** 2 / (h + k)
+    em = np.expm1(-h * t)                               # e^{-ht} - 1
+    den = 2.0 * h + k_minus_h * -em
+    log_a = (2.0 * k * cir.theta / cir.sigma ** 2) * (
+        0.5 * k_minus_h * t - np.log1p(k_minus_h * -em / (2.0 * h)))
+    return log_a, -2.0 * em / den

@@ -1,6 +1,7 @@
 """Unit tests for the analytical solution: source term, kernel, particular
 solution, annuity, boundary residual, and the solved value function."""
 
+import dataclasses
 import math
 import runpy
 import warnings
@@ -9,6 +10,8 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from cirmort import cli, closed_form, specfun
@@ -34,6 +37,8 @@ GRID = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts"
 UNIT_CIR = CirParams(k=1.0, theta=1.0, sigma=1.0)
 PRIMARY_CIR = CirParams(k=0.25, theta=0.06, sigma=0.1)
 CONTRACT = ContractParams(c=0.05, m=0.05)
+# ROADMAP item 11's wide box: k, theta, sigma, c, each drawn log-uniformly
+WIDE_BOX = ((1e-4, 1e3), (1e-5, 3.0), (3e-4, 5.0), (1e-4, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -481,6 +486,32 @@ def test_fuzz_box_solves_within_bounds_or_has_no_bracket():
     assert solved > 0
 
 
+@settings(max_examples=1500, derandomize=True, database=None)
+@given(st.tuples(*(st.floats(math.log(lo), math.log(hi))
+                   for lo, hi in WIDE_BOX)))
+def test_wide_box_solves_within_bounds_or_raises_a_documented_error(logs):
+    # gamma from 8e-11 to 7e10: a solve meets its diagnostic bounds, with
+    # x* < c and no numpy warning, or raises one of solve_boundary's
+    # documented errors; a gamma above GAMMA_CAP is the only
+    # ValidationError.  V <= 1 is not asserted: at small alpha the factor
+    # 1 - A(x*) amplifies rounding, and V exceeds 1 by up to 4.3e-8 at
+    # alpha = 6.6e-9 (README, Supported box)
+    k, theta, sigma, c = (math.exp(v) for v in logs)
+    cir = CirParams(k=k, theta=theta, sigma=sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DiagnosticsWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            sol = solve_boundary(cir, ContractParams(c=c, m=c))
+        except (NoBracketError, BoundaryBelowFloorError):
+            return
+        except ValidationError as exc:
+            assert exc.field == "sigma"
+            return
+    assert sol.x_star < c
+    assert np.all(np.isfinite(dataclasses.astuple(sol.diagnostics)))
+
+
 @pytest.mark.parametrize("cir,c", [
     # gamma = 0.0043, alpha = 0.0021 and A(x*) of about 59, so 1 - A(x*)
     # multiplies U's error: a U rule with five equal panels in u = t^alpha
@@ -881,6 +912,44 @@ def test_value_rejects_non_finite_rate(primary_solution, x):
     for fn in fns:
         with pytest.raises(DomainError):
             fn(primary_solution, x)
+
+
+def test_diagnose_at_a_rate_near_the_float_limit(primary_solution):
+    # x* and 1e306 (z = 5.7e307) span 308 decades of z: _branch takes them
+    # in two passes, and neither overflows z t
+    diag = closed_form.diagnose(primary_solution, [1e306])
+    assert [measured <= bound for _, measured, bound
+            in diag.bounds(CONTRACT.c)] == [True] * 3
+    assert diag.ode_residual_max <= 1e-14 * CONTRACT.c
+
+
+@pytest.mark.parametrize("cir,c", [
+    (PRIMARY_CIR, 0.05),
+    # gamma = 0.10, z* = 6.8e-10: one pass over the probe below would
+    # overflow z t
+    (CirParams(k=7.04e-4, theta=0.634, sigma=0.094), 7.09e-3),
+])
+def test_value_on_three_hundred_decades_splits_its_passes(monkeypatch, cir,
+                                                          c):
+    # 20 rates from 1.001 x* to z = 1e300: every pass spans at most
+    # _Z_RATIO, V agrees with one pass per rate, tends to c/x, and the ODE
+    # residual stays at rounding
+    sol = solve_boundary(cir, ContractParams(c=c, m=c))
+    xs = np.geomspace(1.001 * sol.x_star, 1e300 / sol.consts.p, 20)
+    ratios = []
+    terms = _Workspace.terms
+
+    def counted(ws, zs):
+        ratios.append(float(np.max(zs) / np.min(zs)))
+        return terms(ws, zs)
+
+    monkeypatch.setattr(_Workspace, "terms", counted)
+    v, res = value(sol, xs), ode_residual(sol, xs)
+    assert 1 < len(ratios) and max(ratios) <= closed_form._Z_RATIO
+    assert v == pytest.approx([value(sol, x) for x in xs], rel=1e-14)
+    assert np.all((0.0 < v) & (v <= 1.0))
+    assert xs[-1] * v[-1] == pytest.approx(c, rel=1e-13)
+    assert np.max(np.abs(res)) <= 1e-12 * c
 
 
 def test_tail_tracks_first_order_correction(primary_solution):

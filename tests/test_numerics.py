@@ -1,4 +1,5 @@
-"""Unit tests for the shared GK15 rule and root-finding."""
+"""Unit tests for the GK15 rule of specfun's unit panel and for
+closed_form's bracketed root refinement."""
 
 import math
 
@@ -7,13 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cirmort.closed_form import find_root_bracketed
 from cirmort.errors import ConvergenceError, NoBracketError
-from cirmort.numerics import _WGK, _XGK, find_root_bracketed
+from cirmort.specfun import _WGK_HALF, _XGK_HALF
 
 
 # ---------------------------------------------------------------------------
-# the fixed GK15 rule shared by the panel quadratures of specfun and
-# closed_form
+# the GK15 rule on [-1, 1] from specfun's half-tables, of which the unit
+# panel of U's rule and of the annuity's (closed_form) is an affine copy
+
+_XGK = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])          # 15 nodes
+_WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
 
 # the Gauss-7 weights embedded at the odd Kronrod nodes (QUADPACK dqk15's
 # 33-digit values), for the rule's Kronrod-minus-Gauss error estimate

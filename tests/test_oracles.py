@@ -10,10 +10,11 @@ from scipy.integrate import quad
 from cirmort import oracles
 from cirmort.closed_form import solve_boundary, value
 from cirmort.errors import ConvergenceError, NoBracketError, ValidationError
-from cirmort.model import CirParams, ContractParams, bond_price_terms
+from cirmort.model import CirParams, ContractParams
 from cirmort.oracles import (_howard, _operator_coeffs, _simulate_threshold,
                              fd_steady_state, mc_optimality_probe, mc_value,
                              shoot_solve)
+from closed_form_reference import bond_price_terms
 
 PRIMARY_CIR = CirParams(k=0.25, theta=0.06, sigma=0.1)
 CONTRACT = ContractParams(c=0.05, m=0.05)

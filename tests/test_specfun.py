@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cirmort import specfun
-from cirmort.closed_form import _log_msc_and_ratio
 from cirmort.errors import DomainError
-from cirmort.specfun import _kummer_m_scaled, _tricomi_u_raw, log_wronskian
+from cirmort.specfun import (_kummer_m_scaled, _log_msc_and_ratio,
+                             _tricomi_u_raw, log_wronskian)
 
 PAIRS = [(0.2, 0.5), (0.2, 3.0), (0.5, 1.5), (1.0, 1.0), (1.0, 4.0),
          (2.5, 2.0), (3.0, 8.0), (5.0, 5.5), (8.0, 24.0)]
